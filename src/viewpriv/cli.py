@@ -16,7 +16,7 @@ import numpy as np
 from . import baselines, bpea, harness, leakage, oracle
 from .harness import DEFAULT_PRECISION, ExperimentConfig
 from .streaming import DEFAULT_BUDGET_MBIT
-from .traces import DEFAULT_CONCENTRATION, generate_synthetic_trace, write_traces
+from .traces import DEFAULT_CONCENTRATION, write_traces
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -147,7 +147,7 @@ def _cmd_calibrate(args) -> int:
     )
     train, _ = harness.generate_trace_set(cfg)
     kind = baselines.GAUSSIAN_KIND if args.kind == "gaussian" else baselines.LAPLACE_KIND
-    pipeline = harness._calibration_pipeline(cfg, kind, train, set())
+    pipeline = harness.calibration_pipeline(cfg, kind, train, set())
     result = baselines.calibrate_noise_scale(pipeline, args.eps, args.q, kind, step=args.step)
     if result.feasible:
         print(f"feasible: scale {result.scale.value:.4g} achieves leakage "
@@ -183,12 +183,8 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_gen_traces(args) -> int:
-    traces = []
-    for user in range(args.users):
-        for video in range(args.videos):
-            rng = harness._rng(args.seed, 1, user, video)
-            traces.append(generate_synthetic_trace(user, video, args.gops, rng,
-                                                   args.concentration))
+    traces = harness.synthesize_traces(args.seed, args.users, args.videos, args.gops,
+                                       args.concentration)
     write_traces(traces, args.out)
     print(f"wrote {len(traces)} traces ({args.users} users x {args.videos} videos, "
           f"{args.gops} GoPs each) to {args.out}")

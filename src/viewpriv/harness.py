@@ -26,12 +26,16 @@ from .policies import (
     LaplaceViewpointNoise,
     NoObfuscation,
 )
-from .streaming import DEFAULT_BUDGET_MBIT, SessionConfig, apply_policy, simulate_session
+from .streaming import (
+    DEFAULT_BUDGET_MBIT, PolicyApplication, SessionConfig, apply_policy, stream_session,
+    upload_errors,
+)
 from .traces import (
     DEFAULT_CONCENTRATION,
     DEFAULT_HORIZON,
     SessionTrace,
-    generate_synthetic_trace,
+    generate_synthetic_traces,
+    persistence_predict,
     prediction_errors,
 )
 
@@ -117,21 +121,25 @@ def _q_id(q: float) -> int:
     return int(round(q * 1_000_000))
 
 
+def synthesize_traces(seed: int, users: int, videos: int, gops: int,
+                      concentration: float = DEFAULT_CONCENTRATION) -> list[SessionTrace]:
+    """Synthetic traces for every (user, video) pair, user-major. Each trace
+    draws from its own RNG seeded by (seed, user, video), so the same pair
+    gives the same trace in every command and split."""
+    keys = [(user, video) for user in range(users) for video in range(videos)]
+    rngs = [_rng(seed, 1, user, video) for user, video in keys]
+    return generate_synthetic_traces(keys, gops, rngs, concentration)
+
+
 def generate_trace_set(cfg: ExperimentConfig) -> tuple[list[SessionTrace], list[SessionTrace]]:
     """Synthesize the (training, evaluation) trace split."""
-    train, evaluation = [], []
-    total = cfg.num_train_videos + cfg.num_videos
-    for user in range(cfg.num_users):
-        for video in range(total):
-            rng = _rng(cfg.seed, 1, user, video)
-            trace = generate_synthetic_trace(
-                user, video, cfg.gops_per_video, rng, cfg.concentration
-            )
-            (train if video < cfg.num_train_videos else evaluation).append(trace)
-    return train, evaluation
+    traces = synthesize_traces(cfg.seed, cfg.num_users, cfg.num_train_videos + cfg.num_videos,
+                               cfg.gops_per_video, cfg.concentration)
+    train = [t for t in traces if t.video_id < cfg.num_train_videos]
+    return train, [t for t in traces if t.video_id >= cfg.num_train_videos]
 
 
-def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionTrace], audit: set):
+def calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionTrace], audit: set):
     """Scale -> prediction errors over the stacked training traces.
 
     One RNG per (kind, scale), per the seed discipline for calibration; the
@@ -140,7 +148,6 @@ def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionT
     """
     stacked = np.stack([t.actual for t in train])
     keys = [(t.user_id, t.video_id) for t in train]
-    shift = np.maximum(np.arange(stacked.shape[1]) - cfg.horizon, 0)
     cache: dict[int, np.ndarray] = {}
     kind_id = 0 if kind == baselines.GAUSSIAN_KIND else 1
 
@@ -151,8 +158,7 @@ def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionT
         audit.update(keys)
         rng = _rng(cfg.seed, 2, kind_id, key)
         noisy = perturb_rows(stacked.reshape(-1, 3), kind, scale, rng).reshape(stacked.shape)
-        predicted = noisy[:, shift, :]
-        cache[key] = prediction_errors(predicted, stacked).ravel()
+        cache[key] = prediction_errors(persistence_predict(noisy, cfg.horizon), stacked).ravel()
         return cache[key]
 
     return pipeline
@@ -181,43 +187,51 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         kind = _KIND_FOR_POLICY.get(name)
         if kind is None:
             continue
-        pipeline = _calibration_pipeline(cfg, kind, train, calibration_audit)
+        pipeline = calibration_pipeline(cfg, kind, train, calibration_audit)
         for q in cfg.q_grid:
             calibrations[(name, q)] = calibrate_noise_scale(
                 pipeline, cfg.eps, q, kind, step=cfg.calibration_step
             )
+        del pipeline   # its per-scale error cache would otherwise outlive calibration
 
-    evaluation_keys = set()
+    # none and bpea upload the clean persistence errors, so they run on all
+    # evaluation traces at once; none does not depend on q.
+    actual = np.stack([t.actual for t in evaluation])
+    predicted = persistence_predict(actual, cfg.horizon)
+    errors = prediction_errors(predicted, actual)
+
+    def stacked(policy) -> list[PolicyApplication]:
+        outputs = upload_errors(errors, policy, cfg.eps)
+        return [PolicyApplication(*row) for row in zip(predicted, errors, *outputs)]
+
+    none_apps = stacked(NoObfuscation()) if "none" in cfg.policies else None
+    evaluation_keys = {(t.user_id, t.video_id) for t in evaluation}
     rows = []
     for q in cfg.q_grid:
         for name in cfg.policies:
             policy = _policy_instance(name, q, cfg, calibrations)
-            leaks, errors, noises, qoes, trace_leaks = [], [], [], [], []
-            for trace in evaluation:
-                evaluation_keys.add((trace.user_id, trace.video_id))
-                rng = _rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], trace.user_id, trace.video_id)
-                if cfg.compute_qoe:
-                    outcome = simulate_session(trace, policy, session_cfg, cfg.eps, rng, cfg.horizon)
-                    qoes.append(outcome.qoe.qoe)
-                    leaks.append(outcome.per_gop_leakage)
-                    errors.append(outcome.mean_error_rad)
-                    noises.append(outcome.mean_abs_noise_rad)
-                    trace_leaks.append(outcome.leakage.value)
-                else:
-                    app = apply_policy(trace, policy, cfg.eps, rng, cfg.horizon)
-                    leaks.append(app.per_gop_leakage)
-                    errors.append(app.mean_error_rad)
-                    noises.append(app.mean_abs_noise_rad)
-                    trace_leaks.append(float(np.mean(app.per_gop_leakage)))
+            if name == "none":
+                apps = none_apps
+            elif name == "bpea":
+                apps = stacked(policy)
+            else:
+                rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
+                        for t in evaluation]
+                apps = [apply_policy(t, policy, cfg.eps, rng, cfg.horizon)
+                        for t, rng in zip(evaluation, rngs)]
+            qoe = math.nan
+            if cfg.compute_qoe:
+                qoe = np.mean([stream_session(t, a, session_cfg).qoe.qoe
+                               for t, a in zip(evaluation, apps)])
             rows.append(
                 TradeoffRow(
                     q=q,
                     policy=name,
-                    pr_leak=float(np.mean(np.concatenate(leaks))),
-                    mean_error_rad=float(np.mean(errors)),
-                    mean_abs_noise_rad=float(np.mean(noises)),
-                    qoe=float(np.mean(qoes)) if cfg.compute_qoe else math.nan,
-                    pspr=pspr(trace_leaks, q),
+                    pr_leak=float(np.mean(np.concatenate([a.per_gop_leakage for a in apps]))),
+                    mean_error_rad=float(np.mean([a.mean_error_rad for a in apps])),
+                    mean_abs_noise_rad=float(np.mean([a.mean_abs_noise_rad for a in apps])),
+                    qoe=float(qoe),
+                    pspr=pspr([float(np.mean(a.per_gop_leakage)) for a in apps], q),
                 )
             )
 

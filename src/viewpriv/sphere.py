@@ -90,21 +90,23 @@ def arc_distances(points: np.ndarray, reference: SpherePoint) -> np.ndarray:
     return np.arctan2(np.linalg.norm(cross, axis=1), points @ r)
 
 
-def tangent_frame(origin: SpherePoint) -> tuple[np.ndarray, np.ndarray]:
+def tangent_frame(origin) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent basis (t1, t2) at ``origin``.
 
-    t1 is the unit projection of the +z axis onto the tangent plane
-    (+x axis when the origin is within UNIT_TOLERANCE of +-z), and
-    t2 = origin x t1.
+    ``origin`` is a SpherePoint, giving two 3-vectors, or an (n, 3) array of
+    unit rows, giving two (n, 3) arrays with one frame per row. t1 is the
+    unit projection of the +z axis onto the tangent plane (+x axis when the
+    origin is within UNIT_TOLERANCE of +-z), and t2 = origin x t1.
     """
-    o = origin.as_array()
-    axis = _FRAME_AXIS
-    if abs(float(np.dot(o, axis))) > 1.0 - UNIT_TOLERANCE:
-        axis = _FRAME_AXIS_FALLBACK
-    t1 = axis - np.dot(axis, o) * o
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(o, t1)
-    return t1, t2
+    if isinstance(origin, SpherePoint):
+        t1, t2 = tangent_frame(origin.as_array()[None, :])
+        return t1[0], t2[0]
+    o = np.asarray(origin, dtype=float)
+    near_pole = np.abs(o[:, 2]) > 1.0 - UNIT_TOLERANCE
+    axis = np.where(near_pole[:, None], _FRAME_AXIS_FALLBACK, _FRAME_AXIS)
+    t1 = axis - np.sum(axis * o, axis=1)[:, None] * o
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    return t1, np.cross(o, t1)
 
 
 def point_at_distance(origin: SpherePoint, distance: float, bearing: float) -> SpherePoint:
@@ -118,12 +120,8 @@ def point_at_distance(origin: SpherePoint, distance: float, bearing: float) -> S
     bearing : float
         Direction in the origin's tangent frame, in [0, 2*pi).
     """
-    distance = check_angle(distance, 0.0, math.pi, "distance")
-    bearing = float(bearing) % TWO_PI
-    t1, t2 = tangent_frame(origin)
-    direction = math.cos(bearing) * t1 + math.sin(bearing) * t2
-    v = math.cos(distance) * origin.as_array() + math.sin(distance) * direction
-    return SpherePoint.from_array(v)
+    rows = points_at_distance(origin, distance, [float(bearing) % TWO_PI])
+    return SpherePoint.from_array(rows[0])
 
 
 def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarray) -> np.ndarray:

@@ -310,15 +310,17 @@ def apply_policy(
         predicted = persistence_predict(actual, horizon)
 
     errors = prediction_errors(predicted, actual)
+    return PolicyApplication(predicted, errors, *upload_errors(errors, policy, eps))
+
+
+def upload_errors(errors: np.ndarray, policy: ObfuscationPolicy, eps: float):
+    """(noises, uploaded errors, per-GoP leakage) for measured prediction
+    errors of any shape. Only the noisy-error policy adds noise."""
     if isinstance(policy, BpeaPolicy):
         noises = bpea.optimal_noise_batch(errors, eps, policy.q, policy.margin)
         uploaded = np.clip(errors + noises, 0.0, math.pi)
-        leaks = bpea.conditional_leakage_noisy(errors, noises, eps)
-    else:
-        noises = np.zeros_like(errors)
-        uploaded = errors
-        leaks = conditional_leakage(errors, eps)
-    return PolicyApplication(predicted, errors, noises, uploaded, np.asarray(leaks))
+        return noises, uploaded, bpea.conditional_leakage_noisy(errors, noises, eps)
+    return np.zeros_like(errors), errors, np.asarray(conditional_leakage(errors, eps))
 
 
 @dataclass(frozen=True)
@@ -339,13 +341,15 @@ def simulate_session(
     rng: np.random.Generator,
     horizon: int = DEFAULT_HORIZON,
 ) -> SessionOutcome:
-    """Stream one session under a policy; score QoE and leakage.
+    """Stream one session under a policy: ``apply_policy``, then ``stream_session``."""
+    return stream_session(trace, apply_policy(trace, policy, eps, rng, horizon), cfg)
 
-    The leakage estimate is the sample mean of per-GoP conditional leakage
-    at the attacker-observed uploads (see ``apply_policy``).
+
+def stream_session(trace: SessionTrace, app: PolicyApplication, cfg: SessionConfig) -> SessionOutcome:
+    """Stream one session from its upload pipeline outputs; score QoE and
+    leakage. The leakage estimate is the sample mean of per-GoP conditional
+    leakage at the attacker-observed uploads (see ``apply_policy``).
     """
-    app = apply_policy(trace, policy, eps, rng, horizon)
-
     records = []
     for gop in range(trace.gops):
         shape = zone_from_error(float(app.uploaded[gop]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphere import SpherePoint, TWO_PI, point_at_distance, random_point, unit_rows
+from .sphere import TWO_PI, random_point, tangent_frame, unit_rows
 
 # Tuned so that two-GoP-ahead persistence errors spread across both sides of
 # a 0.1*pi precision radius.
@@ -59,38 +59,41 @@ class SessionTrace:
         return len(self.actual)
 
 
-def vmf_step(current: SpherePoint, concentration: float, rng: np.random.Generator) -> SpherePoint:
-    """One von Mises-Fisher draw centered on ``current``.
+def generate_synthetic_traces(
+    keys: list[tuple[int, int]],
+    gops: int,
+    rngs: list[np.random.Generator],
+    concentration: float = DEFAULT_CONCENTRATION,
+) -> list[SessionTrace]:
+    """Bounded-random-walk head traces, one per (user_id, video_id) key.
 
-    Infinite concentration returns ``current`` unchanged.
+    Trace i draws from ``rngs[i]`` alone: its start point, then its step
+    angles, then its step bearings. One loop over GoPs then steps every
+    trace at once, so a trace does not depend on the rest of the batch.
     """
+    if gops < MIN_GOPS:
+        raise ValueError(f"need at least {MIN_GOPS} GoPs, got {gops}")
     if concentration <= 0.0:
         raise ValueError(f"concentration must be positive, got {concentration!r}")
-    if math.isinf(concentration):
-        return current
-    angle = _vmf_angle(1.0 - rng.random(), concentration)
-    return point_at_distance(current, angle, rng.uniform(0.0, TWO_PI))
-
-
-def _vmf_angle(u, concentration: float):
-    """Polar step angle from a uniform draw in (0, 1], via the inverse CDF
-    of the von Mises-Fisher cosine."""
-    w = 1.0 + np.log(u + (1.0 - u) * math.exp(-2.0 * concentration)) / concentration
-    return np.arccos(np.clip(w, -1.0, 1.0))
-
-
-def _walk_step(v: np.ndarray, angle: float, bearing: float) -> np.ndarray:
-    # Raw-array counterpart of sphere.point_at_distance, to keep long walks
-    # cheap; same tangent-frame convention.
-    if abs(v[2]) > 1.0 - 1e-9:
-        axis = np.array([1.0, 0.0, 0.0])
-    else:
-        axis = np.array([0.0, 0.0, 1.0])
-    t1 = axis - np.dot(axis, v) * v
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(v, t1)
-    out = math.cos(angle) * v + math.sin(angle) * (math.cos(bearing) * t1 + math.sin(bearing) * t2)
-    return out / np.linalg.norm(out)
+    if not keys or len(keys) != len(rngs):
+        raise ValueError(f"need one RNG per trace key, got {len(keys)} keys, {len(rngs)} RNGs")
+    rows = np.empty((len(keys), gops, 3))
+    angles, bearings = np.empty((2, len(keys), gops - 1, 1))
+    walking = not math.isinf(concentration)   # infinite concentration stays at the start
+    for i, rng in enumerate(rngs):
+        rows[i] = random_point(rng).as_array()
+        if walking:
+            u = 1.0 - rng.random(gops - 1)   # in (0, 1], for the vMF cosine's inverse CDF
+            w = 1.0 + np.log(u + (1.0 - u) * math.exp(-2.0 * concentration)) / concentration
+            angles[i, :, 0] = np.arccos(np.clip(w, -1.0, 1.0))
+            bearings[i, :, 0] = rng.uniform(0.0, TWO_PI, gops - 1)
+    for t in range(1, gops if walking else 1):
+        current = rows[:, t - 1]
+        t1, t2 = tangent_frame(current)
+        a, b = angles[:, t - 1], bearings[:, t - 1]
+        step = np.cos(a) * current + np.sin(a) * (np.cos(b) * t1 + np.sin(b) * t2)
+        rows[:, t] = step / np.linalg.norm(step, axis=1)[:, None]
+    return [SessionTrace(user, video, walk) for (user, video), walk in zip(keys, rows)]
 
 
 def generate_synthetic_trace(
@@ -101,36 +104,21 @@ def generate_synthetic_trace(
     concentration: float = DEFAULT_CONCENTRATION,
 ) -> SessionTrace:
     """Bounded-random-walk head trace with ``gops`` viewpoints."""
-    if gops < MIN_GOPS:
-        raise ValueError(f"need at least {MIN_GOPS} GoPs, got {gops}")
-    if concentration <= 0.0:
-        raise ValueError(f"concentration must be positive, got {concentration!r}")
-    start = random_point(rng).as_array()
-    rows = np.empty((gops, 3))
-    rows[0] = start
-    if math.isinf(concentration):
-        rows[1:] = start
-        return SessionTrace(user_id, video_id, rows)
-    angles = _vmf_angle(1.0 - rng.random(gops - 1), concentration)
-    bearings = rng.uniform(0.0, TWO_PI, gops - 1)
-    current = start
-    for t in range(1, gops):
-        current = _walk_step(current, float(angles[t - 1]), float(bearings[t - 1]))
-        rows[t] = current
-    return SessionTrace(user_id, video_id, rows)
+    return generate_synthetic_traces([(user_id, video_id)], gops, [rng], concentration)[0]
 
 
 def persistence_predict(actual: np.ndarray, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
     """Predict each GoP's viewpoint as the one observed ``horizon`` GoPs ago.
 
-    The first GoPs, for which no observation that old exists, reuse the
-    earliest available viewpoint. ``horizon`` = 0 returns the input.
+    ``actual`` is (GoPs, 3), or (traces, GoPs, 3) to predict every trace at
+    once. The first GoPs, for which no observation that old exists, reuse
+    the earliest available viewpoint. ``horizon`` = 0 returns the input.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     actual = np.asarray(actual, dtype=float)
-    indices = np.maximum(np.arange(len(actual)) - horizon, 0)
-    return actual[indices]
+    indices = np.maximum(np.arange(actual.shape[-2]) - horizon, 0)
+    return actual[..., indices, :]
 
 
 def prediction_errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:

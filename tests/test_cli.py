@@ -1,7 +1,10 @@
 import csv
 import math
 
+import numpy as np
+
 from viewpriv import cli
+from viewpriv.harness import ExperimentConfig, generate_trace_set
 from viewpriv.traces import load_traces
 
 
@@ -70,6 +73,22 @@ def test_gen_traces_and_tradeoff_round_trip(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert {r["policy"] for r in rows} == {"bpea", "gaussian"}
     assert all(float(r["q"]) == 1.0 for r in rows)
+
+
+def test_gen_traces_matches_the_experiment_trace_set(tmp_path, capsys):
+    path = tmp_path / "traces.csv"
+    assert cli.main(["gen-traces", "--users", "2", "--videos", "3", "--gops", "40",
+                     "--seed", "4", "--out", str(path)]) == 0
+    train, evaluation = generate_trace_set(ExperimentConfig(
+        num_users=2, num_train_videos=1, num_videos=2, gops_per_video=40, seed=4,
+    ))
+    expected = {(t.user_id, t.video_id): t.actual for t in train + evaluation}
+    loaded = load_traces(path)
+    assert [(t.user_id, t.video_id) for t in loaded] == sorted(expected)
+    # load_traces renormalises each row, which can move a coordinate by an ulp.
+    for trace in loaded:
+        diff = np.abs(trace.actual - expected[(trace.user_id, trace.video_id)])
+        assert np.max(diff) <= 2.0 * np.spacing(1.0)
 
 
 def test_tradeoff_infeasible_still_writes(tmp_path, capsys):

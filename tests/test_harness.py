@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from viewpriv.harness import (
@@ -10,7 +11,8 @@ from viewpriv.harness import (
     run_tradeoff_experiment,
     write_results,
 )
-from viewpriv.policies import BpeaPolicy, GaussianViewpointNoise, LaplaceViewpointNoise
+from viewpriv.policies import BpeaPolicy, GaussianViewpointNoise, LaplaceViewpointNoise, NoObfuscation
+from viewpriv.streaming import apply_policy, stream_session
 
 SMALL = dict(
     num_users=3,
@@ -99,6 +101,24 @@ def test_fast_path_matches_full_path_on_leak_columns(tmp_path):
         assert a.mean_abs_noise_rad == b.mean_abs_noise_rad
         assert a.pspr == b.pspr
         assert math.isnan(b.qoe) and not math.isnan(a.qoe)
+
+
+def test_stacked_rows_match_the_per_trace_pipeline():
+    cfg = ExperimentConfig(**dict(SMALL, policies=("none", "bpea")))
+    _, evaluation = generate_trace_set(cfg)
+    for row in run_tradeoff_experiment(cfg).rows:
+        policy = NoObfuscation() if row.policy == "none" else BpeaPolicy(q=row.q)
+        apps = [apply_policy(t, policy, cfg.eps, np.random.default_rng(0), cfg.horizon)
+                for t in evaluation]
+        leaks = [a.per_gop_leakage for a in apps]
+        assert row.pr_leak == pytest.approx(np.mean(np.concatenate(leaks)), rel=1e-12)
+        assert row.mean_error_rad == pytest.approx(np.mean([a.mean_error_rad for a in apps]),
+                                                   rel=1e-12)
+        assert row.mean_abs_noise_rad == pytest.approx(
+            np.mean([a.mean_abs_noise_rad for a in apps]), rel=1e-12, abs=1e-15)
+        assert row.qoe == pytest.approx(np.mean([
+            stream_session(t, a, cfg.session_config()).qoe.qoe for t, a in zip(evaluation, apps)
+        ]), rel=1e-12)
 
 
 def test_policy_instances_read_calibration():

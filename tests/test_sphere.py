@@ -13,6 +13,7 @@ from viewpriv.sphere import (
     random_point,
     sample_on_circle,
     spherical_distance,
+    tangent_frame,
     unit_rows,
 )
 
@@ -131,6 +132,23 @@ def test_vectorized_helpers_match_scalars():
     assert np.allclose(dists, 0.8, atol=ATOL)
     one = point_at_distance(origin, 0.8, float(bearings[0]))
     assert np.allclose(rows[0], one.as_array(), atol=1e-12)
+
+    # Batched tangent frames: generic points, then points within
+    # UNIT_TOLERANCE of +-z, where the frame falls back to the +x axis.
+    near_poles = [SpherePoint(3e-5, 0.0, 1.0), SpherePoint(0.0, -3e-5, -1.0),
+                  SpherePoint(0.0, 0.0, 1.0), SpherePoint(0.0, 0.0, -1.0)]
+    points = [random_point(rng) for _ in range(32)] + near_poles
+    origins = np.array([p.as_array() for p in points])
+    t1, t2 = tangent_frame(origins)
+    assert t1.shape == t2.shape == origins.shape
+    for i, point in enumerate(points):
+        s1, s2 = tangent_frame(point)
+        assert np.array_equal(t1[i], s1) and np.array_equal(t2[i], s2)
+    assert np.allclose(t1[-4:], [1.0, 0.0, 0.0], atol=1e-4)
+    for a, b in ((t1, t1), (t2, t2)):
+        assert np.allclose(np.sum(a * b, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    for a, b in ((t1, t2), (t1, origins), (t2, origins)):
+        assert np.allclose(np.sum(a * b, axis=1), 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_unit_rows_rejects_zero_rows():

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from viewpriv.sphere import arc_distances, SpherePoint
+from viewpriv.sphere import random_point
 from viewpriv.traces import (
     SessionTrace,
     generate_synthetic_trace,
+    generate_synthetic_traces,
     load_traces,
     persistence_predict,
     prediction_errors,
-    vmf_step,
     write_traces,
 )
 
@@ -47,17 +47,83 @@ def test_infinite_concentration_is_stationary():
     assert np.all(trace.actual == trace.actual[0])
 
 
-def test_vmf_step_concentration_validation():
+def test_synthetic_trace_concentration_validation():
     with pytest.raises(ValueError):
-        vmf_step(SpherePoint(1, 0, 0), 0.0, np.random.default_rng(0))
+        generate_synthetic_trace(0, 0, 10, np.random.default_rng(0), 0.0)
 
 
-def test_vmf_step_concentrates():
-    rng = np.random.default_rng(5)
-    center = SpherePoint(0.0, 0.0, 1.0)
-    tight = np.array([vmf_step(center, 5_000.0, rng).as_array() for _ in range(200)])
-    loose = np.array([vmf_step(center, 5.0, rng).as_array() for _ in range(200)])
-    assert arc_distances(tight, center).mean() < arc_distances(loose, center).mean()
+def test_synthetic_trace_concentrates():
+    def mean_step(concentration):
+        walk = generate_synthetic_trace(0, 0, 200, np.random.default_rng(5), concentration).actual
+        return prediction_errors(walk[:-1], walk[1:]).mean()
+
+    assert mean_step(5_000.0) < mean_step(5.0)
+
+
+class _PoleFirst:
+    """Generator stand-in whose first normal draw, the walk's start point,
+    lands within 1e-10 of +z; every later draw comes from the seeded RNG."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._first = True
+
+    def normal(self, size=None):
+        if self._first:
+            self._first = False
+            return np.array([3e-11, 0.0, 1.0])
+        return self._rng.normal(size=size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _reference_walk(rng, gops, concentration):
+    # Reference walk: one trace, one GoP at a time, on 3-vectors, with the
+    # generator's draws in its order: start point, step angles, bearings.
+    v = random_point(rng).as_array()
+    u = 1.0 - rng.random(gops - 1)
+    w = 1.0 + np.log(u + (1.0 - u) * math.exp(-2.0 * concentration)) / concentration
+    angles = np.arccos(np.clip(w, -1.0, 1.0))
+    bearings = rng.uniform(0.0, 2.0 * math.pi, gops - 1)
+    rows = [v]
+    for angle, bearing in zip(angles, bearings):
+        if abs(v[2]) > 1.0 - 1e-9:
+            axis = np.array([1.0, 0.0, 0.0])
+        else:
+            axis = np.array([0.0, 0.0, 1.0])
+        t1 = axis - np.dot(axis, v) * v
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(v, t1)
+        out = math.cos(angle) * v + math.sin(angle) * (
+            math.cos(bearing) * t1 + math.sin(bearing) * t2
+        )
+        v = out / np.linalg.norm(out)
+        rows.append(v)
+    return np.array(rows)
+
+
+def test_lockstep_walk_matches_per_step_reference():
+    count, gops, concentration = 16, 2_000, 32.0
+
+    def rngs():
+        return [_PoleFirst(100) if i == 3 else np.random.default_rng(100 + i)
+                for i in range(count)]
+
+    batch_rngs, reference_rngs = rngs(), rngs()
+    keys = [(i // 4, i % 4) for i in range(count)]
+    batch = generate_synthetic_traces(keys, gops, batch_rngs, concentration)
+    assert batch[3].actual[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-10)
+    for trace, key, rng, reference_rng in zip(batch, keys, batch_rngs, reference_rngs):
+        assert (trace.user_id, trace.video_id) == key
+        reference = _reference_walk(reference_rng, gops, concentration)
+        assert np.max(np.abs(trace.actual - reference)) <= 1e-12
+        assert rng.random() == reference_rng.random()
+
+    one_rngs = rngs()
+    for i in (0, 3, count - 1):
+        one = generate_synthetic_trace(*keys[i], gops, one_rngs[i], concentration)
+        assert np.max(np.abs(one.actual - batch[i].actual)) <= 1e-15
 
 
 def test_persistence_predictor_basics():
@@ -65,6 +131,8 @@ def test_persistence_predictor_basics():
     pred = persistence_predict(rows, horizon=2)
     assert np.array_equal(pred, rows[[0, 0, 0, 1]])
     assert np.array_equal(persistence_predict(rows, horizon=0), rows)
+    stacked = persistence_predict(np.stack([rows, rows[::-1]]), horizon=2)
+    assert np.array_equal(stacked, np.stack([pred, rows[::-1][[0, 0, 0, 1]]]))
     with pytest.raises(ValueError):
         persistence_predict(rows, horizon=-1)
 
