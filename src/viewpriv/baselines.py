@@ -17,13 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .leakage import check_precision, leakage_sample_mean
-from .sphere import SpherePoint, unit_rows
+from .leakage import check_precision, check_requirement, leakage_sample_mean
+from .sphere import unit_rows
 
 GAUSSIAN_KIND = "gaussian_sigma"
 LAPLACE_KIND = "laplace_b"
 
-# Default scan ranges for the one-dimensional calibration search.
+# Largest scale the one-dimensional calibration search scans, per kind.
 SEARCH_MAX = {GAUSSIAN_KIND: 7.0, LAPLACE_KIND: 6.0}
 DEFAULT_SEARCH_STEP = 0.05
 
@@ -80,28 +80,11 @@ def perturb_rows(points: np.ndarray, kind: str, value: float, rng: np.random.Gen
     return unit_rows(noisy)
 
 
-def gaussian_obfuscate(point: SpherePoint, sigma: NoiseScale, rng: np.random.Generator) -> SpherePoint:
-    if sigma.kind != GAUSSIAN_KIND:
-        raise ValueError(f"expected a {GAUSSIAN_KIND} scale, got {sigma.kind}")
-    return SpherePoint.from_array(
-        perturb_rows(point.as_array()[None, :], sigma.kind, sigma.value, rng)[0]
-    )
-
-
-def laplace_obfuscate(point: SpherePoint, scale: NoiseScale, rng: np.random.Generator) -> SpherePoint:
-    if scale.kind != LAPLACE_KIND:
-        raise ValueError(f"expected a {LAPLACE_KIND} scale, got {scale.kind}")
-    return SpherePoint.from_array(
-        perturb_rows(point.as_array()[None, :], scale.kind, scale.value, rng)[0]
-    )
-
-
 def calibrate_noise_scale(
     error_pipeline: Callable[[float], np.ndarray],
     eps: float,
     q: float,
     kind: str,
-    search_max: float | None = None,
     step: float = DEFAULT_SEARCH_STEP,
 ) -> CalibrationResult:
     """Forward scan for the smallest scale whose leakage meets q.
@@ -113,12 +96,10 @@ def calibrate_noise_scale(
     leakage need not be monotone in the scale near the floor.
     """
     check_precision(eps)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"privacy requirement must lie in [0, 1], got {q!r}")
+    q = check_requirement(q)
     if step <= 0.0:
         raise ValueError(f"search step must be positive, got {step!r}")
-    if search_max is None:
-        search_max = SEARCH_MAX[kind]
+    search_max = SEARCH_MAX[kind]
 
     best_scale, best_leak = None, math.inf
     evals = 0
@@ -149,9 +130,8 @@ def calibrate_noise_scale(
 
 def pspr(per_trace_leakage, q: float) -> float:
     """Fraction of per-trace leakage values meeting the requirement q."""
+    q = check_requirement(q)
     values = np.asarray(per_trace_leakage, dtype=float)
     if values.size == 0:
         raise ValueError("cannot compute a satisfaction ratio over no traces")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"privacy requirement must lie in [0, 1], got {q!r}")
     return float(np.mean(values <= q))

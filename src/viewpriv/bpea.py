@@ -33,17 +33,10 @@ import math
 
 import numpy as np
 
-from .leakage import check_precision
+from .leakage import check_errors, check_precision, check_requirement
 from .sphere import check_angle
 
 DEFAULT_MARGIN = 1e-4
-
-
-def check_requirement(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or not 0.0 <= q <= 1.0:
-        raise ValueError(f"privacy requirement must lie in [0, 1], got {q!r}")
-    return q
 
 
 def check_margin(margin: float) -> float:
@@ -85,10 +78,8 @@ def conditional_leakage_noisy(error, noise, eps: float):
     such an upload.
     """
     eps = check_precision(eps)
-    e = np.asarray(error, dtype=float)
+    e = check_errors(error)
     n = np.asarray(noise, dtype=float)
-    if not np.all(np.isfinite(e)) or np.any(e < 0.0) or np.any(e > math.pi):
-        raise ValueError("errors must lie in [0, pi]")
     if not np.all(np.isfinite(n)) or np.any(n < -e) or np.any(n > math.pi - e):
         raise ValueError("noise must lie in [-e, pi - e]")
 
@@ -102,110 +93,35 @@ def conditional_leakage_noisy(error, noise, eps: float):
     return float(out) if np.ndim(error) == 0 and np.ndim(noise) == 0 else out
 
 
-def noise_for_leakage(error: float, eps: float, q: float) -> float:
-    """Noise magnitude making the middle-regime leakage equal q.
-
-    Only defined while q * pi * sin(e) <= eps (the middle-regime formula can
-    reach q); callers solving the general piecewise problem should use
-    ``optimal_noise`` instead.
-    """
-    eps = check_precision(eps)
-    error = check_angle(error, 0.0, math.pi, "error")
-    q = check_requirement(q)
-    target = q * math.pi * math.sin(error)
-    if target > eps:
-        raise ValueError(
-            f"q*pi*sin(e) = {target:.6g} exceeds precision {eps:.6g}; "
-            "the middle-regime leakage never reaches q"
-        )
-    value = math.acos(min(1.0, math.cos(eps) / math.cos(target)))
-    if target <= 0.0:
-        # Zero target means |n| must reach the saturation point eps exactly;
-        # keep the arccos round-trip from landing an ulp short of it.
-        value = max(value, eps)
-    return value
-
-
-def _feasible_crossing(error: float, eps: float, q: float) -> float:
-    """The crossing magnitude, nudged up until the evaluated leakage
-    actually meets q.
-
-    The analytic inversion can land a hair on the wrong side of the
-    requirement (roundoff through an ill-conditioned arccos); geometric
-    step escalation closes that deficit within ~1e-13 of the true
-    crossing.
-    """
-    value = noise_for_leakage(error, eps, q)
-    step = max(math.ulp(value), 1e-18)
-    for _ in range(200):
-        if _mid_leakage(error, value, eps) <= q:
-            return value
-        value += step
-        step *= 2.0
-    raise ArithmeticError(
-        f"crossing refinement did not converge at e={error!r}, q={q!r}"
-    )
-
-
 def optimal_noise(error: float, eps: float, q: float, margin: float = DEFAULT_MARGIN) -> float:
-    """Signed noise of minimal magnitude with leakage at most q.
+    """Signed noise of minimal magnitude with leakage at most q; the
+    one-error call of ``optimal_noise_batch``."""
+    error = check_angle(error, 0.0, math.pi, "error")
+    return float(optimal_noise_batch(error, eps, q, margin))
+
+
+def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MARGIN) -> np.ndarray:
+    """Signed noise of minimal magnitude with leakage at most q, for each of
+    an array of errors.
 
     A feasible noise always exists: every error regime has a zero-leakage
     noise cell. Ties between a positive and a negative candidate of equal
     magnitude resolve to the positive one, which enlarges the streamed zone
     rather than shrinking it.
-    """
-    eps = check_precision(eps)
-    error = check_angle(error, 0.0, math.pi, "error")
-    q = check_requirement(q)
-    margin = check_margin(margin)
-    if q >= 1.0:
-        return 0.0
 
-    left_edge = eps - error        # below: the n <= eps - e cell
-    right_edge = math.pi - error - eps  # above: the n >= pi - e - eps cell
-
-    if error <= eps:
-        # Small error: the whole middle interval is non-negative noise.
-        if _mid_leakage(error, left_edge, eps) <= q:
-            return left_edge + margin
-        if _mid_leakage(error, right_edge, eps) <= q:
-            return _feasible_crossing(error, eps, q)
-        return right_edge  # closed boundary of the zero cell
-
-    if error >= math.pi - eps:
-        # Near-antipodal error: the middle interval is non-positive noise.
-        if _mid_leakage(error, right_edge, eps) <= q:
-            return right_edge - margin
-        if _mid_leakage(error, left_edge, eps) <= q:
-            return -_feasible_crossing(error, eps, q)
-        return left_edge  # closed boundary of the zero cell
-
-    # Mid-range error: zero cells on both sides, middle interval spans 0.
-    if _mid_leakage(error, 0.0, eps) <= q:
-        return 0.0
-    candidates = [(-left_edge, left_edge), (right_edge, right_edge)]
-    farthest = max(-left_edge, right_edge)
-    if _mid_leakage(error, farthest, eps) <= q:
-        magnitude = _feasible_crossing(error, eps, q)
-        candidates.append((magnitude, magnitude))
-    return min(candidates, key=lambda c: c[0])[1]
-
-
-def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MARGIN) -> np.ndarray:
-    """Vectorized ``optimal_noise`` over an array of errors.
-
-    Mirrors the scalar branch logic, including tie-breaks; the two agree to
-    floating-point roundoff.
+    Where q is reachable inside the middle regime, the noise sits at the
+    crossing magnitude where mid(e, n) = q. Its analytic inversion can land
+    a hair on the wrong side of the requirement (roundoff through an
+    ill-conditioned arccos), so geometric step escalation nudges each short
+    crossing up until its evaluated leakage meets q, within ~1e-13 of the
+    true crossing. Raises ArithmeticError if that takes over 200 steps.
     """
     eps = check_precision(eps)
     q = check_requirement(q)
     margin = check_margin(margin)
-    e = np.asarray(errors, dtype=float)
-    if not np.all(np.isfinite(e)) or np.any(e < 0.0) or np.any(e > math.pi):
-        raise ValueError("errors must lie in [0, pi]")
+    e = check_errors(errors).ravel()
     if q >= 1.0:
-        return np.zeros_like(e)
+        return np.zeros(np.shape(errors))
 
     left = eps - e
     right = math.pi - e - eps
@@ -218,17 +134,22 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     target = q * math.pi * np.sin(e)
     ratio = np.clip(math.cos(eps) / np.cos(np.minimum(target, eps)), -1.0, 1.0)
     crossing = np.arccos(ratio)
+    # Zero target means |n| must reach the saturation point eps exactly;
+    # keep the arccos round-trip from landing an ulp short of it.
     crossing = np.where(target <= 0.0, np.maximum(crossing, eps), crossing)
-    # Refinement mirroring _feasible_crossing, applied only where the
-    # inversion is in domain.
-    in_domain = target <= eps
-    step = np.maximum(np.spacing(np.abs(crossing)), 1e-18)
+    # Refine only where the inversion is in domain, and only what is short.
+    short = np.flatnonzero(target <= eps)
+    step = np.maximum(np.spacing(crossing), 1e-18)
     for _ in range(200):
-        short = in_domain & (_mid_leakage(e, crossing, eps) > q)
-        if not np.any(short):
+        short = short[_mid_leakage(e[short], crossing[short], eps) > q]
+        if not short.size:
             break
-        crossing = np.where(short, crossing + step, crossing)
-        step = np.where(short, step * 2.0, step)
+        crossing[short] += step[short]
+        step[short] *= 2.0
+    else:
+        raise ArithmeticError(
+            f"crossing refinement did not converge at e={float(e[short[0]])!r}, q={q!r}"
+        )
 
     low_val = np.where(m_left <= q, left + margin, np.where(m_right <= q, crossing, right))
     high_val = np.where(m_right <= q, right - margin, np.where(m_left <= q, -crossing, left))
@@ -242,7 +163,7 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
 
     low = e <= eps
     high = e >= math.pi - eps
-    return np.where(low, low_val, np.where(high, high_val, mid_val))
+    return np.where(low, low_val, np.where(high, high_val, mid_val)).reshape(np.shape(errors))
 
 
 def obfuscate_error(error: float, eps: float, q: float, margin: float = DEFAULT_MARGIN) -> float:

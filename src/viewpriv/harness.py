@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines
 from .baselines import CalibrationResult, calibrate_noise_scale, perturb_rows, pspr
 from .bpea import DEFAULT_MARGIN
-from .leakage import check_precision
+from .leakage import check_precision, check_requirement
 from .policies import (
     BpeaPolicy,
     GaussianViewpointNoise,
@@ -32,7 +32,6 @@ from .streaming import (
 )
 from .traces import (
     DEFAULT_CONCENTRATION,
-    DEFAULT_HORIZON,
     SessionTrace,
     generate_synthetic_traces,
     persistence_predict,
@@ -69,15 +68,16 @@ class ExperimentConfig:
     budget_mbit: float = DEFAULT_BUDGET_MBIT
     margin: float = DEFAULT_MARGIN
     concentration: float = DEFAULT_CONCENTRATION
-    horizon: int = DEFAULT_HORIZON
     calibration_step: float = baselines.DEFAULT_SEARCH_STEP
     compute_qoe: bool = True   # False runs the upload pipeline only (QoE column = nan)
     out_path: str | None = None
 
     def __post_init__(self):
         check_precision(self.eps)
-        if not self.q_grid or any(not 0.0 <= q <= 1.0 for q in self.q_grid):
-            raise ValueError("q grid must be a non-empty subset of [0, 1]")
+        if not self.q_grid:
+            raise ValueError("q grid must not be empty")
+        for q in self.q_grid:
+            check_requirement(q)
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
@@ -158,7 +158,7 @@ def calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionTr
         audit.update(keys)
         rng = _rng(cfg.seed, 2, kind_id, key)
         noisy = perturb_rows(stacked.reshape(-1, 3), kind, scale, rng).reshape(stacked.shape)
-        cache[key] = prediction_errors(persistence_predict(noisy, cfg.horizon), stacked).ravel()
+        cache[key] = prediction_errors(persistence_predict(noisy), stacked).ravel()
         return cache[key]
 
     return pipeline
@@ -197,7 +197,7 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # none and bpea upload the clean persistence errors, so they run on all
     # evaluation traces at once; none does not depend on q.
     actual = np.stack([t.actual for t in evaluation])
-    predicted = persistence_predict(actual, cfg.horizon)
+    predicted = persistence_predict(actual)
     errors = prediction_errors(predicted, actual)
 
     def stacked(policy) -> list[PolicyApplication]:
@@ -217,7 +217,7 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             else:
                 rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
                         for t in evaluation]
-                apps = [apply_policy(t, policy, cfg.eps, rng, cfg.horizon)
+                apps = [apply_policy(t, policy, cfg.eps, rng)
                         for t, rng in zip(evaluation, rngs)]
             qoe = math.nan
             if cfg.compute_qoe:

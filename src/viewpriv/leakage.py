@@ -38,6 +38,21 @@ def check_precision(eps: float) -> float:
     return eps
 
 
+def check_requirement(q: float) -> float:
+    q = float(q)
+    if not math.isfinite(q) or not 0.0 <= q <= 1.0:
+        raise ValueError(f"privacy requirement must lie in [0, 1], got {q!r}")
+    return q
+
+
+def check_errors(errors) -> np.ndarray:
+    """Errors as a float array, every value finite and within [0, pi]."""
+    e = np.asarray(errors, dtype=float)
+    if not np.all((e >= 0.0) & (e <= math.pi)):
+        raise ValueError("errors must lie in [0, pi]")
+    return e
+
+
 @dataclass(frozen=True)
 class LeakageEstimate:
     """A leakage probability with provenance.
@@ -66,9 +81,7 @@ def conditional_leakage(error, eps: float):
     Accepts a scalar or array of errors in [0, pi]; returns the same shape.
     """
     eps = check_precision(eps)
-    e = np.asarray(error, dtype=float)
-    if not np.all(np.isfinite(e)) or np.any(e < 0.0) or np.any(e > math.pi):
-        raise ValueError("errors must lie in [0, pi]")
+    e = check_errors(error)
     sine = np.maximum(np.sin(e), 1e-300)
     middle = np.minimum(eps / (math.pi * sine), 1.0)
     out = np.where((e <= eps) | (e >= math.pi - eps), 1.0, middle)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import baselines
-from .bpea import DEFAULT_MARGIN, check_margin, check_requirement
+from .bpea import DEFAULT_MARGIN, check_margin
+from .leakage import check_requirement
 
 
 @dataclass(frozen=True)

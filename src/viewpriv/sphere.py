@@ -83,13 +83,6 @@ def spherical_distance(a: SpherePoint, b: SpherePoint) -> float:
     return math.atan2(float(np.linalg.norm(np.cross(va, vb))), float(np.dot(va, vb)))
 
 
-def arc_distances(points: np.ndarray, reference: SpherePoint) -> np.ndarray:
-    """Great-circle distances from each row of an (n, 3) unit array."""
-    r = reference.as_array()
-    cross = np.cross(points, r)
-    return np.arctan2(np.linalg.norm(cross, axis=1), points @ r)
-
-
 def tangent_frame(origin) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent basis (t1, t2) at ``origin``.
 
@@ -138,13 +131,6 @@ def sample_on_circle(center: SpherePoint, radius: float, rng: np.random.Generato
     """Uniform random point on the circle of given arc radius around ``center``."""
     radius = check_angle(radius, 0.0, math.pi, "radius")
     return point_at_distance(center, radius, rng.uniform(0.0, TWO_PI))
-
-
-def circle_circumference(error: float) -> float:
-    """Circumference of the circle at arc distance ``error`` from its center:
-    2*pi*sin(error)."""
-    error = check_angle(error, 0.0, math.pi, "error")
-    return TWO_PI * math.sin(error)
 
 
 def random_point(rng: np.random.Generator) -> SpherePoint:

@@ -15,7 +15,7 @@ gaze-tile quality, mean FoV quality, temporal quality smoothness, and the
 absence of stalls. A GoP stalls when its budget cannot cover the zone at
 low quality or when any actual-FoV tile was not streamed; a transition
 into or out of a stalled GoP counts as maximal quality variation. The
-weights are artifact defaults, declared in ``SessionConfig``.
+weights are artifact defaults, declared in ``QOE_WEIGHTS``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ FOV_SHAPE = (3, 3)
 DEFAULT_BUDGET_MBIT = 95.4
 _BUDGET_SLACK = 1e-9
 
+GOP_SECONDS = 1.0
+
+# Gaze-tile quality, mean FoV quality, quality smoothness, no stalls.
+QOE_WEIGHTS = (0.4, 0.3, 0.15, 0.15)
+
 Tile = tuple[int, int]
 
 
@@ -64,21 +69,11 @@ class QualityLevel(enum.Enum):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    gop_seconds: float = 1.0
-    predict_upload_seconds: float = 0.05
-    error_upload_seconds: float = 0.05
-    stream_seconds: float = 0.95
     budget_mbit: float = DEFAULT_BUDGET_MBIT
-    qoe_weights: tuple[float, float, float, float] = (0.4, 0.3, 0.15, 0.15)
 
     def __post_init__(self):
-        if self.gop_seconds <= 0.0 or self.budget_mbit < 0.0:
-            raise ValueError("GoP duration must be positive and budget non-negative")
-        if self.predict_upload_seconds + self.stream_seconds > self.gop_seconds + 1e-12:
-            raise ValueError("prediction upload plus streaming must fit within one GoP")
-        w = self.qoe_weights
-        if len(w) != 4 or any(x < 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError("qoe_weights must be four non-negative values summing to 1")
+        if self.budget_mbit < 0.0:
+            raise ValueError(f"budget must be non-negative, got {self.budget_mbit!r}")
 
 
 def tile_of(point) -> Tile:
@@ -158,16 +153,16 @@ class Allocation:
 
 def allocate_quality(zone: Zone, pfov: frozenset, cfg: SessionConfig) -> Allocation:
     """Per-tile quality map for one GoP under the bitrate budget."""
-    return _allocate(zone, pfov, cfg.budget_mbit, cfg.gop_seconds)
+    return _allocate(zone, pfov, cfg.budget_mbit)
 
 
-def _allocate(zone: Zone, pfov: frozenset, budget: float, t: float) -> Allocation:
+def _allocate(zone: Zone, pfov: frozenset, budget: float) -> Allocation:
     order = _ring_key(zone.center)
     quality: dict = {}
     spent = 0.0
     under = False
 
-    low_cost = QualityLevel.LOW.mbps * t
+    low_cost = QualityLevel.LOW.mbps * GOP_SECONDS
     for tile in sorted(zone.tiles, key=order):
         if spent + low_cost <= budget + _BUDGET_SLACK:
             quality[tile] = QualityLevel.LOW
@@ -177,7 +172,7 @@ def _allocate(zone: Zone, pfov: frozenset, budget: float, t: float) -> Allocatio
     if under:
         return Allocation(quality, True, spent)
 
-    upgrade_cost = (QualityLevel.HIGH.mbps - QualityLevel.LOW.mbps) * t
+    upgrade_cost = (QualityLevel.HIGH.mbps - QualityLevel.LOW.mbps) * GOP_SECONDS
     tiers = [
         [zone.center],
         sorted(pfov - {zone.center}, key=order),
@@ -189,7 +184,7 @@ def _allocate(zone: Zone, pfov: frozenset, budget: float, t: float) -> Allocatio
                 quality[tile] = QualityLevel.HIGH
                 spent += upgrade_cost
 
-    add_cost = QualityLevel.HIGH.mbps * t
+    add_cost = QualityLevel.HIGH.mbps * GOP_SECONDS
     every = ((r, c) for r in range(TILE_ROWS) for c in range(TILE_COLS))
     for tile in sorted((x for x in every if x not in zone.tiles), key=order):
         if spent + add_cost <= budget + _BUDGET_SLACK:
@@ -199,8 +194,8 @@ def _allocate(zone: Zone, pfov: frozenset, budget: float, t: float) -> Allocatio
 
 
 @lru_cache(maxsize=4096)
-def _allocate_cached(center: Tile, shape: tuple[int, int], budget: float, gop_seconds: float) -> Allocation:
-    return _allocate(make_zone(center, shape), fov_tiles(center), budget, gop_seconds)
+def _allocate_cached(center: Tile, shape: tuple[int, int], budget: float) -> Allocation:
+    return _allocate(make_zone(center, shape), fov_tiles(center), budget)
 
 
 @dataclass(frozen=True)
@@ -225,7 +220,8 @@ def _norm_quality(level) -> float:
 
 
 def qoe_score(per_gop: list, cfg: SessionConfig) -> QoEReport:
-    """Session score from per-GoP FoV tiles and streamed quality maps."""
+    """Session score from per-GoP FoV tiles and streamed quality maps,
+    weighted by ``QOE_WEIGHTS``; ``cfg`` does not enter the score."""
     if not per_gop:
         raise ValueError("cannot score an empty session")
     central, fov_means, stalled = [], [], []
@@ -249,7 +245,7 @@ def qoe_score(per_gop: list, cfg: SessionConfig) -> QoEReport:
     mean_central = sum(central) / len(central)
     mean_fov = sum(fov_means) / len(fov_means)
 
-    w1, w2, w3, w4 = cfg.qoe_weights
+    w1, w2, w3, w4 = QOE_WEIGHTS
     qoe = 1.0 + 4.0 * (
         w1 * mean_central + w2 * mean_fov + w3 * (1.0 - variation) + w4 * (1.0 - stall_fraction)
     )
@@ -355,7 +351,7 @@ def stream_session(trace: SessionTrace, app: PolicyApplication, cfg: SessionConf
         shape = zone_from_error(float(app.uploaded[gop]))
         pcenter = tile_of(app.predicted[gop])
         acenter = tile_of(trace.actual[gop])
-        allocation = _allocate_cached(pcenter, shape, cfg.budget_mbit, cfg.gop_seconds)
+        allocation = _allocate_cached(pcenter, shape, cfg.budget_mbit)
         records.append(
             GopRecord(acenter, fov_tiles(acenter), allocation.quality, allocation.under_provisioned)
         )

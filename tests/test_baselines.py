@@ -8,15 +8,15 @@ from viewpriv.baselines import (
     GAUSSIAN_KIND,
     LAPLACE_KIND,
     NoiseScale,
+    SEARCH_MAX,
     calibrate_noise_scale,
-    gaussian_obfuscate,
-    laplace_obfuscate,
     perturb_rows,
     pspr,
 )
 from viewpriv.bpea import conditional_leakage_noisy, optimal_noise_batch
 from viewpriv.leakage import leakage_sample_mean
-from viewpriv.sphere import SpherePoint, arc_distances
+from viewpriv.sphere import SpherePoint
+from viewpriv.traces import prediction_errors
 
 EPS = 0.1 * math.pi
 
@@ -29,28 +29,16 @@ def test_noise_scale_validation():
 
 
 def test_zero_scale_is_identity():
-    rng = np.random.default_rng(0)
-    p = SpherePoint(0.6, 0.0, 0.8)
-    assert gaussian_obfuscate(p, NoiseScale(GAUSSIAN_KIND, 0.0), rng) == p
-    assert laplace_obfuscate(p, NoiseScale(LAPLACE_KIND, 0.0), rng) == p
-
-
-def test_kind_mismatch_rejected():
-    rng = np.random.default_rng(0)
-    p = SpherePoint(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        gaussian_obfuscate(p, NoiseScale(LAPLACE_KIND, 1.0), rng)
-    with pytest.raises(ValueError):
-        laplace_obfuscate(p, NoiseScale(GAUSSIAN_KIND, 1.0), rng)
+    rows = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])
+    for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+        assert np.array_equal(perturb_rows(rows, kind, 0.0, np.random.default_rng(0)), rows)
 
 
 def test_search_range_extremes_stay_on_sphere():
-    rng = np.random.default_rng(1)
-    p = SpherePoint(0.0, 1.0, 0.0)
-    out = gaussian_obfuscate(p, NoiseScale(GAUSSIAN_KIND, 7.0), rng)
-    assert math.isclose(out.x**2 + out.y**2 + out.z**2, 1.0, abs_tol=1e-12)
-    out = laplace_obfuscate(p, NoiseScale(LAPLACE_KIND, 6.0), rng)
-    assert math.isclose(out.x**2 + out.y**2 + out.z**2, 1.0, abs_tol=1e-12)
+    rows = np.array([[0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
+    for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+        out = perturb_rows(rows, kind, SEARCH_MAX[kind], np.random.default_rng(1))
+        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
 def test_gaussian_displacement_matches_independent_replica():
@@ -58,7 +46,8 @@ def test_gaussian_displacement_matches_independent_replica():
     # Monte-Carlo accuracy.
     ref = SpherePoint(0.31, -0.52, 0.8)
     base = np.tile(ref.as_array(), (100_000, 1))
-    disp = arc_distances(perturb_rows(base, GAUSSIAN_KIND, 1.0, np.random.default_rng(5)), ref)
+    disp = prediction_errors(perturb_rows(base, GAUSSIAN_KIND, 1.0, np.random.default_rng(5)),
+                             ref.as_array())
     replica = base + np.random.default_rng(999).normal(0.0, 1.0, base.shape)
     replica /= np.linalg.norm(replica, axis=1)[:, None]
     disp_replica = np.arctan2(
@@ -71,11 +60,11 @@ def test_gaussian_displacement_matches_independent_replica():
 def test_laplace_tails_heavier_than_matched_gaussian():
     # Scales matched to equal coordinate variance; compared well below the
     # spherical saturation region where tails are still visible.
-    ref = SpherePoint(0.31, -0.52, 0.8)
-    base = np.tile(ref.as_array(), (100_000, 1))
+    ref = SpherePoint(0.31, -0.52, 0.8).as_array()
+    base = np.tile(ref, (100_000, 1))
     b = 0.25
-    lap = arc_distances(perturb_rows(base, LAPLACE_KIND, b, np.random.default_rng(6)), ref)
-    gau = arc_distances(
+    lap = prediction_errors(perturb_rows(base, LAPLACE_KIND, b, np.random.default_rng(6)), ref)
+    gau = prediction_errors(
         perturb_rows(base, GAUSSIAN_KIND, math.sqrt(2.0) * b, np.random.default_rng(7)), ref
     )
     assert np.quantile(lap, 0.99) > np.quantile(gau, 0.99)
@@ -132,8 +121,9 @@ def test_calibration_finds_minimal_scale_and_replays():
 
 def test_calibration_validates_arguments():
     pipeline = RecordingPipeline()
-    with pytest.raises(ValueError):
-        calibrate_noise_scale(pipeline, EPS, 1.5, GAUSSIAN_KIND)
+    for q in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            calibrate_noise_scale(pipeline, EPS, q, GAUSSIAN_KIND)
     with pytest.raises(ValueError):
         calibrate_noise_scale(pipeline, EPS, 0.5, GAUSSIAN_KIND, step=0.0)
     with pytest.raises(ValueError):
@@ -146,6 +136,9 @@ def test_pspr_counts():
     assert pspr([0.05, 0.2, 0.4], 0.25) == pytest.approx(2.0 / 3.0)
     with pytest.raises(ValueError):
         pspr([], 0.5)
+    for q in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pspr([0.1], q)
 
 
 def test_noisy_error_policy_satisfies_every_trace():

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from viewpriv import bpea
 from viewpriv.bpea import (
     DEFAULT_MARGIN,
     conditional_leakage_noisy,
     effective_precision,
     noise_bounds,
-    noise_for_leakage,
     obfuscate_error,
     optimal_noise,
     optimal_noise_batch,
@@ -111,13 +111,18 @@ def test_mid_column_monotone_in_noise_magnitude(e, n1, n2):
 # ------------------------------------------------------------- noise solving
 
 
-def test_noise_for_leakage_endpoints():
-    assert noise_for_leakage(0.5 * math.pi, EPS, 0.0) == pytest.approx(EPS, abs=1e-12)
-    # q pi sin e == eps makes the required extra arc zero.
-    assert noise_for_leakage(0.5 * math.pi, EPS, 0.1) == 0.0
+def test_optimal_noise_crossing_endpoints():
+    # At e = pi/2 the crossing magnitude reaches eps at q = 0, and
+    # q pi sin e == eps makes the required extra arc zero. There the no-noise
+    # leakage evaluates a hair over q, so the refinement steps to ~1.7e-8,
+    # just past the smallest |n| at which cos(n) < 1 lowers it.
+    assert optimal_noise(0.5 * math.pi, EPS, 0.0) == pytest.approx(EPS, abs=1e-12)
+    n = optimal_noise(0.5 * math.pi, EPS, 0.1)
+    assert n == pytest.approx(0.0, abs=2e-8)
+    assert conditional_leakage_noisy(0.5 * math.pi, n, EPS) <= 0.1
 
 
-def test_noise_for_leakage_against_bisection_oracle():
+def test_optimal_noise_against_bisection_oracle():
     # Bisection on the mid-regime formula over |n| in [0, eps], tol 1e-10.
     e, q = 0.5 * math.pi, 0.05
     lo, hi = 0.0, EPS
@@ -127,14 +132,16 @@ def test_noise_for_leakage_against_bisection_oracle():
             lo = mid
         else:
             hi = mid
-    got = noise_for_leakage(e, EPS, q)
+    got = optimal_noise(e, EPS, q)
     assert got == pytest.approx(0.5 * (lo + hi), abs=1e-9)
     assert got == pytest.approx(0.2732032144912512, abs=1e-12)
 
 
-def test_noise_for_leakage_domain_error():
-    with pytest.raises(ValueError):
-        noise_for_leakage(0.5 * math.pi, EPS, 0.9)
+def test_crossing_refinement_raises_when_it_cannot_converge(monkeypatch):
+    # A leakage that never falls to q exhausts the 200 refinement steps.
+    monkeypatch.setattr(bpea, "_mid_leakage", lambda error, noise, eps: np.ones_like(error))
+    with pytest.raises(ArithmeticError):
+        optimal_noise_batch([1.0], EPS, 0.05)
 
 
 def test_optimal_noise_zero_when_requirement_already_met():
@@ -152,7 +159,8 @@ def test_optimal_noise_small_error_zero_requirement():
 
 def test_optimal_noise_matches_crossing_magnitude():
     n = optimal_noise(0.5 * math.pi, EPS, 0.05, TAU)
-    assert n == pytest.approx(noise_for_leakage(0.5 * math.pi, EPS, 0.05), abs=1e-12)
+    crossing = math.acos(math.cos(EPS) / math.cos(0.05 * math.pi * math.sin(0.5 * math.pi)))
+    assert n == pytest.approx(crossing, abs=1e-12)
     assert n > 0.0  # positive sign preferred on symmetric candidates
 
 

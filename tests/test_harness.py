@@ -108,8 +108,7 @@ def test_stacked_rows_match_the_per_trace_pipeline():
     _, evaluation = generate_trace_set(cfg)
     for row in run_tradeoff_experiment(cfg).rows:
         policy = NoObfuscation() if row.policy == "none" else BpeaPolicy(q=row.q)
-        apps = [apply_policy(t, policy, cfg.eps, np.random.default_rng(0), cfg.horizon)
-                for t in evaluation]
+        apps = [apply_policy(t, policy, cfg.eps, np.random.default_rng(0)) for t in evaluation]
         leaks = [a.per_gop_leakage for a in apps]
         assert row.pr_leak == pytest.approx(np.mean(np.concatenate(leaks)), rel=1e-12)
         assert row.mean_error_rad == pytest.approx(np.mean([a.mean_error_rad for a in apps]),

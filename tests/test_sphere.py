@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from viewpriv.sphere import (
     SpherePoint,
-    arc_distances,
-    circle_circumference,
     point_at_distance,
     points_at_distance,
     random_point,
@@ -16,6 +14,7 @@ from viewpriv.sphere import (
     tangent_frame,
     unit_rows,
 )
+from viewpriv.traces import prediction_errors
 
 ATOL = 1e-9
 
@@ -109,12 +108,6 @@ def test_sample_on_circle_bearings_cover_the_circle():
     assert np.linalg.norm(pts.mean(axis=0)) < 0.05
 
 
-def test_circle_circumference_values():
-    assert circle_circumference(math.pi / 2) == pytest.approx(2.0 * math.pi, abs=1e-12)
-    assert circle_circumference(0.0) == 0.0
-    assert circle_circumference(0.35) == pytest.approx(2.1544904656681868, abs=1e-12)
-
-
 @settings(max_examples=200, derandomize=True)
 @given(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_round_trip_property(distance, bearing):
@@ -128,7 +121,7 @@ def test_vectorized_helpers_match_scalars():
     origin = random_point(rng)
     bearings = rng.uniform(0.0, 2.0 * math.pi, 64)
     rows = points_at_distance(origin, 0.8, bearings)
-    dists = arc_distances(rows, origin)
+    dists = prediction_errors(rows, origin.as_array())
     assert np.allclose(dists, 0.8, atol=ATOL)
     one = point_at_distance(origin, 0.8, float(bearings[0]))
     assert np.allclose(rows[0], one.as_array(), atol=1e-12)
