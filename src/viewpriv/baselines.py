@@ -99,6 +99,8 @@ def calibrate_noise_scale(
     q = check_requirement(q)
     if step <= 0.0:
         raise ValueError(f"search step must be positive, got {step!r}")
+    if kind not in SEARCH_MAX:
+        raise ValueError(f"unknown noise kind {kind!r}")
     search_max = SEARCH_MAX[kind]
 
     best_scale, best_leak = None, math.inf

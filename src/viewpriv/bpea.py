@@ -54,11 +54,12 @@ def noise_bounds(error: float) -> tuple[float, float]:
 
 def effective_precision(noise, eps: float):
     """Half-arc of the attacker's neighborhood cut by the viewpoint circle:
-    arccos(cos eps / cos(min(|n|, eps))). Zero for |n| >= eps."""
+    arccos(cos eps / cos(min(|n|, eps))). Zero for |n| >= eps, and exactly
+    eps at n = 0, where arccos(cos eps) can land an ulp above eps."""
     eps = check_precision(eps)
     n = np.abs(np.asarray(noise, dtype=float))
     ratio = np.clip(math.cos(eps) / np.cos(np.minimum(n, eps)), -1.0, 1.0)
-    out = np.arccos(ratio)
+    out = np.where(n == 0.0, eps, np.arccos(ratio))
     return float(out) if np.ndim(noise) == 0 else out
 
 

@@ -27,8 +27,8 @@ from .policies import (
     NoObfuscation,
 )
 from .streaming import (
-    DEFAULT_BUDGET_MBIT, PolicyApplication, SessionConfig, apply_policy, stream_session,
-    upload_errors,
+    DEFAULT_BUDGET_MBIT, PolicyApplication, SessionConfig, apply_policy, score_sessions,
+    tiles_of, upload_errors,
 )
 from .traces import (
     DEFAULT_CONCENTRATION,
@@ -85,9 +85,6 @@ class ExperimentConfig:
             raise ValueError("need at least one user and one video per split")
         if self.gops_per_video < 3:
             raise ValueError("traces need at least 3 GoPs")
-
-    def session_config(self) -> SessionConfig:
-        return SessionConfig(budget_mbit=self.budget_mbit)
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,6 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Calibrate, simulate, and aggregate one row per (q, policy)."""
     train, evaluation = generate_trace_set(cfg)
     calibration_audit: set = set()
-    session_cfg = cfg.session_config()
 
     calibrations: dict = {}
     for name in cfg.policies:
@@ -205,6 +201,8 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return [PolicyApplication(*row) for row in zip(predicted, errors, *outputs)]
 
     none_apps = stacked(NoObfuscation()) if "none" in cfg.policies else None
+    if cfg.compute_qoe:
+        actual_tiles, clean_tiles = tiles_of(actual), tiles_of(predicted)
     evaluation_keys = {(t.user_id, t.video_id) for t in evaluation}
     rows = []
     for q in cfg.q_grid:
@@ -221,8 +219,11 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         for t, rng in zip(evaluation, rngs)]
             qoe = math.nan
             if cfg.compute_qoe:
-                qoe = np.mean([stream_session(t, a, session_cfg).qoe.qoe
-                               for t, a in zip(evaluation, apps)])
+                pfov_tiles = (clean_tiles if name in ("none", "bpea")
+                              else tiles_of(np.stack([a.predicted for a in apps])))
+                reports = score_sessions(pfov_tiles, np.stack([a.uploaded for a in apps]),
+                                         actual_tiles, SessionConfig(cfg.budget_mbit))
+                qoe = np.mean([r.qoe for r in reports])
             rows.append(
                 TradeoffRow(
                     q=q,

@@ -16,6 +16,9 @@ absence of stalls. A GoP stalls when its budget cannot cover the zone at
 low quality or when any actual-FoV tile was not streamed; a transition
 into or out of a stalled GoP counts as maximal quality variation. The
 weights are artifact defaults, declared in ``QOE_WEIGHTS``.
+
+An allocation depends only on the pFoV center tile, the zone shape and the
+budget, so every per-GoP term is gathered from tables built once per budget.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .leakage import LeakageEstimate, check_precision, conditional_leakage
+from .leakage import LeakageEstimate, check_errors, check_precision, conditional_leakage
 from .baselines import perturb_rows
 from .policies import BpeaPolicy, GaussianViewpointNoise, LaplaceViewpointNoise, ObfuscationPolicy
-from .sphere import check_angle
 from .traces import DEFAULT_HORIZON, SessionTrace, persistence_predict, prediction_errors
 from . import bpea
 
@@ -76,14 +78,27 @@ class SessionConfig:
             raise ValueError(f"budget must be non-negative, got {self.budget_mbit!r}")
 
 
+_TILES = tuple((r, c) for r in range(TILE_ROWS) for c in range(TILE_COLS))
+
+
+def tiles_of(points) -> np.ndarray:
+    """Flat tile indices, row * TILE_COLS + col, of unit vectors of any leading shape."""
+    x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
+    rows = np.arccos(np.clip(z, -1.0, 1.0)) / math.pi * TILE_ROWS
+    cols = np.arctan2(y, x) % (2.0 * math.pi) / (2.0 * math.pi) * TILE_COLS
+    # numpy's vectorized arccos/arctan2 can differ from libm's by an ulp,
+    # enough to move a point that sits on a tile edge: libm decides there.
+    near = (np.abs(rows - np.rint(rows)) < 1e-9) | (np.abs(cols - np.rint(cols)) < 1e-9)
+    for i in np.flatnonzero(near):
+        rows[i] = math.acos(min(1.0, max(-1.0, z[i]))) / math.pi * TILE_ROWS
+        cols[i] = math.atan2(y[i], x[i]) % (2.0 * math.pi) / (2.0 * math.pi) * TILE_COLS
+    tiles = np.minimum(rows.astype(int), TILE_ROWS - 1) * TILE_COLS
+    return (tiles + np.minimum(cols.astype(int), TILE_COLS - 1)).reshape(np.shape(points)[:-1])
+
+
 def tile_of(point) -> Tile:
-    """Tile containing a unit viewpoint vector."""
-    v = np.asarray(point, dtype=float)
-    polar = math.acos(min(1.0, max(-1.0, float(v[2]))))
-    row = min(TILE_ROWS - 1, int(polar / math.pi * TILE_ROWS))
-    azimuth = math.atan2(float(v[1]), float(v[0])) % (2.0 * math.pi)
-    col = min(TILE_COLS - 1, int(azimuth / (2.0 * math.pi) * TILE_COLS))
-    return row, col
+    """Tile containing a unit viewpoint vector; the one-point call of ``tiles_of``."""
+    return _TILES[int(tiles_of(point))]
 
 
 def block_tiles(center: Tile, shape: tuple[int, int]) -> frozenset:
@@ -125,11 +140,16 @@ def make_zone(center: Tile, shape: tuple[int, int]) -> Zone:
     return Zone(shape=shape, center=center, tiles=block_tiles(center, shape))
 
 
+def zone_indices(uploaded) -> np.ndarray:
+    """``ZONE_SHAPES`` index per uploaded error, any shape; linear, rounded half up."""
+    e = check_errors(uploaded)
+    index = np.floor((len(ZONE_SHAPES) - 1) * e / math.pi + 0.5).astype(int)
+    return np.minimum(index, len(ZONE_SHAPES) - 1)
+
+
 def zone_from_error(uploaded_error: float) -> tuple[int, int]:
-    """Feasible zone shape for an uploaded error, linear with half-up rounding."""
-    uploaded_error = check_angle(uploaded_error, 0.0, math.pi, "uploaded_error")
-    index = int(math.floor((len(ZONE_SHAPES) - 1) * uploaded_error / math.pi + 0.5))
-    return ZONE_SHAPES[min(index, len(ZONE_SHAPES) - 1)]
+    """Feasible zone shape for an uploaded error; the one-error call of ``zone_indices``."""
+    return ZONE_SHAPES[int(zone_indices(uploaded_error))]
 
 
 def _ring_key(center: Tile):
@@ -153,10 +173,6 @@ class Allocation:
 
 def allocate_quality(zone: Zone, pfov: frozenset, cfg: SessionConfig) -> Allocation:
     """Per-tile quality map for one GoP under the bitrate budget."""
-    return _allocate(zone, pfov, cfg.budget_mbit)
-
-
-def _allocate(zone: Zone, pfov: frozenset, budget: float) -> Allocation:
     order = _ring_key(zone.center)
     quality: dict = {}
     spent = 0.0
@@ -164,7 +180,7 @@ def _allocate(zone: Zone, pfov: frozenset, budget: float) -> Allocation:
 
     low_cost = QualityLevel.LOW.mbps * GOP_SECONDS
     for tile in sorted(zone.tiles, key=order):
-        if spent + low_cost <= budget + _BUDGET_SLACK:
+        if spent + low_cost <= cfg.budget_mbit + _BUDGET_SLACK:
             quality[tile] = QualityLevel.LOW
             spent += low_cost
         else:
@@ -180,22 +196,39 @@ def _allocate(zone: Zone, pfov: frozenset, budget: float) -> Allocation:
     ]
     for tier in tiers:
         for tile in tier:
-            if spent + upgrade_cost <= budget + _BUDGET_SLACK:
+            if spent + upgrade_cost <= cfg.budget_mbit + _BUDGET_SLACK:
                 quality[tile] = QualityLevel.HIGH
                 spent += upgrade_cost
 
     add_cost = QualityLevel.HIGH.mbps * GOP_SECONDS
     every = ((r, c) for r in range(TILE_ROWS) for c in range(TILE_COLS))
     for tile in sorted((x for x in every if x not in zone.tiles), key=order):
-        if spent + add_cost <= budget + _BUDGET_SLACK:
+        if spent + add_cost <= cfg.budget_mbit + _BUDGET_SLACK:
             quality[tile] = QualityLevel.HIGH
             spent += add_cost
     return Allocation(quality, False, spent)
 
 
-@lru_cache(maxsize=4096)
-def _allocate_cached(center: Tile, shape: tuple[int, int], budget: float) -> Allocation:
-    return _allocate(make_zone(center, shape), fov_tiles(center), budget)
+@lru_cache(maxsize=16)
+def _qoe_tables(cfg: SessionConfig) -> tuple[np.ndarray, ...]:
+    """The per-GoP terms ``_qoe_reports`` takes, of every allocation under ``cfg``,
+    each indexed [pFoV center tile, zone shape, actual-FoV center tile]."""
+    count = len(_TILES)
+    # The last slot is never streamed; it pads FoVs clamped at a pole.
+    quality = np.zeros((count, len(ZONE_SHAPES), count + 1))
+    under = np.zeros((count, len(ZONE_SHAPES), 1), dtype=bool)
+    for p, center in enumerate(_TILES):
+        for z, shape in enumerate(ZONE_SHAPES):
+            allocation = allocate_quality(make_zone(center, shape), fov_tiles(center), cfg)
+            under[p, z] = allocation.under_provisioned
+            for (r, c), level in allocation.quality.items():
+                quality[p, z, r * TILE_COLS + c] = level.normalized
+    fovs = [[r * TILE_COLS + c for r, c in fov_tiles(center)] for center in _TILES]
+    fov = np.array([f + [count] * (max(map(len, fovs)) - len(f)) for f in fovs])
+    size = np.broadcast_to([len(f) for f in fovs], (count, len(ZONE_SHAPES), count))
+    covered = (quality[:, :, fov] > 0.0).sum(axis=-1)
+    fov_mean = _left_sums(quality[:, :, fov]) / size
+    return quality[:, :, :count], fov_mean, covered, size, under | (covered < size)
 
 
 @dataclass(frozen=True)
@@ -215,8 +248,25 @@ class QoEReport:
     stall_fraction: float
 
 
-def _norm_quality(level) -> float:
-    return level.normalized if level is not None else 0.0
+def _left_sums(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sums over the last axis, so scores match a per-GoP loop to the bit."""
+    return np.cumsum(x, axis=-1)[..., -1] if x.shape[-1] else np.zeros(x.shape[:-1])
+
+
+def _qoe_reports(gaze, fov_mean, covered, fov_size, stalled) -> list[QoEReport]:
+    """One report per session from (sessions, GoPs) arrays of per-GoP terms."""
+    gops = gaze.shape[-1]
+    jumps = np.minimum(1.0, np.abs(np.diff(fov_mean, axis=-1)))
+    transitions = np.where(stalled[:, :-1] | stalled[:, 1:], 1.0, jumps)
+    variation = _left_sums(transitions) / max(gops - 1, 1)
+    stall_fraction = stalled.sum(axis=-1) / gops
+    mean_fov = _left_sums(fov_mean) / gops
+    w1, w2, w3, w4 = QOE_WEIGHTS
+    qoe = 1.0 + 4.0 * (w1 * (_left_sums(gaze) / gops) + w2 * mean_fov
+                       + w3 * (1.0 - variation) + w4 * (1.0 - stall_fraction))
+    coverage = covered.sum(axis=-1) / fov_size.sum(axis=-1)
+    fields = (qoe, coverage, mean_fov, variation, stall_fraction)
+    return [QoEReport(*values) for values in zip(*(f.tolist() for f in fields))]
 
 
 def qoe_score(per_gop: list, cfg: SessionConfig) -> QoEReport:
@@ -224,38 +274,22 @@ def qoe_score(per_gop: list, cfg: SessionConfig) -> QoEReport:
     weighted by ``QOE_WEIGHTS``; ``cfg`` does not enter the score."""
     if not per_gop:
         raise ValueError("cannot score an empty session")
-    central, fov_means, stalled = [], [], []
-    covered_pairs = 0
-    total_pairs = 0
+    terms = []
     for rec in per_gop:
-        central.append(_norm_quality(rec.quality.get(rec.fov_center)))
-        values = [_norm_quality(rec.quality.get(tile)) for tile in rec.fov_tiles]
-        fov_means.append(sum(values) / len(values))
-        covered = sum(1 for tile in rec.fov_tiles if tile in rec.quality)
-        covered_pairs += covered
-        total_pairs += len(rec.fov_tiles)
-        stalled.append(rec.under_provisioned or covered < len(rec.fov_tiles))
+        norm = {tile: level.normalized for tile, level in rec.quality.items()}
+        covered = sum(1 for tile in rec.fov_tiles if tile in norm)
+        size = len(rec.fov_tiles)
+        fov_mean = sum(norm.get(tile, 0.0) for tile in rec.fov_tiles) / size
+        terms.append((norm.get(rec.fov_center, 0.0), fov_mean, covered, size,
+                      rec.under_provisioned or covered < size))
+    return _qoe_reports(*(np.array([column]) for column in zip(*terms)))[0]
 
-    transitions = [
-        1.0 if (stalled[i] or stalled[i + 1]) else min(1.0, abs(fov_means[i + 1] - fov_means[i]))
-        for i in range(len(per_gop) - 1)
-    ]
-    variation = sum(transitions) / len(transitions) if transitions else 0.0
-    stall_fraction = sum(stalled) / len(stalled)
-    mean_central = sum(central) / len(central)
-    mean_fov = sum(fov_means) / len(fov_means)
 
-    w1, w2, w3, w4 = QOE_WEIGHTS
-    qoe = 1.0 + 4.0 * (
-        w1 * mean_central + w2 * mean_fov + w3 * (1.0 - variation) + w4 * (1.0 - stall_fraction)
-    )
-    return QoEReport(
-        qoe=qoe,
-        fov_coverage=covered_pairs / total_pairs,
-        mean_fov_quality=mean_fov,
-        quality_variation=variation,
-        stall_fraction=stall_fraction,
-    )
+def score_sessions(pfov_tiles, uploaded, actual_tiles, cfg: SessionConfig) -> list[QoEReport]:
+    """QoE of each session from (sessions, GoPs) arrays of pFoV and actual-FoV
+    center tiles (``tiles_of``) and of uploaded errors."""
+    key = (pfov_tiles, zone_indices(uploaded), actual_tiles)
+    return _qoe_reports(*(table[key] for table in _qoe_tables(cfg)))
 
 
 @dataclass(frozen=True)
@@ -346,17 +380,8 @@ def stream_session(trace: SessionTrace, app: PolicyApplication, cfg: SessionConf
     leakage. The leakage estimate is the sample mean of per-GoP conditional
     leakage at the attacker-observed uploads (see ``apply_policy``).
     """
-    records = []
-    for gop in range(trace.gops):
-        shape = zone_from_error(float(app.uploaded[gop]))
-        pcenter = tile_of(app.predicted[gop])
-        acenter = tile_of(trace.actual[gop])
-        allocation = _allocate_cached(pcenter, shape, cfg.budget_mbit)
-        records.append(
-            GopRecord(acenter, fov_tiles(acenter), allocation.quality, allocation.under_provisioned)
-        )
-
-    report = qoe_score(records, cfg)
+    report, = score_sessions(tiles_of(app.predicted)[None], app.uploaded[None],
+                             tiles_of(trace.actual)[None], cfg)
     estimate = LeakageEstimate(
         float(np.mean(app.per_gop_leakage)), "sample_mean", trials=trace.gops
     )

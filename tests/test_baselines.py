@@ -128,6 +128,8 @@ def test_calibration_validates_arguments():
         calibrate_noise_scale(pipeline, EPS, 0.5, GAUSSIAN_KIND, step=0.0)
     with pytest.raises(ValueError):
         calibrate_noise_scale(lambda s: np.array([]), EPS, 0.5, GAUSSIAN_KIND)
+    with pytest.raises(ValueError, match="unknown noise kind"):
+        calibrate_noise_scale(pipeline, EPS, 0.5, "bogus")
 
 
 def test_pspr_counts():

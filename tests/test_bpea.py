@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewpriv import bpea
+from viewpriv.leakage import conditional_leakage
 from viewpriv.bpea import (
     DEFAULT_MARGIN,
     conditional_leakage_noisy,
@@ -47,6 +48,14 @@ def test_effective_precision_against_high_precision_oracle():
         want = float(mpmath.acos(mpmath.cos(mpmath.pi / 10) / mpmath.cos(mpmath.pi / 20)))
     assert effective_precision(0.05 * math.pi, EPS) == pytest.approx(want, abs=1e-14)
     assert want == pytest.approx(0.2732032144912512, abs=1e-14)
+
+
+def test_zero_noise_leakage_is_exact_error_leakage():
+    # Without noise the upload is the exact error, so both formulas must
+    # agree to the bit, regime boundaries included.
+    errors = np.linspace(0.0, math.pi, 100_001)
+    noisy = conditional_leakage_noisy(errors, np.zeros_like(errors), EPS)
+    assert np.array_equal(noisy, conditional_leakage(errors, EPS))
 
 
 def test_effective_precision_bounded_by_eps():
@@ -113,13 +122,11 @@ def test_mid_column_monotone_in_noise_magnitude(e, n1, n2):
 
 def test_optimal_noise_crossing_endpoints():
     # At e = pi/2 the crossing magnitude reaches eps at q = 0, and
-    # q pi sin e == eps makes the required extra arc zero. There the no-noise
-    # leakage evaluates a hair over q, so the refinement steps to ~1.7e-8,
-    # just past the smallest |n| at which cos(n) < 1 lowers it.
+    # q pi sin e == eps makes the required extra arc zero: the no-noise
+    # leakage is exactly q, so no noise is needed.
     assert optimal_noise(0.5 * math.pi, EPS, 0.0) == pytest.approx(EPS, abs=1e-12)
-    n = optimal_noise(0.5 * math.pi, EPS, 0.1)
-    assert n == pytest.approx(0.0, abs=2e-8)
-    assert conditional_leakage_noisy(0.5 * math.pi, n, EPS) <= 0.1
+    assert optimal_noise(0.5 * math.pi, EPS, 0.1) == 0.0
+    assert conditional_leakage_noisy(0.5 * math.pi, 0.0, EPS) == 0.1
 
 
 def test_optimal_noise_against_bisection_oracle():

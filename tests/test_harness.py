@@ -12,7 +12,7 @@ from viewpriv.harness import (
     write_results,
 )
 from viewpriv.policies import BpeaPolicy, GaussianViewpointNoise, LaplaceViewpointNoise, NoObfuscation
-from viewpriv.streaming import apply_policy, stream_session
+from viewpriv.streaming import SessionConfig, apply_policy, stream_session
 
 SMALL = dict(
     num_users=3,
@@ -116,7 +116,8 @@ def test_stacked_rows_match_the_per_trace_pipeline():
         assert row.mean_abs_noise_rad == pytest.approx(
             np.mean([a.mean_abs_noise_rad for a in apps]), rel=1e-12, abs=1e-15)
         assert row.qoe == pytest.approx(np.mean([
-            stream_session(t, a, cfg.session_config()).qoe.qoe for t, a in zip(evaluation, apps)
+            stream_session(t, a, SessionConfig(cfg.budget_mbit)).qoe.qoe
+            for t, a in zip(evaluation, apps)
         ]), rel=1e-12)
 
 

@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from viewpriv.harness import ExperimentConfig, generate_trace_set
 from viewpriv.policies import BpeaPolicy, GaussianViewpointNoise, NoObfuscation
 from viewpriv.streaming import (
     Allocation,
     GOP_SECONDS,
     GopRecord,
+    PolicyApplication,
+    QOE_WEIGHTS,
+    QoEReport,
     QualityLevel,
     SessionConfig,
     TILE_COLS,
@@ -20,11 +24,15 @@ from viewpriv.streaming import (
     fov_tiles,
     make_zone,
     qoe_score,
+    score_sessions,
     simulate_session,
+    stream_session,
     tile_of,
+    tiles_of,
     zone_from_error,
+    zone_indices,
 )
-from viewpriv.traces import SessionTrace, generate_synthetic_trace
+from viewpriv.traces import SessionTrace, generate_synthetic_trace, persistence_predict
 
 EPS = 0.1 * math.pi
 
@@ -49,6 +57,40 @@ def test_tile_of_poles_and_seam():
     assert 0 <= r < TILE_ROWS and 0 <= c < TILE_COLS
 
 
+def scalar_tile(point):
+    """Flat tile index by the scalar libm formula, as a reference for tiles_of."""
+    x, y, z = (float(c) for c in point)
+    polar = math.acos(min(1.0, max(-1.0, z)))
+    row = min(TILE_ROWS - 1, int(polar / math.pi * TILE_ROWS))
+    azimuth = math.atan2(y, x) % (2.0 * math.pi)
+    col = min(TILE_COLS - 1, int(azimuth / (2.0 * math.pi) * TILE_COLS))
+    return row * TILE_COLS + col
+
+
+def test_tiles_of_matches_scalar_formula_on_edges():
+    points = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    for x in (1.0, -1.0):   # the seam, on both sides of the sphere
+        points += [[x, 0.0, 0.0], [x, -0.0, 0.0], [x, -1e-300, 0.0]]
+    # Exact row boundaries at every column boundary, and one ulp either side.
+    for k in range(TILE_ROWS + 1):
+        for j in range(TILE_COLS + 1):
+            polar, azimuth = k * math.pi / TILE_ROWS, j * 2.0 * math.pi / TILE_COLS
+            for z in np.nextafter(math.cos(polar), [-2.0, 0.0, 2.0]):
+                s = math.sqrt(max(0.0, 1.0 - z * z))
+                points.append([s * math.cos(azimuth), s * math.sin(azimuth), min(z, 1.0)])
+    got = tiles_of(points)
+    assert got.tolist() == [scalar_tile(p) for p in points]
+    assert [tile_of(p) for p in points] == [divmod(t, TILE_COLS) for t in got.tolist()]
+
+
+def test_tiles_of_matches_scalar_formula_on_the_default_evaluation_set():
+    _, evaluation = generate_trace_set(ExperimentConfig())
+    actual = np.stack([t.actual for t in evaluation])
+    for points in (actual, persistence_predict(actual)):
+        want = np.array([scalar_tile(p) for p in points.reshape(-1, 3)])
+        assert np.array_equal(tiles_of(points), want.reshape(points.shape[:-1]))
+
+
 def test_fov_is_three_by_three_with_row_clamp():
     assert len(fov_tiles((1, 4))) == 9
     assert len(fov_tiles((0, 4))) == 6  # clamped at the top edge
@@ -71,6 +113,20 @@ def test_zone_from_error_monotone():
     errors = np.linspace(0.0, math.pi, 500)
     indices = [ZONE_SHAPES.index(zone_from_error(float(e))) for e in errors]
     assert all(b >= a for a, b in zip(indices, indices[1:]))
+
+
+def test_zone_indices_match_zone_from_error_at_bin_edges():
+    errors = [0.0, math.pi]
+    for k in range(1, len(ZONE_SHAPES)):
+        edge = (k - 0.5) * math.pi / (len(ZONE_SHAPES) - 1)
+        errors += [float(np.nextafter(edge, -1.0)), edge, float(np.nextafter(edge, 4.0))]
+    want = [ZONE_SHAPES.index(zone_from_error(e)) for e in errors]
+    assert zone_indices(errors).tolist() == want
+    # The pre-batch scalar formula, linear with half-up rounding.
+    assert want == [min(int(math.floor(4 * e / math.pi + 0.5)), 4) for e in errors]
+    assert set(want) == set(range(len(ZONE_SHAPES)))
+    with pytest.raises(ValueError):
+        zone_indices([0.5, math.pi + 1e-9])
 
 
 def test_zone_shape_feasible_set_only():
@@ -226,6 +282,81 @@ def test_zone_inflation_never_helps_under_fixed_budget():
                    for _ in range(5)]
         scores.append(qoe_score(records, cfg).qoe)
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
+
+
+def reference_qoe(predicted, actual, uploaded, cfg):
+    """Per-GoP scoring loop over allocate_quality's dict quality maps, in
+    plain Python arithmetic: the reference for the table-driven scorer.
+    Returns the report and the session's GopRecords."""
+    central, fov_means, stalled, records = [], [], [], []
+    covered_pairs = total_pairs = 0
+    for p, a, e in zip(predicted, actual, uploaded):
+        pcenter, acenter = tile_of(p), tile_of(a)
+        zone = make_zone(pcenter, zone_from_error(float(e)))
+        quality = allocate_quality(zone, fov_tiles(pcenter), cfg)
+        level = {t: lvl.normalized for t, lvl in quality.quality.items()}
+        fov = fov_tiles(acenter)
+        central.append(level.get(acenter, 0.0))
+        fov_means.append(sum([level.get(t, 0.0) for t in fov]) / len(fov))
+        covered = sum(1 for t in fov if t in level)
+        covered_pairs += covered
+        total_pairs += len(fov)
+        stalled.append(quality.under_provisioned or covered < len(fov))
+        records.append(GopRecord(acenter, fov, quality.quality, quality.under_provisioned))
+    transitions = [
+        1.0 if (stalled[i] or stalled[i + 1]) else min(1.0, abs(fov_means[i + 1] - fov_means[i]))
+        for i in range(len(stalled) - 1)
+    ]
+    variation = sum(transitions) / len(transitions) if transitions else 0.0
+    stall_fraction = sum(stalled) / len(stalled)
+    mean_central = sum(central) / len(central)
+    mean_fov = sum(fov_means) / len(fov_means)
+    w1, w2, w3, w4 = QOE_WEIGHTS
+    qoe = 1.0 + 4.0 * (
+        w1 * mean_central + w2 * mean_fov + w3 * (1.0 - variation) + w4 * (1.0 - stall_fraction)
+    )
+    report = QoEReport(qoe, covered_pairs / total_pairs, mean_fov, variation, stall_fraction)
+    return report, records
+
+
+def random_sessions(rng, sessions, gops):
+    """(predicted, actual, uploaded): actual viewpoints are the predictions
+    moved by none, a little or a lot, so FoVs are fully, partly or not covered."""
+    predicted = rng.normal(size=(sessions, gops, 3))
+    predicted /= np.linalg.norm(predicted, axis=-1, keepdims=True)
+    spread = rng.choice([0.0, 0.3, 3.0], size=(sessions, gops, 1))
+    actual = predicted + spread * rng.normal(size=predicted.shape)
+    actual /= np.linalg.norm(actual, axis=-1, keepdims=True)
+    return predicted, actual, rng.uniform(0.0, math.pi, size=(sessions, gops))
+
+
+def test_table_scorer_matches_the_per_gop_reference():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for budget in (0.0, 10.0, 30.0, 57.6, 95.4, 200.0, 1000.0):
+        cfg = SessionConfig(budget_mbit=budget)
+        for gops in (1, 2, 60):
+            predicted, actual, uploaded = random_sessions(rng, 4, gops)
+            reports = score_sessions(tiles_of(predicted), uploaded, tiles_of(actual), cfg)
+            pairs = []
+            for i, report in enumerate(reports):
+                want, records = reference_qoe(predicted[i], actual[i], uploaded[i], cfg)
+                pairs += [(report, want), (qoe_score(records, cfg), want)]
+            if gops >= 3:   # the shortest SessionTrace
+                trace = SessionTrace(0, 0, actual[0])
+                zeros = np.zeros(gops)
+                app = PolicyApplication(predicted[0], zeros, zeros, uploaded[0], zeros)
+                want, _ = reference_qoe(predicted[0], trace.actual, uploaded[0], cfg)
+                pairs.append((stream_session(trace, app, cfg).qoe, want))
+            for got, want in pairs:
+                for name in ("qoe", "fov_coverage", "mean_fov_quality", "quality_variation",
+                             "stall_fraction"):
+                    assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                               rel=1e-12, abs=1e-12)
+                seen.add((got.fov_coverage == 1.0, got.stall_fraction > 0.0))
+    # Fully covered and stall-free, partly covered, and under-provisioned
+    # (covered yet stalled) sessions all occurred.
+    assert seen >= {(True, False), (False, True), (True, True)}
 
 
 # ------------------------------------------------------------ session runs
