@@ -5,8 +5,8 @@ The baselines perturb three-dimensional viewpoint coordinates with
 zero-mean Gaussian or Laplace noise and renormalize to the unit sphere.
 Because such noise only reshapes the error distribution, the achievable
 leakage is floored at eps/pi regardless of scale; calibration searches the
-scale parameter with a simple forward scan and reports infeasibility when
-no scale meets the requirement.
+scale parameter with one forward scan per noise kind, shared by every
+requirement, and reports infeasibility when no scale meets a requirement.
 """
 
 from __future__ import annotations
@@ -80,6 +80,54 @@ def perturb_rows(points: np.ndarray, kind: str, value: float, rng: np.random.Gen
     return unit_rows(noisy)
 
 
+def calibrate_noise_scales(
+    error_pipeline: Callable[[float], np.ndarray],
+    eps: float,
+    q_grid,
+    kind: str,
+    step: float = DEFAULT_SEARCH_STEP,
+) -> list[CalibrationResult]:
+    """One forward scan over noise scales that calibrates every requirement
+    in ``q_grid``; returns one result per q, in grid order.
+
+    ``error_pipeline`` maps a scale value to the prediction errors measured
+    on the calibration traces after obfuscation at that scale; it must be
+    deterministic per scale (callers derive its randomness from the scale).
+    Scales 0, step, ... are visited once each and the scan stops at the
+    first one meeting ``min(q_grid)``. A forward scan is used instead of
+    bisection because the achieved leakage need not be monotone in the
+    scale near the floor. ``search_evals`` counts the scales a scan for
+    that q alone would have visited.
+    """
+    check_precision(eps)
+    qs = [check_requirement(q) for q in q_grid]
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"search step must be positive, got {step!r}")
+    if kind not in SEARCH_MAX:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    search_max = SEARCH_MAX[kind]
+
+    target = min(qs)   # an empty grid raises ValueError here, before any scan
+    scales, leaks = [], []
+    for i in range(int(math.floor(search_max / step + 1e-9)) + 1):
+        scales.append(min(i * step, search_max))
+        errors = np.asarray(error_pipeline(scales[-1]), dtype=float)
+        if errors.size == 0:
+            raise ValueError("error pipeline produced an empty calibration set")
+        leaks.append(leakage_sample_mean(errors, eps).value)
+        if leaks[-1] <= target:
+            break
+
+    results = []
+    for q in qs:
+        meeting = [i for i, leak in enumerate(leaks) if leak <= q]
+        i = meeting[0] if meeting else leaks.index(min(leaks))   # else the first lowest
+        scale = NoiseScale(kind, scales[i])
+        evals = i + 1 if meeting else len(leaks)
+        results.append(CalibrationResult(scale if meeting else None, leaks[i], evals, scale))
+    return results
+
+
 def calibrate_noise_scale(
     error_pipeline: Callable[[float], np.ndarray],
     eps: float,
@@ -87,47 +135,9 @@ def calibrate_noise_scale(
     kind: str,
     step: float = DEFAULT_SEARCH_STEP,
 ) -> CalibrationResult:
-    """Forward scan for the smallest scale whose leakage meets q.
-
-    ``error_pipeline`` maps a scale value to the prediction errors measured
-    on the calibration traces after obfuscation at that scale; it must be
-    deterministic per scale (callers derive its randomness from the scale).
-    A forward scan is used instead of bisection because the achieved
-    leakage need not be monotone in the scale near the floor.
-    """
-    check_precision(eps)
-    q = check_requirement(q)
-    if step <= 0.0:
-        raise ValueError(f"search step must be positive, got {step!r}")
-    if kind not in SEARCH_MAX:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    search_max = SEARCH_MAX[kind]
-
-    best_scale, best_leak = None, math.inf
-    evals = 0
-    count = int(math.floor(search_max / step + 1e-9)) + 1
-    for i in range(count):
-        scale = min(i * step, search_max)
-        errors = np.asarray(error_pipeline(scale), dtype=float)
-        if errors.size == 0:
-            raise ValueError("error pipeline produced an empty calibration set")
-        leak = leakage_sample_mean(errors, eps).value
-        evals += 1
-        if leak < best_leak:
-            best_scale, best_leak = scale, leak
-        if leak <= q:
-            return CalibrationResult(
-                scale=NoiseScale(kind, scale),
-                achieved_leakage=leak,
-                search_evals=evals,
-                fallback_scale=NoiseScale(kind, scale),
-            )
-    return CalibrationResult(
-        scale=None,
-        achieved_leakage=best_leak,
-        search_evals=evals,
-        fallback_scale=NoiseScale(kind, best_scale),
-    )
+    """Smallest scanned scale whose leakage meets q: the one-requirement
+    call of ``calibrate_noise_scales``."""
+    return calibrate_noise_scales(error_pipeline, eps, (q,), kind, step)[0]
 
 
 def pspr(per_trace_leakage, q: float) -> float:

@@ -146,9 +146,7 @@ def _cmd_calibrate(args) -> int:
         calibration_step=args.step,
     )
     train, _ = harness.generate_trace_set(cfg)
-    kind = baselines.GAUSSIAN_KIND if args.kind == "gaussian" else baselines.LAPLACE_KIND
-    pipeline = harness.calibration_pipeline(cfg, kind, train, set())
-    result = baselines.calibrate_noise_scale(pipeline, args.eps, args.q, kind, step=args.step)
+    result = harness.calibrate_baselines(cfg, train)[(args.kind, args.q)]
     if result.feasible:
         print(f"feasible: scale {result.scale.value:.4g} achieves leakage "
               f"{result.achieved_leakage:.6f} <= q={args.q:.6g} "

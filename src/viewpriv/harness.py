@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines
-from .baselines import CalibrationResult, calibrate_noise_scale, perturb_rows, pspr
+from .baselines import CalibrationResult, calibrate_noise_scales, perturb_rows, pspr
 from .bpea import DEFAULT_MARGIN
 from .leakage import check_precision, check_requirement
 from .policies import (
@@ -27,8 +27,7 @@ from .policies import (
     NoObfuscation,
 )
 from .streaming import (
-    DEFAULT_BUDGET_MBIT, PolicyApplication, SessionConfig, apply_policy, score_sessions,
-    tiles_of, upload_errors,
+    DEFAULT_BUDGET_MBIT, SessionConfig, apply_policy, score_sessions, tiles_of, upload_errors,
 )
 from .traces import (
     DEFAULT_CONCENTRATION,
@@ -78,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("q grid must not be empty")
         for q in self.q_grid:
             check_requirement(q)
+        if not self.policies:
+            raise ValueError("need at least one policy")
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
@@ -85,6 +86,7 @@ class ExperimentConfig:
             raise ValueError("need at least one user and one video per split")
         if self.gops_per_video < 3:
             raise ValueError("traces need at least 3 GoPs")
+        SessionConfig(self.budget_mbit)   # rejects a negative or NaN budget
 
 
 @dataclass(frozen=True)
@@ -136,29 +138,34 @@ def generate_trace_set(cfg: ExperimentConfig) -> tuple[list[SessionTrace], list[
     return train, [t for t in traces if t.video_id >= cfg.num_train_videos]
 
 
-def calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionTrace], audit: set):
-    """Scale -> prediction errors over the stacked training traces.
-
-    One RNG per (kind, scale), per the seed discipline for calibration; the
-    per-scale output is cached so repeated scans across requirements reuse
-    it. Training traces must share a GoP count (synthetic sets do).
+def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionTrace]):
+    """Scale -> prediction errors over the stacked training traces, with one
+    RNG per (kind, scale), per the seed discipline for calibration. Training
+    traces must share a GoP count (synthetic sets do).
     """
     stacked = np.stack([t.actual for t in train])
-    keys = [(t.user_id, t.video_id) for t in train]
-    cache: dict[int, np.ndarray] = {}
     kind_id = 0 if kind == baselines.GAUSSIAN_KIND else 1
 
     def pipeline(scale: float) -> np.ndarray:
-        key = int(round(scale / cfg.calibration_step))
-        if key in cache:
-            return cache[key]
-        audit.update(keys)
-        rng = _rng(cfg.seed, 2, kind_id, key)
+        rng = _rng(cfg.seed, 2, kind_id, int(round(scale / cfg.calibration_step)))
         noisy = perturb_rows(stacked.reshape(-1, 3), kind, scale, rng).reshape(stacked.shape)
-        cache[key] = prediction_errors(persistence_predict(noisy), stacked).ravel()
-        return cache[key]
+        return prediction_errors(persistence_predict(noisy), stacked).ravel()
 
     return pipeline
+
+
+def calibrate_baselines(cfg: ExperimentConfig, train: list[SessionTrace]) -> dict:
+    """{(policy, q): CalibrationResult} for every baseline policy of ``cfg``
+    and every q of its grid, from one forward scan per policy on ``train``."""
+    calibrations: dict = {}
+    for name in cfg.policies:
+        kind = _KIND_FOR_POLICY.get(name)
+        if kind is not None:
+            pipeline = _calibration_pipeline(cfg, kind, train)
+            results = calibrate_noise_scales(pipeline, cfg.eps, cfg.q_grid, kind,
+                                             step=cfg.calibration_step)
+            calibrations.update(((name, q), r) for q, r in zip(cfg.q_grid, results))
+    return calibrations
 
 
 def _policy_instance(name: str, q: float, cfg: ExperimentConfig, calibrations: dict):
@@ -173,74 +180,59 @@ def _policy_instance(name: str, q: float, cfg: ExperimentConfig, calibrations: d
     return LaplaceViewpointNoise(scale_b=scale.value)
 
 
+def _baseline_uploads(cfg: ExperimentConfig, evaluation: list, name: str, q: float, policy):
+    """A baseline's upload pipeline, one RNG per trace: pFoV tiles (None without
+    QoE), then (traces, GoPs) errors, noises, uploaded errors, per-GoP leakage.
+    The per-trace outputs are freed on return, so they never outlive the stacks."""
+    rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
+            for t in evaluation]
+    apps = [apply_policy(t, policy, cfg.eps, rng) for t, rng in zip(evaluation, rngs)]
+    pfov_tiles = tiles_of(np.stack([a.predicted for a in apps])) if cfg.compute_qoe else None
+    return (pfov_tiles, *(np.stack([getattr(a, f) for a in apps])
+                          for f in ("errors", "noises", "uploaded", "per_gop_leakage")))
+
+
 def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Calibrate, simulate, and aggregate one row per (q, policy)."""
     train, evaluation = generate_trace_set(cfg)
-    calibration_audit: set = set()
+    calibrations = calibrate_baselines(cfg, train)
 
-    calibrations: dict = {}
-    for name in cfg.policies:
-        kind = _KIND_FOR_POLICY.get(name)
-        if kind is None:
-            continue
-        pipeline = calibration_pipeline(cfg, kind, train, calibration_audit)
-        for q in cfg.q_grid:
-            calibrations[(name, q)] = calibrate_noise_scale(
-                pipeline, cfg.eps, q, kind, step=cfg.calibration_step
-            )
-        del pipeline   # its per-scale error cache would otherwise outlive calibration
-
-    # none and bpea upload the clean persistence errors, so they run on all
-    # evaluation traces at once; none does not depend on q.
+    # none and bpea upload the clean persistence errors of all traces at once.
     actual = np.stack([t.actual for t in evaluation])
     predicted = persistence_predict(actual)
     errors = prediction_errors(predicted, actual)
-
-    def stacked(policy) -> list[PolicyApplication]:
-        outputs = upload_errors(errors, policy, cfg.eps)
-        return [PolicyApplication(*row) for row in zip(predicted, errors, *outputs)]
-
-    none_apps = stacked(NoObfuscation()) if "none" in cfg.policies else None
+    actual_tiles = clean_tiles = None
     if cfg.compute_qoe:
         actual_tiles, clean_tiles = tiles_of(actual), tiles_of(predicted)
-    evaluation_keys = {(t.user_id, t.video_id) for t in evaluation}
+
     rows = []
     for q in cfg.q_grid:
         for name in cfg.policies:
             policy = _policy_instance(name, q, cfg, calibrations)
-            if name == "none":
-                apps = none_apps
-            elif name == "bpea":
-                apps = stacked(policy)
+            if name in ("none", "bpea"):
+                pfov_tiles, errs = clean_tiles, errors
+                noises, uploaded, leak = upload_errors(errors, policy, cfg.eps)
             else:
-                rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
-                        for t in evaluation]
-                apps = [apply_policy(t, policy, cfg.eps, rng)
-                        for t, rng in zip(evaluation, rngs)]
+                pfov_tiles, errs, noises, uploaded, leak = _baseline_uploads(
+                    cfg, evaluation, name, q, policy)
             qoe = math.nan
             if cfg.compute_qoe:
-                pfov_tiles = (clean_tiles if name in ("none", "bpea")
-                              else tiles_of(np.stack([a.predicted for a in apps])))
-                reports = score_sessions(pfov_tiles, np.stack([a.uploaded for a in apps]),
-                                         actual_tiles, SessionConfig(cfg.budget_mbit))
+                reports = score_sessions(pfov_tiles, uploaded, actual_tiles,
+                                         SessionConfig(cfg.budget_mbit))
                 qoe = np.mean([r.qoe for r in reports])
-            rows.append(
-                TradeoffRow(
-                    q=q,
-                    policy=name,
-                    pr_leak=float(np.mean(np.concatenate([a.per_gop_leakage for a in apps]))),
-                    mean_error_rad=float(np.mean([a.mean_error_rad for a in apps])),
-                    mean_abs_noise_rad=float(np.mean([a.mean_abs_noise_rad for a in apps])),
-                    qoe=float(qoe),
-                    pspr=pspr([float(np.mean(a.per_gop_leakage)) for a in apps], q),
-                )
-            )
+            rows.append(TradeoffRow(
+                q=q, policy=name, pr_leak=float(np.mean(leak)),
+                mean_error_rad=float(np.mean(np.mean(errs, axis=1))),
+                mean_abs_noise_rad=float(np.mean(np.mean(np.abs(noises), axis=1))),
+                qoe=float(qoe), pspr=pspr(np.mean(leak, axis=1), q),
+            ))
 
     result = ExperimentResult(
         rows=rows,
         calibrations=calibrations,
-        calibration_trace_keys=frozenset(calibration_audit),
-        evaluation_trace_keys=frozenset(evaluation_keys),
+        # Calibration reads every training trace, and only baselines calibrate.
+        calibration_trace_keys=frozenset((t.user_id, t.video_id) for t in train if calibrations),
+        evaluation_trace_keys=frozenset((t.user_id, t.video_id) for t in evaluation),
     )
     if cfg.out_path is not None:
         write_results(rows, cfg.out_path)

@@ -74,7 +74,7 @@ class SessionConfig:
     budget_mbit: float = DEFAULT_BUDGET_MBIT
 
     def __post_init__(self):
-        if self.budget_mbit < 0.0:
+        if not self.budget_mbit >= 0.0:
             raise ValueError(f"budget must be non-negative, got {self.budget_mbit!r}")
 
 
@@ -269,9 +269,9 @@ def _qoe_reports(gaze, fov_mean, covered, fov_size, stalled) -> list[QoEReport]:
     return [QoEReport(*values) for values in zip(*(f.tolist() for f in fields))]
 
 
-def qoe_score(per_gop: list, cfg: SessionConfig) -> QoEReport:
+def qoe_score(per_gop: list) -> QoEReport:
     """Session score from per-GoP FoV tiles and streamed quality maps,
-    weighted by ``QOE_WEIGHTS``; ``cfg`` does not enter the score."""
+    weighted by ``QOE_WEIGHTS``."""
     if not per_gop:
         raise ValueError("cannot score an empty session")
     terms = []

@@ -73,7 +73,7 @@ def generate_synthetic_traces(
     """
     if gops < MIN_GOPS:
         raise ValueError(f"need at least {MIN_GOPS} GoPs, got {gops}")
-    if concentration <= 0.0:
+    if not concentration > 0.0:
         raise ValueError(f"concentration must be positive, got {concentration!r}")
     if not keys or len(keys) != len(rngs):
         raise ValueError(f"need one RNG per trace key, got {len(keys)} keys, {len(rngs)} RNGs")

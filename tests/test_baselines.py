@@ -10,6 +10,7 @@ from viewpriv.baselines import (
     NoiseScale,
     SEARCH_MAX,
     calibrate_noise_scale,
+    calibrate_noise_scales,
     perturb_rows,
     pspr,
 )
@@ -124,12 +125,85 @@ def test_calibration_validates_arguments():
     for q in (1.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             calibrate_noise_scale(pipeline, EPS, q, GAUSSIAN_KIND)
+    for step in (0.0, -0.05, math.nan, math.inf):
+        with pytest.raises(ValueError, match="search step must be positive"):
+            calibrate_noise_scale(pipeline, EPS, 0.5, GAUSSIAN_KIND, step=step)
     with pytest.raises(ValueError):
-        calibrate_noise_scale(pipeline, EPS, 0.5, GAUSSIAN_KIND, step=0.0)
+        calibrate_noise_scales(pipeline, EPS, (), GAUSSIAN_KIND)
+    with pytest.raises(ValueError):
+        calibrate_noise_scales(pipeline, EPS, (0.5, 1.5), GAUSSIAN_KIND)
+    assert pipeline.calls == []
     with pytest.raises(ValueError):
         calibrate_noise_scale(lambda s: np.array([]), EPS, 0.5, GAUSSIAN_KIND)
     with pytest.raises(ValueError, match="unknown noise kind"):
         calibrate_noise_scale(pipeline, EPS, 0.5, "bogus")
+
+
+def reference_scan(pipeline, eps, q, kind, step):
+    """The forward scan of one requirement, as calibration ran it before one
+    scan served a whole grid: the reference for ``calibrate_noise_scales``."""
+    search_max = SEARCH_MAX[kind]
+    best_scale, best_leak, evals = None, math.inf, 0
+    for i in range(int(math.floor(search_max / step + 1e-9)) + 1):
+        scale = min(i * step, search_max)
+        leak = leakage_sample_mean(pipeline(scale), eps).value
+        evals += 1
+        if leak < best_leak:
+            best_scale, best_leak = scale, leak
+        if leak <= q:
+            return CalibrationResult(NoiseScale(kind, scale), leak, evals, NoiseScale(kind, scale))
+    return CalibrationResult(None, best_leak, evals, NoiseScale(kind, best_scale))
+
+
+class ProfilePipeline:
+    """Errors that follow ``profile(scale)``: leakage is eps/(pi sin e) between
+    eps and pi - eps, lowest at e = pi/2, so a profile crossing pi/2 makes the
+    leakage dip and rise again, and one resting on pi/2 ties at the minimum."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.calls = []
+
+    def __call__(self, scale):
+        self.calls.append(scale)
+        return np.full(3, min(max(self.profile(scale), 0.0), math.pi))
+
+
+PROFILES = {
+    "dip_then_rise": lambda s: 0.4 + 0.5 * s,
+    "tied_minimum": lambda s: (min(0.3 + 0.6 * s, 0.5 * math.pi) if s <= 3.0
+                               else 0.5 * math.pi + 0.5 * (s - 3.0)),
+    "oscillating": lambda s: 0.5 * math.pi + 1.2 * math.sin(1.3 * s),
+}
+
+GRIDS = (
+    (0.3, 0.0, 0.15, 1.0, 0.3, 0.11, 0.2),
+    (0.25, 0.15, 0.25, 1.0),
+    (0.5, 0.12),
+    (1.0,),
+    (0.0,),
+)
+
+
+def test_one_scan_matches_a_scan_per_requirement():
+    ties = 0
+    for make in [RecordingPipeline] + [lambda p=p: ProfilePipeline(p) for p in PROFILES.values()]:
+        for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+            for step in (0.05, 0.3, 2.0, 7.0):
+                for grid in GRIDS:
+                    pipeline = make()
+                    results = calibrate_noise_scales(pipeline, EPS, grid, kind, step)
+                    assert results == [reference_scan(make(), EPS, q, kind, step) for q in grid]
+                    # One visit per scale, in order, stopping where min(grid) is met.
+                    stop = reference_scan(make(), EPS, min(grid), kind, step).search_evals
+                    assert pipeline.calls == [min(i * step, SEARCH_MAX[kind]) for i in range(stop)]
+                    assert len(set(pipeline.calls)) == len(pipeline.calls)
+                    leaks = [leakage_sample_mean(make()(s), EPS).value for s in pipeline.calls]
+                    ties += leaks.count(min(leaks)) > 1
+    assert ties   # the first-argmin fallback was exercised
+    infeasible = calibrate_noise_scales(ProfilePipeline(PROFILES["tied_minimum"]), EPS,
+                                        (0.0,), GAUSSIAN_KIND, 0.05)[0]
+    assert not infeasible.feasible and infeasible.fallback_scale.value == pytest.approx(2.15)
 
 
 def test_pspr_counts():

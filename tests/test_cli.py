@@ -104,6 +104,28 @@ def test_tradeoff_infeasible_still_writes(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 2
 
 
+def test_tradeoff_rejects_a_nan_budget_and_an_empty_policy_list(tmp_path, capsys):
+    results_path = tmp_path / "rows.csv"
+    base = ["tradeoff", "--users", "2", "--videos", "1", "--train-videos", "1",
+            "--gops", "10", "--q-grid", "1.0", "--out", str(results_path)]
+    assert cli.main(base + ["--budget-mbit", "nan"]) == 2
+    assert "budget must be non-negative" in capsys.readouterr().err
+    assert cli.main(base + ["--policies", ","]) == 2
+    assert "need at least one policy" in capsys.readouterr().err
+    assert not results_path.exists()
+
+
+def test_calibrate_and_gen_traces_reject_non_finite_arguments(tmp_path, capsys):
+    calibrate = ["calibrate", "--kind", "gaussian", "--q", "0.5", "--users", "2",
+                 "--videos", "1", "--gops", "12"]
+    for step in ("nan", "inf"):
+        assert cli.main(calibrate + ["--step", step]) == 2
+        assert "search step must be positive" in capsys.readouterr().err
+    assert cli.main(["gen-traces", "--users", "1", "--videos", "1", "--gops", "5",
+                     "--concentration", "nan", "--out", str(tmp_path / "t.csv")]) == 2
+    assert "concentration must be positive" in capsys.readouterr().err
+
+
 def test_solve_noise_respects_tau(capsys):
     assert cli.main(["solve-noise", "--e", str(0.1 * math.pi), "--q", "0.5",
                      "--tau", "0.001"]) == 0

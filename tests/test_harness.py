@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from viewpriv import baselines, harness
 from viewpriv.harness import (
     ExperimentConfig,
     RESULTS_HEADER,
@@ -36,6 +37,13 @@ def test_config_validation():
         ExperimentConfig(policies=("bpea", "unknown"))
     with pytest.raises(ValueError):
         ExperimentConfig(gops_per_video=2)
+    with pytest.raises(ValueError, match="need at least one policy"):
+        ExperimentConfig(policies=())
+    for budget in (-1.0, math.nan):
+        # Rejected even when no QoE (and so no SessionConfig) would be computed.
+        with pytest.raises(ValueError, match="budget"):
+            ExperimentConfig(budget_mbit=budget, compute_qoe=False)
+    assert ExperimentConfig(budget_mbit=math.inf).budget_mbit == math.inf
 
 
 def test_default_q_grid():
@@ -130,6 +138,30 @@ def test_policy_instances_read_calibration():
     for (kind, q), calibration in result.calibrations.items():
         if q >= 1.0:
             assert calibration.feasible and calibration.scale.value == 0.0
+
+
+def test_calibration_evaluates_each_perturbed_scale_once(monkeypatch):
+    perturbed, evaluations = [], []
+    perturb_rows, leakage_sample_mean = harness.perturb_rows, baselines.leakage_sample_mean
+
+    def counting_perturb(points, kind, value, rng):
+        perturbed.append((kind, value))
+        return perturb_rows(points, kind, value, rng)
+
+    def counting_leakage(errors, eps):
+        evaluations.append(eps)
+        return leakage_sample_mean(errors, eps)
+
+    monkeypatch.setattr(harness, "perturb_rows", counting_perturb)
+    monkeypatch.setattr(baselines, "leakage_sample_mean", counting_leakage)
+    result = run_tradeoff_experiment(ExperimentConfig(**SMALL))
+    assert len(evaluations) == len(set(perturbed)) == len(perturbed)
+    # One forward scan per kind, from scale 0 upwards.
+    for policy, kind in (("gaussian", baselines.GAUSSIAN_KIND), ("laplace", baselines.LAPLACE_KIND)):
+        scales = [value for k, value in perturbed if k == kind]
+        assert scales[0] == 0.0 and scales == sorted(scales)
+        assert len(scales) == max(c.search_evals for (name, q), c in result.calibrations.items()
+                                  if name == policy)
 
 
 def test_write_results_formats_rows(tmp_path):

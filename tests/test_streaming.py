@@ -207,7 +207,7 @@ def _static_records(gops, quality, center=(1, 1), under=False):
 def test_qoe_everything_high_no_stalls_is_five():
     fov = fov_tiles((1, 1))
     quality = {t: QualityLevel.HIGH for t in fov}
-    report = qoe_score(_static_records(6, quality), SessionConfig())
+    report = qoe_score(_static_records(6, quality))
     assert report.qoe == pytest.approx(5.0, abs=1e-12)
     assert report.stall_fraction == 0.0
     assert report.quality_variation == 0.0
@@ -215,7 +215,7 @@ def test_qoe_everything_high_no_stalls_is_five():
 
 
 def test_qoe_everything_missing_is_one():
-    report = qoe_score(_static_records(6, {}), SessionConfig())
+    report = qoe_score(_static_records(6, {}))
     assert report.qoe == pytest.approx(1.0, abs=1e-12)
     assert report.stall_fraction == 1.0
     assert report.fov_coverage == 0.0
@@ -227,7 +227,7 @@ def test_qoe_half_low_half_high_regression():
     quality = {t: (QualityLevel.HIGH if i < 4 or t == center else QualityLevel.LOW)
                for i, t in enumerate(fov)}
     highs = sum(1 for lvl in quality.values() if lvl is QualityLevel.HIGH)
-    report = qoe_score(_static_records(4, quality, center), SessionConfig())
+    report = qoe_score(_static_records(4, quality, center))
     fov_mean = (highs * 1.0 + (9 - highs) * 0.3) / 9.0
     expected = 1.0 + 4.0 * (0.4 * 1.0 + 0.3 * fov_mean + 0.15 + 0.15)
     assert report.qoe == pytest.approx(expected, abs=1e-12)
@@ -237,7 +237,7 @@ def test_qoe_half_low_half_high_regression():
 def test_qoe_missing_fov_tile_reduces_coverage_and_stalls():
     fov = sorted(fov_tiles((1, 1)))
     quality = {t: QualityLevel.HIGH for t in fov[:-1]}
-    report = qoe_score(_static_records(5, quality), SessionConfig())
+    report = qoe_score(_static_records(5, quality))
     assert report.fov_coverage == pytest.approx(8.0 / 9.0)
     assert report.stall_fraction == 1.0
 
@@ -254,20 +254,22 @@ def test_qoe_bounds_random_sessions():
                 if rng.random() > 0.3
             }
             records.append(GopRecord((2, 3), frozenset(fov), quality, rng.random() < 0.1))
-        report = qoe_score(records, SessionConfig())
+        report = qoe_score(records)
         assert 1.0 <= report.qoe <= 5.0
 
 
 def test_qoe_rejects_empty_session():
     with pytest.raises(ValueError):
-        qoe_score([], SessionConfig())
+        qoe_score([])
 
 
 def test_session_config_validation():
     assert [f.name for f in dataclasses.fields(SessionConfig)] == ["budget_mbit"]
     assert SessionConfig(budget_mbit=0.0).budget_mbit == 0.0
-    with pytest.raises(ValueError):
-        SessionConfig(budget_mbit=-1.0)
+    assert SessionConfig(budget_mbit=math.inf).budget_mbit == math.inf
+    for budget in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            SessionConfig(budget_mbit=budget)
 
 
 def test_zone_inflation_never_helps_under_fixed_budget():
@@ -280,7 +282,7 @@ def test_zone_inflation_never_helps_under_fixed_budget():
         alloc = allocate_quality(make_zone(center, shape), fov, cfg)
         records = [GopRecord(center, fov, alloc.quality, alloc.under_provisioned)
                    for _ in range(5)]
-        scores.append(qoe_score(records, cfg).qoe)
+        scores.append(qoe_score(records).qoe)
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
 
 
@@ -341,7 +343,7 @@ def test_table_scorer_matches_the_per_gop_reference():
             pairs = []
             for i, report in enumerate(reports):
                 want, records = reference_qoe(predicted[i], actual[i], uploaded[i], cfg)
-                pairs += [(report, want), (qoe_score(records, cfg), want)]
+                pairs += [(report, want), (qoe_score(records), want)]
             if gops >= 3:   # the shortest SessionTrace
                 trace = SessionTrace(0, 0, actual[0])
                 zeros = np.zeros(gops)

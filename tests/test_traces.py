@@ -48,8 +48,9 @@ def test_infinite_concentration_is_stationary():
 
 
 def test_synthetic_trace_concentration_validation():
-    with pytest.raises(ValueError):
-        generate_synthetic_trace(0, 0, 10, np.random.default_rng(0), 0.0)
+    for concentration in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="concentration must be positive"):
+            generate_synthetic_trace(0, 0, 10, np.random.default_rng(0), concentration)
 
 
 def test_synthetic_trace_concentrates():
