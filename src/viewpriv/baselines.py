@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .leakage import check_precision, check_requirement, leakage_sample_mean
-from .sphere import unit_rows
+from .sphere import norm, unit_rows
 
 GAUSSIAN_KIND = "gaussian_sigma"
 LAPLACE_KIND = "laplace_b"
@@ -61,23 +61,30 @@ class CalibrationResult:
         return self.scale is not None
 
 
-def perturb_rows(points: np.ndarray, kind: str, value: float, rng: np.random.Generator) -> np.ndarray:
-    """Add per-coordinate noise to (n, 3) unit rows and renormalize.
-
-    The all-zero perturbed vector has probability zero; if it occurs it is
-    resampled.
-    """
+def perturb_traces(points: np.ndarray, kind: str, value: float, rngs: Sequence) -> np.ndarray:
+    """Add per-coordinate noise to (traces, n, 3) unit rows and renormalize.
+    Trace i draws from ``rngs[i]`` alone: its (n, 3) noise, then redraws of any
+    rows perturbed to (numerically) zero, an event of probability zero."""
     NoiseScale(kind, value)
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[2] != 3 or len(rngs) != len(pts):
+        raise ValueError(f"need (traces, n, 3) rows and one RNG per trace, got {pts.shape}")
     if value == 0.0:
         return pts.copy()
-    draw = rng.normal if kind == GAUSSIAN_KIND else rng.laplace
-    noisy = pts + draw(0.0, value, size=pts.shape)
-    bad = np.linalg.norm(noisy, axis=1) < 1e-12
-    while np.any(bad):
-        noisy[bad] = pts[bad] + draw(0.0, value, size=(int(np.sum(bad)), 3))
-        bad = np.linalg.norm(noisy, axis=1) < 1e-12
-    return unit_rows(noisy)
+    draws = [rng.normal if kind == GAUSSIAN_KIND else rng.laplace for rng in rngs]
+    noisy = np.stack([draw(0.0, value, size=pts.shape[1:]) for draw in draws])
+    noisy += pts
+    bad = norm(noisy) < 1e-12
+    for i in np.flatnonzero(bad.any(axis=-1)):
+        while np.any(bad[i]):
+            noisy[i, bad[i]] = pts[i, bad[i]] + draws[i](0.0, value, size=(int(np.sum(bad[i])), 3))
+            bad[i] = norm(noisy[i]) < 1e-12
+    return unit_rows(noisy.reshape(-1, 3)).reshape(noisy.shape)
+
+
+def perturb_rows(points: np.ndarray, kind: str, value: float, rng: np.random.Generator) -> np.ndarray:
+    """``perturb_traces`` of one trace's (n, 3) unit rows, with one RNG."""
+    return perturb_traces(np.asarray(points, dtype=float)[None], kind, value, [rng])[0]
 
 
 def calibrate_noise_scales(

@@ -82,6 +82,8 @@ class ExperimentConfig:
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError(f"policies must not repeat, got {self.policies}")
         if min(self.num_users, self.num_videos) < 1 or self.num_train_videos < 1:
             raise ValueError("need at least one user and one video per split")
         if self.gops_per_video < 3:
@@ -180,18 +182,6 @@ def _policy_instance(name: str, q: float, cfg: ExperimentConfig, calibrations: d
     return LaplaceViewpointNoise(scale_b=scale.value)
 
 
-def _baseline_uploads(cfg: ExperimentConfig, evaluation: list, name: str, q: float, policy):
-    """A baseline's upload pipeline, one RNG per trace: pFoV tiles (None without
-    QoE), then (traces, GoPs) errors, noises, uploaded errors, per-GoP leakage.
-    The per-trace outputs are freed on return, so they never outlive the stacks."""
-    rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
-            for t in evaluation]
-    apps = [apply_policy(t, policy, cfg.eps, rng) for t, rng in zip(evaluation, rngs)]
-    pfov_tiles = tiles_of(np.stack([a.predicted for a in apps])) if cfg.compute_qoe else None
-    return (pfov_tiles, *(np.stack([getattr(a, f) for a in apps])
-                          for f in ("errors", "noises", "uploaded", "per_gop_leakage")))
-
-
 def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Calibrate, simulate, and aggregate one row per (q, policy)."""
     train, evaluation = generate_trace_set(cfg)
@@ -212,9 +202,13 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if name in ("none", "bpea"):
                 pfov_tiles, errs = clean_tiles, errors
                 noises, uploaded, leak = upload_errors(errors, policy, cfg.eps)
-            else:
-                pfov_tiles, errs, noises, uploaded, leak = _baseline_uploads(
-                    cfg, evaluation, name, q, policy)
+            else:   # one RNG per trace, seeded by (q, policy, user, video)
+                rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
+                        for t in evaluation]
+                app = apply_policy(evaluation, policy, cfg.eps, rngs)
+                pfov_tiles = tiles_of(app.predicted) if cfg.compute_qoe else None
+                errs, noises, uploaded, leak = (app.errors, app.noises, app.uploaded,
+                                                app.per_gop_leakage)
             qoe = math.nan
             if cfg.compute_qoe:
                 reports = score_sessions(pfov_tiles, uploaded, actual_tiles,

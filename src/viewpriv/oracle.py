@@ -18,7 +18,7 @@ import numpy as np
 
 from .bpea import noise_bounds
 from .leakage import LeakageEstimate, check_precision
-from .sphere import SpherePoint, TWO_PI, check_angle, points_at_distance, unit_rows
+from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_at_distance, unit_rows
 
 # The predicted viewpoint is fixed here; leakage is rotation invariant.
 REFERENCE_POINT = SpherePoint(0.0, 0.0, 1.0)
@@ -76,7 +76,7 @@ def empirical_conditional_leakage(
         )
 
     # d(V, Vhat) <= eps is equivalent to dot(V, Vhat) >= cos(eps).
-    leaked = np.sum(actual * guesses, axis=1) >= math.cos(eps)
+    leaked = dot(actual, guesses) >= math.cos(eps)
     p = float(np.mean(leaked))
     half_width = 4.0 * math.sqrt(p * (1.0 - p) / cfg.trials)
     return LeakageEstimate(p, "monte_carlo", trials=cfg.trials, half_width=half_width)

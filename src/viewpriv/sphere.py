@@ -62,12 +62,28 @@ def check_angle(value: float, lo: float, hi: float, name: str) -> float:
     return value
 
 
+def dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, summed left to right as ``np.sum(a * b, axis=-1)``."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def norm(v) -> np.ndarray:
+    """Euclidean norms over the last axis; bit-equal to ``np.linalg.norm(v, axis=-1)``."""
+    return np.sqrt(dot(v, v))
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross products over the last axis; bit-equal to ``np.cross(a, b)``."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def unit_rows(vectors) -> np.ndarray:
     """Normalize an (n, 3) array of vectors to unit rows."""
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {v.shape}")
-    norms = np.linalg.norm(v, axis=1)
+    norms = norm(v)
     if not np.all(np.isfinite(v)) or np.any(norms == 0.0):
         raise ValueError("rows must be finite and nonzero")
     return v / norms[:, None]
@@ -97,9 +113,9 @@ def tangent_frame(origin) -> tuple[np.ndarray, np.ndarray]:
     o = np.asarray(origin, dtype=float)
     near_pole = np.abs(o[:, 2]) > 1.0 - UNIT_TOLERANCE
     axis = np.where(near_pole[:, None], _FRAME_AXIS_FALLBACK, _FRAME_AXIS)
-    t1 = axis - np.sum(axis * o, axis=1)[:, None] * o
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    return t1, np.cross(o, t1)
+    t1 = axis - dot(axis, o)[:, None] * o
+    t1 /= norm(t1)[:, None]
+    return t1, cross(o, t1)
 
 
 def point_at_distance(origin: SpherePoint, distance: float, bearing: float) -> SpherePoint:

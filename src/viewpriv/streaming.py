@@ -27,11 +27,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .leakage import LeakageEstimate, check_errors, check_precision, conditional_leakage
-from .baselines import perturb_rows
+from .baselines import perturb_traces
 from .policies import BpeaPolicy, GaussianViewpointNoise, LaplaceViewpointNoise, ObfuscationPolicy
 from .traces import DEFAULT_HORIZON, SessionTrace, persistence_predict, prediction_errors
 from . import bpea
@@ -294,7 +295,7 @@ def score_sessions(pfov_tiles, uploaded, actual_tiles, cfg: SessionConfig) -> li
 
 @dataclass(frozen=True)
 class PolicyApplication:
-    """Per-GoP upload pipeline outputs for one session under one policy."""
+    """Per-GoP upload pipeline outputs of one session, or (traces, GoPs) arrays of a batch."""
 
     predicted: np.ndarray = field(repr=False)
     errors: np.ndarray = field(repr=False)
@@ -311,11 +312,16 @@ class PolicyApplication:
         return float(np.mean(np.abs(self.noises)))
 
 
+def _stack(arrays: list) -> np.ndarray:
+    """``np.stack``, but a view of a lone array: a one-trace call copies no rows."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def apply_policy(
-    trace: SessionTrace,
+    trace: SessionTrace | Sequence[SessionTrace],
     policy: ObfuscationPolicy,
     eps: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     horizon: int = DEFAULT_HORIZON,
 ) -> PolicyApplication:
     """Run the upload pipeline for one session under a policy.
@@ -324,23 +330,26 @@ def apply_policy(
     upload the measured (effective) error unchanged; the noisy-error policy
     predicts from clean history and perturbs only the uploaded error.
     Per-GoP leakage is the conditional leakage at the attacker-observed
-    upload.
+    upload. A sequence of equal-length traces with one RNG each gives
+    outputs with a leading traces axis, and trace i's rows equal its
+    one-trace call with ``rng[i]``.
     """
     eps = check_precision(eps)
-    actual = trace.actual
+    single = isinstance(trace, SessionTrace)
+    traces, rngs = ([trace], [rng]) if single else (trace, rng)
+    actual = _stack([t.actual for t in traces])
 
     if isinstance(policy, (GaussianViewpointNoise, LaplaceViewpointNoise)):
         scale = policy.scale()
-        predicted = persistence_predict(
-            perturb_rows(actual, scale.kind, scale.value, rng), horizon
-        )
-    elif trace.predicted is not None:
-        predicted = trace.predicted
+        predicted = persistence_predict(perturb_traces(actual, scale.kind, scale.value, rngs),
+                                        horizon)
     else:
-        predicted = persistence_predict(actual, horizon)
+        predicted = _stack([persistence_predict(t.actual, horizon) if t.predicted is None
+                            else t.predicted for t in traces])
 
     errors = prediction_errors(predicted, actual)
-    return PolicyApplication(predicted, errors, *upload_errors(errors, policy, eps))
+    outputs = (predicted, errors, *upload_errors(errors, policy, eps))
+    return PolicyApplication(*([x[0] for x in outputs] if single else outputs))
 
 
 def upload_errors(errors: np.ndarray, policy: ObfuscationPolicy, eps: float):

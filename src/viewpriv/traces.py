@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphere import TWO_PI, random_point, tangent_frame, unit_rows
+from .sphere import TWO_PI, cross, dot, norm, random_point, tangent_frame, unit_rows
 
 # Tuned so that two-GoP-ahead persistence errors spread across both sides of
 # a 0.1*pi precision radius.
@@ -92,7 +92,7 @@ def generate_synthetic_traces(
         t1, t2 = tangent_frame(current)
         a, b = angles[:, t - 1], bearings[:, t - 1]
         step = np.cos(a) * current + np.sin(a) * (np.cos(b) * t1 + np.sin(b) * t2)
-        rows[:, t] = step / np.linalg.norm(step, axis=1)[:, None]
+        rows[:, t] = step / norm(step)[:, None]
     return [SessionTrace(user, video, walk) for (user, video), walk in zip(keys, rows)]
 
 
@@ -126,9 +126,7 @@ def prediction_errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
     the last axis."""
     predicted = np.asarray(predicted, dtype=float)
     actual = np.asarray(actual, dtype=float)
-    cross = np.linalg.norm(np.cross(predicted, actual), axis=-1)
-    dot = np.sum(predicted * actual, axis=-1)
-    return np.arctan2(cross, dot)
+    return np.arctan2(norm(cross(predicted, actual)), dot(predicted, actual))
 
 
 def _parse_point(row: dict, columns: list[str], row_index: int) -> np.ndarray:
@@ -143,13 +141,13 @@ def _parse_point(row: dict, columns: list[str], row_index: int) -> np.ndarray:
             raise ValueError(f"row {row_index}: column {col!r} is not finite")
         values.append(value)
     v = np.array(values)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _NORM_TOLERANCE:
+    length = float(np.linalg.norm(v))
+    if abs(length - 1.0) > _NORM_TOLERANCE:
         raise ValueError(
             f"row {row_index}: columns {columns[0]}..{columns[-1]} have norm "
-            f"{norm:.8f}, more than {_NORM_TOLERANCE} away from 1"
+            f"{length:.8f}, more than {_NORM_TOLERANCE} away from 1"
         )
-    return v / norm
+    return v / length
 
 
 def load_traces(path) -> list[SessionTrace]:

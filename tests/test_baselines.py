@@ -12,11 +12,12 @@ from viewpriv.baselines import (
     calibrate_noise_scale,
     calibrate_noise_scales,
     perturb_rows,
+    perturb_traces,
     pspr,
 )
 from viewpriv.bpea import conditional_leakage_noisy, optimal_noise_batch
 from viewpriv.leakage import leakage_sample_mean
-from viewpriv.sphere import SpherePoint
+from viewpriv.sphere import SpherePoint, unit_rows
 from viewpriv.traces import prediction_errors
 
 EPS = 0.1 * math.pi
@@ -69,6 +70,63 @@ def test_laplace_tails_heavier_than_matched_gaussian():
         perturb_rows(base, GAUSSIAN_KIND, math.sqrt(2.0) * b, np.random.default_rng(7)), ref
     )
     assert np.quantile(lap, 0.99) > np.quantile(gau, 0.99)
+
+
+class ScriptedRng:
+    """Stand-in for a Generator: records the size of every draw and, per
+    scripted draw, replaces entries {position: row} with -points[row], so
+    that those perturbed rows come out exactly zero."""
+
+    def __init__(self, points, script, seed):
+        self.points, self.script, self.sizes = points, list(script), []
+        self.rng = np.random.default_rng(seed)
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(tuple(size))
+        drawn = self.rng.normal(loc, scale, size)
+        for position, row in (self.script.pop(0) if self.script else {}).items():
+            drawn[position] = -self.points[row]
+        return drawn
+
+    laplace = normal
+
+
+def reference_perturb(points, kind, value, rng):
+    """Row-at-a-time reference: draw, redraw zero rows until none is left,
+    renormalize."""
+    draw = rng.normal if kind == GAUSSIAN_KIND else rng.laplace
+    noisy = points + draw(0.0, value, size=points.shape)
+    bad = np.linalg.norm(noisy, axis=1) < 1e-12
+    while np.any(bad):
+        noisy[bad] = points[bad] + draw(0.0, value, size=(int(np.sum(bad)), 3))
+        bad = np.linalg.norm(noisy, axis=1) < 1e-12
+    return noisy / np.linalg.norm(noisy, axis=1)[:, None]
+
+
+def test_zero_norm_rows_are_redrawn_from_their_own_trace_rng():
+    points = unit_rows(np.random.default_rng(11).normal(size=(18, 3))).reshape(3, 6, 3)
+    # Trace 0 zeroes rows 1 and 4 on its first draw. Trace 1 draws honestly.
+    # Trace 2 zeroes rows 0, 2 and 5, then row 2 again on its first redraw.
+    scripts = [[{1: 1, 4: 4}], [], [{0: 0, 2: 2, 5: 5}, {1: 2}]]
+    sizes = [[(6, 3), (2, 3)], [(6, 3)], [(6, 3), (3, 3), (1, 3)]]
+
+    def rngs():
+        return [ScriptedRng(p, script, seed)
+                for seed, (p, script) in enumerate(zip(points, scripts))]
+
+    for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+        stacked_rngs = rngs()
+        stacked = perturb_traces(points, kind, 0.7, stacked_rngs)
+        assert [r.sizes for r in stacked_rngs] == sizes
+        assert np.array_equal(stacked, [perturb_rows(p, kind, 0.7, r)
+                                        for p, r in zip(points, rngs())])
+        assert np.array_equal(stacked, [reference_perturb(p, kind, 0.7, r)
+                                        for p, r in zip(points, rngs())])
+        assert np.allclose(np.linalg.norm(stacked, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="one RNG per trace"):
+        perturb_traces(points, GAUSSIAN_KIND, 0.7, rngs()[:1])
+    with pytest.raises(ValueError, match="one RNG per trace"):
+        perturb_rows(points, GAUSSIAN_KIND, 0.7, rngs()[0])
 
 
 class RecordingPipeline:

@@ -115,6 +115,15 @@ def test_tradeoff_rejects_a_nan_budget_and_an_empty_policy_list(tmp_path, capsys
     assert not results_path.exists()
 
 
+def test_tradeoff_rejects_a_repeated_policy(tmp_path, capsys):
+    results_path = tmp_path / "rows.csv"
+    assert cli.main(["tradeoff", "--users", "2", "--videos", "1", "--train-videos", "1",
+                     "--gops", "10", "--q-grid", "0.3,1.0", "--policies", "gaussian,gaussian",
+                     "--out", str(results_path)]) == 2
+    assert "policies must not repeat" in capsys.readouterr().err
+    assert not results_path.exists()
+
+
 def test_calibrate_and_gen_traces_reject_non_finite_arguments(tmp_path, capsys):
     calibrate = ["calibrate", "--kind", "gaussian", "--q", "0.5", "--users", "2",
                  "--videos", "1", "--gops", "12"]

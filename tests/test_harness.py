@@ -46,6 +46,14 @@ def test_config_validation():
     assert ExperimentConfig(budget_mbit=math.inf).budget_mbit == math.inf
 
 
+def test_config_rejects_repeated_policies():
+    for policies in (("gaussian", "gaussian"), ("bpea", "laplace", "bpea")):
+        with pytest.raises(ValueError, match="policies must not repeat"):
+            ExperimentConfig(policies=policies)
+    # A repeated q stays legal: each (q, policy) row is computed on its own.
+    assert ExperimentConfig(q_grid=(0.3, 0.3)).q_grid == (0.3, 0.3)
+
+
 def test_default_q_grid():
     grid = default_q_grid()
     assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 21
@@ -111,22 +119,39 @@ def test_fast_path_matches_full_path_on_leak_columns(tmp_path):
         assert math.isnan(b.qoe) and not math.isnan(a.qoe)
 
 
+def _per_trace_policy(name, q, calibrations):
+    if name == "none":
+        return NoObfuscation()
+    if name == "bpea":
+        return BpeaPolicy(q=q)
+    c = calibrations[(name, q)]
+    scale = (c.scale if c.feasible else c.fallback_scale).value
+    if name == "gaussian":
+        return GaussianViewpointNoise(sigma=scale)
+    return LaplaceViewpointNoise(scale_b=scale)
+
+
 def test_stacked_rows_match_the_per_trace_pipeline():
-    cfg = ExperimentConfig(**dict(SMALL, policies=("none", "bpea")))
+    cfg = ExperimentConfig(**dict(SMALL, policies=("none", "bpea", "gaussian", "laplace")))
     _, evaluation = generate_trace_set(cfg)
-    for row in run_tradeoff_experiment(cfg).rows:
-        policy = NoObfuscation() if row.policy == "none" else BpeaPolicy(q=row.q)
-        apps = [apply_policy(t, policy, cfg.eps, np.random.default_rng(0)) for t in evaluation]
+    result = run_tradeoff_experiment(cfg)
+    assert {c.scale.value for c in result.calibrations.values() if c.feasible} > {0.0}
+    for row in result.rows:
+        policy = _per_trace_policy(row.policy, row.q, result.calibrations)
+        # The harness's seed discipline: (seed, 3, q in millionths, policy, user, video).
+        seeds = [[cfg.seed, 3, round(row.q * 1_000_000), harness.POLICY_NAMES.index(row.policy),
+                  t.user_id, t.video_id] for t in evaluation]
+        apps = [apply_policy(t, policy, cfg.eps, np.random.default_rng(np.random.SeedSequence(s)))
+                for t, s in zip(evaluation, seeds)]
         leaks = [a.per_gop_leakage for a in apps]
-        assert row.pr_leak == pytest.approx(np.mean(np.concatenate(leaks)), rel=1e-12)
-        assert row.mean_error_rad == pytest.approx(np.mean([a.mean_error_rad for a in apps]),
-                                                   rel=1e-12)
-        assert row.mean_abs_noise_rad == pytest.approx(
-            np.mean([a.mean_abs_noise_rad for a in apps]), rel=1e-12, abs=1e-15)
-        assert row.qoe == pytest.approx(np.mean([
+        assert row.pr_leak == np.mean(np.concatenate(leaks))
+        assert row.mean_error_rad == np.mean([a.mean_error_rad for a in apps])
+        assert row.mean_abs_noise_rad == np.mean([a.mean_abs_noise_rad for a in apps])
+        assert row.pspr == np.mean([np.mean(leak) <= row.q for leak in leaks])
+        assert row.qoe == np.mean([
             stream_session(t, a, SessionConfig(cfg.budget_mbit)).qoe.qoe
             for t, a in zip(evaluation, apps)
-        ]), rel=1e-12)
+        ])
 
 
 def test_policy_instances_read_calibration():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewpriv.sphere import (
+    UNIT_TOLERANCE,
     SpherePoint,
     point_at_distance,
     points_at_distance,
@@ -116,6 +117,34 @@ def test_round_trip_property(distance, bearing):
     assert abs(spherical_distance(origin, out) - distance) <= ATOL
 
 
+def numpy_prediction_errors(predicted, actual):
+    return np.arctan2(np.linalg.norm(np.cross(predicted, actual), axis=-1),
+                      np.sum(predicted * actual, axis=-1))
+
+
+def numpy_tangent_frame(o):
+    near_pole = np.abs(o[:, 2]) > 1.0 - UNIT_TOLERANCE
+    axis = np.where(near_pole[:, None], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    t1 = axis - np.sum(axis * o, axis=1)[:, None] * o
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    return t1, np.cross(o, t1)
+
+
+def hard_rows(rng, n):
+    """(n, 3) unit rows and partners: generic, parallel, antipodal, a hair
+    apart, and within UNIT_TOLERANCE of a pole, in equal parts."""
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    k = n // 5
+    poles = np.column_stack((rng.normal(scale=1e-5, size=(k, 2)), np.sign(rng.normal(size=k))))
+    u[4 * k:] = poles / np.linalg.norm(poles, axis=1)[:, None]
+    v = rng.normal(size=(n, 3))
+    v[k:2 * k] = u[k:2 * k]
+    v[2 * k:3 * k] = -u[2 * k:3 * k]
+    v[3 * k:4 * k] = u[3 * k:4 * k] + rng.normal(scale=1e-9, size=(k, 3))
+    return u, v / np.linalg.norm(v, axis=1)[:, None]
+
+
 def test_vectorized_helpers_match_scalars():
     rng = np.random.default_rng(5)
     origin = random_point(rng)
@@ -142,6 +171,20 @@ def test_vectorized_helpers_match_scalars():
         assert np.allclose(np.sum(a * b, axis=1), 1.0, rtol=0.0, atol=1e-12)
     for a, b in ((t1, t2), (t1, origins), (t2, origins)):
         assert np.allclose(np.sum(a * b, axis=1), 0.0, rtol=0.0, atol=1e-12)
+
+    # The written-out geometry is bit-equal to numpy's cross/norm/sum forms
+    # on 100k hard rows, at unit and at 1e-150 scale, and on (T, G, 3) stacks.
+    u, v = hard_rows(rng, 100_000)
+    assert np.sum(np.abs(u[:, 2]) > 1.0 - UNIT_TOLERANCE) >= 20_000
+    for a, b in ((u, v), (1e-150 * u, v), (u, 1e-150 * v), (1e-150 * u, 1e-150 * v)):
+        assert np.array_equal(prediction_errors(a, b), numpy_prediction_errors(a, b))
+        assert np.array_equal(prediction_errors(a.reshape(40, 2500, 3), b.reshape(40, 2500, 3)),
+                              numpy_prediction_errors(a, b).reshape(40, 2500))
+        raw = a * rng.uniform(0.5, 2.0, size=(len(a), 1))
+        assert np.array_equal(unit_rows(raw), raw / np.linalg.norm(raw, axis=1)[:, None])
+    for got, want in zip(tangent_frame(u), numpy_tangent_frame(u)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(prediction_errors(u[:100], u[0]), numpy_prediction_errors(u[:100], u[0]))
 
 
 def test_unit_rows_rejects_zero_rows():
