@@ -52,23 +52,27 @@ def noise_bounds(error: float) -> tuple[float, float]:
     return -error, math.pi - error
 
 
+def _effective(noise, eps: float, cos_eps: float):
+    n = np.abs(noise)
+    ratio = np.clip(cos_eps / np.cos(np.minimum(n, eps)), -1.0, 1.0)
+    return np.where(n == 0.0, eps, np.arccos(ratio))
+
+
 def effective_precision(noise, eps: float):
     """Half-arc of the attacker's neighborhood cut by the viewpoint circle:
     arccos(cos eps / cos(min(|n|, eps))). Zero for |n| >= eps, and exactly
     eps at n = 0, where arccos(cos eps) can land an ulp above eps."""
     eps = check_precision(eps)
-    n = np.abs(np.asarray(noise, dtype=float))
-    ratio = np.clip(math.cos(eps) / np.cos(np.minimum(n, eps)), -1.0, 1.0)
-    out = np.where(n == 0.0, eps, np.arccos(ratio))
+    out = _effective(np.asarray(noise, dtype=float), eps, math.cos(eps))
     return float(out) if np.ndim(noise) == 0 else out
 
 
-def _mid_leakage(error, noise, eps: float):
-    """The middle-regime leakage formula, safe at sin(e) = 0."""
-    eff = effective_precision(noise, eps)
-    e = np.asarray(error, dtype=float)
-    denom = np.maximum(math.pi * np.sin(e), 1e-300)
-    return np.where(eff <= 0.0, 0.0, np.minimum(np.asarray(eff) / denom, 1.0))
+def _mid_leakage(noise, eps: float, cos_eps: float, denom):
+    """The middle-regime leakage formula on checked inputs. The caller
+    computes cos(eps) and denom = max(pi * sin e, 1e-300), which keeps the
+    formula safe at sin(e) = 0, once per call."""
+    eff = _effective(noise, eps, cos_eps)
+    return np.where(eff <= 0.0, 0.0, np.minimum(eff / denom, 1.0))
 
 
 def conditional_leakage_noisy(error, noise, eps: float):
@@ -90,7 +94,8 @@ def conditional_leakage_noisy(error, noise, eps: float):
     right = n >= math.pi - e - eps
     ones = (low & left) | (high & right)
     zeros = (~ones) & (left | right)
-    out = np.where(ones, 1.0, np.where(zeros, 0.0, _mid_leakage(e, n, eps)))
+    mid = _mid_leakage(n, eps, math.cos(eps), np.maximum(math.pi * np.sin(e), 1e-300))
+    out = np.where(ones, 1.0, np.where(zeros, 0.0, mid))
     return float(out) if np.ndim(error) == 0 and np.ndim(noise) == 0 else out
 
 
@@ -124,17 +129,18 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     if q >= 1.0:
         return np.zeros(np.shape(errors))
 
+    cos_eps = math.cos(eps)
+    denom = np.maximum(math.pi * np.sin(e), 1e-300)
     left = eps - e
     right = math.pi - e - eps
-    m_left = _mid_leakage(e, left, eps)
-    m_right = _mid_leakage(e, right, eps)
-    m_zero = _mid_leakage(e, 0.0, eps)
+    m_left = _mid_leakage(left, eps, cos_eps, denom)
+    m_right = _mid_leakage(right, eps, cos_eps, denom)
+    m_zero = _mid_leakage(0.0, eps, cos_eps, denom)
 
     # Magnitude solving mid-regime leakage == q; clamp keeps arccos in
     # domain where the value is masked out as unused.
     target = q * math.pi * np.sin(e)
-    ratio = np.clip(math.cos(eps) / np.cos(np.minimum(target, eps)), -1.0, 1.0)
-    crossing = np.arccos(ratio)
+    crossing = np.arccos(np.clip(cos_eps / np.cos(np.minimum(target, eps)), -1.0, 1.0))
     # Zero target means |n| must reach the saturation point eps exactly;
     # keep the arccos round-trip from landing an ulp short of it.
     crossing = np.where(target <= 0.0, np.maximum(crossing, eps), crossing)
@@ -142,7 +148,7 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     short = np.flatnonzero(target <= eps)
     step = np.maximum(np.spacing(crossing), 1e-18)
     for _ in range(200):
-        short = short[_mid_leakage(e[short], crossing[short], eps) > q]
+        short = short[_mid_leakage(crossing[short], eps, cos_eps, denom[short]) > q]
         if not short.size:
             break
         crossing[short] += step[short]
@@ -155,8 +161,7 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     low_val = np.where(m_left <= q, left + margin, np.where(m_right <= q, crossing, right))
     high_val = np.where(m_right <= q, right - margin, np.where(m_left <= q, -crossing, left))
 
-    farthest = np.maximum(-left, right)
-    m_far = _mid_leakage(e, farthest, eps)
+    m_far = _mid_leakage(np.maximum(-left, right), eps, cos_eps, denom)
     bound_val = np.where(-left <= right, left, right)
     bound_mag = np.minimum(-left, right)
     with_crossing = np.where(crossing < bound_mag, crossing, bound_val)

@@ -129,73 +129,87 @@ def prediction_errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
     return np.arctan2(norm(cross(predicted, actual)), dot(predicted, actual))
 
 
-def _parse_point(row: dict, columns: list[str], row_index: int) -> np.ndarray:
-    values = []
-    for col in columns:
-        raw = row.get(col, "")
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"row {row_index}: column {col!r} is not a number: {raw!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"row {row_index}: column {col!r} is not finite")
-        values.append(value)
-    v = np.array(values)
-    length = float(np.linalg.norm(v))
-    if abs(length - 1.0) > _NORM_TOLERANCE:
-        raise ValueError(
-            f"row {row_index}: columns {columns[0]}..{columns[-1]} have norm "
-            f"{length:.8f}, more than {_NORM_TOLERANCE} away from 1"
-        )
-    return v / length
+def _coordinate_problem(columns, fields) -> str | None:
+    """The first check a row's coordinates (strings as read, or values) fail."""
+    for j in range(0, len(columns), 3):
+        for col, field in zip(columns[j:j + 3], fields[j:j + 3]):
+            try:
+                value = float(field)
+            except ValueError:
+                return f"column {col!r} is not a number: {field!r}"
+            if not math.isfinite(value):
+                return f"column {col!r} is not finite"
+        length = float(norm(np.array([float(f) for f in fields[j:j + 3]])))
+        if abs(length - 1.0) > _NORM_TOLERANCE:
+            return (f"columns {columns[j]}..{columns[j + 2]} have norm {length:.8f}, "
+                    f"more than {_NORM_TOLERANCE} away from 1")
 
 
 def load_traces(path) -> list[SessionTrace]:
     """Read session traces from CSV, validating schema and geometry.
 
-    Rows must be grouped by (user_id, video_id) with gop_index contiguous
-    from 0 within each group.
+    Rows must be grouped by (user_id, video_id): each trace is one block of
+    rows with gop_index contiguous from 0. Every row has the header's field
+    count; blank lines are skipped. An error names the file line of the
+    first failing row. ``SessionTrace`` normalises each row once.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         has_pred = header == TRACE_HEADER + TRACE_PRED_COLUMNS
         if header != TRACE_HEADER and not has_pred:
             raise ValueError(f"unexpected trace header: {header}")
-
-        groups: dict[tuple[int, int], dict] = {}
-        order: list[tuple[int, int]] = []
-        for i, row in enumerate(reader):
-            row_index = i + 2  # 1-based, counting the header line
+        width = len(header) - 3
+        # Flat columns, checked in bulk below. A row that fails to parse
+        # ends the read, and its problem waits in ``stop`` for earlier rows'.
+        ints, floats, lines, stop = [], [], [], None
+        for row in filter(None, reader):   # skips blank lines
+            lines.append(reader.line_num)
+            if len(row) != len(header):
+                stop = f"expected {len(header)} fields, got {len(row)}"
+                break
             try:
-                key = (int(row["user_id"]), int(row["video_id"]))
-                gop = int(row["gop_index"])
-            except (TypeError, ValueError):
-                raise ValueError(f"row {row_index}: user_id/video_id/gop_index must be integers")
-            if key not in groups:
-                groups[key] = {"actual": [], "pred": []}
-                order.append(key)
-            group = groups[key]
-            if gop != len(group["actual"]):
-                raise ValueError(
-                    f"row {row_index}: gop_index {gop} breaks the contiguous-from-0 "
-                    f"order for trace {key}"
-                )
-            group["actual"].append(_parse_point(row, TRACE_HEADER[3:], row_index))
-            if has_pred:
-                group["pred"].append(_parse_point(row, TRACE_PRED_COLUMNS, row_index))
+                ints.extend(map(int, row[:3]))
+            except ValueError:
+                del ints[3 * (len(lines) - 1):]
+                stop = "user_id/video_id/gop_index must be integers"
+                break
+            try:
+                floats.extend(map(float, row[3:]))
+            except ValueError:
+                del floats[width * (len(lines) - 1):]
+                stop = _coordinate_problem(header[3:], row[3:])
+                break
 
-    if not order:
-        raise ValueError(f"{path}: no trace rows found")
-    return [
-        SessionTrace(
-            user_id=key[0],
-            video_id=key[1],
-            actual=np.array(groups[key]["actual"]),
-            predicted=np.array(groups[key]["pred"]) if has_pred else None,
-        )
-        for key in order
-    ]
+    if not ints:
+        raise ValueError(f"row {lines[-1]}: {stop}" if stop else f"{path}: no trace rows found")
+    ids = np.array(ints).reshape(-1, 3)
+    values = np.array(floats).reshape(-1, width)
+    starts = np.flatnonzero(np.r_[True, np.any(ids[1:, :2] != ids[:-1, :2], axis=1)])
+    ends = np.r_[starts[1:], len(ids)]
+    expected = np.arange(len(ids)) - np.repeat(starts, ends - starts)
+    seen, regrouped = set(), np.zeros(len(ids), dtype=bool)
+    for s in starts:
+        regrouped[s] = (key := tuple(ids[s, :2].tolist())) in seen
+        seen.add(key)
+    bad = regrouped | (ids[:, 2] != expected)
+    for j in range(0, width, 3):   # a non-finite coordinate gives a NaN or inf norm
+        bad[:len(values)] |= ~(np.abs(norm(values[:, j:j + 3]) - 1.0) <= _NORM_TOLERANCE)
+    failing = np.flatnonzero(bad)
+    if failing.size:
+        r = failing[0]
+        key, gop = tuple(ids[r, :2].tolist()), ids[r, 2]
+        if regrouped[r]:
+            stop = f"trace {key} reappears after its block; rows must be grouped by trace"
+        elif gop != expected[r]:
+            stop = f"gop_index {gop} breaks the contiguous-from-0 order for trace {key}"
+        else:
+            stop = _coordinate_problem(header[3:], values[r])
+        raise ValueError(f"row {lines[r]}: {stop}")
+    if stop is not None:
+        raise ValueError(f"row {lines[-1]}: {stop}")
+    return [SessionTrace(int(ids[s, 0]), int(ids[s, 1]), values[s:e, :3],
+                         values[s:e, 3:] if has_pred else None) for s, e in zip(starts, ends)]
 
 
 def write_traces(traces: list[SessionTrace], path) -> None:
@@ -207,10 +221,8 @@ def write_traces(traces: list[SessionTrace], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        # csv writes a Python float as its repr, the shortest round-trip digits.
         for trace in traces:
-            for gop in range(trace.gops):
-                row = [trace.user_id, trace.video_id, gop]
-                row += [repr(float(v)) for v in trace.actual[gop]]
-                if include_pred:
-                    row += [repr(float(v)) for v in trace.predicted[gop]]
-                writer.writerow(row)
+            coords = np.hstack((trace.actual, trace.predicted)) if include_pred else trace.actual
+            writer.writerows([trace.user_id, trace.video_id, gop, *row]
+                             for gop, row in enumerate(coords.tolist()))

@@ -146,7 +146,8 @@ def test_optimal_noise_against_bisection_oracle():
 
 def test_crossing_refinement_raises_when_it_cannot_converge(monkeypatch):
     # A leakage that never falls to q exhausts the 200 refinement steps.
-    monkeypatch.setattr(bpea, "_mid_leakage", lambda error, noise, eps: np.ones_like(error))
+    # _mid_leakage is the unchecked helper every evaluation in the solver calls.
+    monkeypatch.setattr(bpea, "_mid_leakage", lambda noise, *args: np.ones_like(noise))
     with pytest.raises(ArithmeticError):
         optimal_noise_batch([1.0], EPS, 0.05)
 
@@ -238,6 +239,61 @@ def test_batch_matches_scalar():
         batch = optimal_noise_batch(es, EPS, q, TAU)
         scalar = np.array([optimal_noise(float(e), EPS, q, TAU) for e in es])
         assert np.allclose(batch, scalar, rtol=0.0, atol=1e-15)
+
+
+def _reference_mid_leakage(error, noise, eps):
+    # The middle-regime formula as the solver evaluated it before it took
+    # cos(eps) and the denominators precomputed: everything on each call.
+    n = np.abs(np.asarray(noise, dtype=float))
+    ratio = np.clip(math.cos(eps) / np.cos(np.minimum(n, eps)), -1.0, 1.0)
+    eff = np.where(n == 0.0, eps, np.arccos(ratio))
+    denom = np.maximum(math.pi * np.sin(np.asarray(error, dtype=float)), 1e-300)
+    return np.where(eff <= 0.0, 0.0, np.minimum(eff / denom, 1.0))
+
+
+def _reference_optimal_noise_batch(e, eps, q, margin):
+    """The solver with per-pass fixed work, kept as the bit-exact reference."""
+    if q >= 1.0:
+        return np.zeros(np.shape(e))
+    left = eps - e
+    right = math.pi - e - eps
+    m_left = _reference_mid_leakage(e, left, eps)
+    m_right = _reference_mid_leakage(e, right, eps)
+    m_zero = _reference_mid_leakage(e, 0.0, eps)
+    target = q * math.pi * np.sin(e)
+    ratio = np.clip(math.cos(eps) / np.cos(np.minimum(target, eps)), -1.0, 1.0)
+    crossing = np.arccos(ratio)
+    crossing = np.where(target <= 0.0, np.maximum(crossing, eps), crossing)
+    short = np.flatnonzero(target <= eps)
+    step = np.maximum(np.spacing(crossing), 1e-18)
+    for _ in range(200):
+        short = short[_reference_mid_leakage(e[short], crossing[short], eps) > q]
+        if not short.size:
+            break
+        crossing[short] += step[short]
+        step[short] *= 2.0
+    else:
+        raise ArithmeticError("reference refinement did not converge")
+    low_val = np.where(m_left <= q, left + margin, np.where(m_right <= q, crossing, right))
+    high_val = np.where(m_right <= q, right - margin, np.where(m_left <= q, -crossing, left))
+    farthest = np.maximum(-left, right)
+    m_far = _reference_mid_leakage(e, farthest, eps)
+    bound_val = np.where(-left <= right, left, right)
+    bound_mag = np.minimum(-left, right)
+    with_crossing = np.where(crossing < bound_mag, crossing, bound_val)
+    mid_val = np.where(m_zero <= q, 0.0, np.where(m_far <= q, with_crossing, bound_val))
+    return np.where(e <= eps, low_val, np.where(e >= math.pi - eps, high_val, mid_val))
+
+
+def test_batch_matches_the_per_pass_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    special = [0.0, math.pi, EPS, 0.5 * math.pi, math.pi - EPS]
+    near = np.nextafter(np.repeat(special, 2), np.tile([-1.0, 4.0], len(special)))
+    es = np.concatenate([special, np.clip(near, 0.0, math.pi), rng.uniform(0.0, math.pi, 200_000),
+                         rng.uniform(0.0, 1e-9, 1_000), math.pi - rng.uniform(0.0, 1e-9, 1_000)])
+    for q in (0.0, 0.01, 0.05, 0.1, 0.3, 0.95, 1.0):
+        got = optimal_noise_batch(es, EPS, q, TAU)
+        assert got.tobytes() == _reference_optimal_noise_batch(es, EPS, q, TAU).tobytes(), q
 
 
 def test_obfuscate_error_examples():

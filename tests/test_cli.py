@@ -85,7 +85,8 @@ def test_gen_traces_matches_the_experiment_trace_set(tmp_path, capsys):
     expected = {(t.user_id, t.video_id): t.actual for t in train + evaluation}
     loaded = load_traces(path)
     assert [(t.user_id, t.video_id) for t in loaded] == sorted(expected)
-    # load_traces renormalises each row, which can move a coordinate by an ulp.
+    # SessionTrace normalises each loaded row once, which can move a coordinate
+    # by an ulp.
     for trace in loaded:
         diff = np.abs(trace.actual - expected[(trace.user_id, trace.video_id)])
         assert np.max(diff) <= 2.0 * np.spacing(1.0)

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from viewpriv.sphere import random_point
+from viewpriv.harness import ExperimentConfig, generate_trace_set
+from viewpriv.sphere import random_point, unit_rows
 from viewpriv.traces import (
+    TRACE_HEADER,
     SessionTrace,
     generate_synthetic_trace,
     generate_synthetic_traces,
@@ -224,3 +227,103 @@ def test_full_set_ingestion(tmp_path):
     path = tmp_path / "set.csv"
     write_traces(traces, path)
     assert len(load_traces(path)) == 192
+
+
+HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
+
+
+def test_write_traces_golden_bytes(tmp_path):
+    # csv writes each float as its repr, and ends every line with \r\n.
+    actual = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [1 / 3, 2 / 3, -2 / 3], [0.0, 0.0, -1.0]])
+    predicted = np.array([[0.0, 1.0, 0.0], [0.6, -0.8, 0.0], [1e-20, 1.0, 0.0], [0.8, -0.0, 0.6]])
+    path = tmp_path / "t.csv"
+    write_traces([SessionTrace(3, 1, actual, predicted), SessionTrace(12, 0, actual, actual)], path)
+    rows = [
+        "0,1.0,0.0,0.0", "1,0.0,0.6,0.8",
+        "2,0.3333333333333333,0.6666666666666666,-0.6666666666666666", "3,0.0,0.0,-1.0",
+    ]
+    preds = ["0.0,1.0,0.0", "0.6,-0.8,0.0", "1e-20,1.0,0.0", "0.8,-0.0,0.6"]
+    assert path.read_bytes() == (
+        "user_id,video_id,gop_index,actual_x,actual_y,actual_z,pred_x,pred_y,pred_z\r\n"
+        + "".join(f"3,1,{row},{pred}\r\n" for row, pred in zip(rows, preds))
+        + "".join(f"12,0,{row},{row[2:]}\r\n" for row in rows)
+    ).encode()
+    write_traces([SessionTrace(12, 0, actual)], path)
+    assert path.read_bytes() == (
+        "user_id,video_id,gop_index,actual_x,actual_y,actual_z\r\n"
+        + "".join(f"12,0,{row}\r\n" for row in rows)
+    ).encode()
+
+
+def test_loaded_rows_are_normalised_once(tmp_path):
+    # Rows up to 9e-7 off unit norm: one division by sphere.norm, exactly.
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(2, 500, 3))
+    points /= np.linalg.norm(points, axis=-1, keepdims=True)
+    points *= 1.0 + rng.uniform(-9e-7, 9e-7, size=(2, 500, 1))
+    path = tmp_path / "t.csv"
+    path.write_text(HEADER_LINE + "".join(
+        f"{i},0,{g},{x!r},{y!r},{z!r}\n"
+        for i in range(2) for g, (x, y, z) in enumerate(points[i].tolist())))
+    for i, trace in enumerate(load_traces(path)):
+        assert np.array_equal(trace.actual, unit_rows(points[i]))
+
+
+def test_trace_set_round_trip_moves_coordinates_at_most_one_ulp(tmp_path):
+    train, evaluation = generate_trace_set(ExperimentConfig(
+        num_users=4, num_train_videos=1, num_videos=2, gops_per_video=200, seed=1))
+    path = tmp_path / "set.csv"
+    write_traces(train + evaluation, path)
+    for orig, back in zip(train + evaluation, load_traces(path)):
+        assert (back.user_id, back.video_id) == (orig.user_id, orig.video_id)
+        assert np.max(np.abs(back.actual - orig.actual)) <= np.spacing(1.0)
+
+
+@pytest.mark.parametrize("row, got", [("0,0,1,0,1,0,9,9,9", 9), ("0,0,1,0,1", 5)])
+def test_load_rejects_a_wrong_field_count(tmp_path, row, got):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER_LINE + f"0,0,0,1,0,0\n{row}\n0,0,2,0,0,1\n")
+    with pytest.raises(ValueError, match=f"^row 3: expected 6 fields, got {got}$"):
+        load_traces(path)
+
+
+def test_load_errors_name_the_file_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER_LINE + "0,0,0,1,0,0\n\n\n0,0,1,nan,0,1\n0,0,2,0,1,0\n")
+    with pytest.raises(ValueError, match="^row 5: column 'actual_x' is not finite$"):
+        load_traces(path)
+    path.write_text(HEADER_LINE + "\n0,0,0,1,0,0\n0,0,1,0,1,0\n\n0,0,2,0,0,1\n")
+    assert load_traces(path)[0].gops == 3
+
+
+def test_load_rejects_interleaved_traces(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER_LINE + "".join(
+        f"{u},0,{g},1,0,0\n" for u, g in [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (0, 2)]))
+    with pytest.raises(ValueError, match=r"^row 7: trace \(0, 0\) reappears after its block"):
+        load_traces(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # A gap on an earlier row is reported before a later row's parse error.
+    (["0,0,0,1,0,0", "0,0,2,0,1,0", "0,0,3,x,0,1"], "row 3: gop_index 2 breaks"),
+    (["0,0,0,1,0,0", "0,0,1,0,2,0", "0,0,2,1,0"], "row 3: columns actual_x..actual_z have norm 2"),
+    # Within a row: ids, then contiguity, then each column, then the norm.
+    (["0,0,0,1,0,0", "0,0,5,x,0,1"], "row 3: gop_index 5 breaks"),
+    (["0,0,0,1,0,0", "0,0,1,inf,x,1"], "row 3: column 'actual_x' is not finite"),
+    (["0,0,0,1,0,0", "0,0,1,0,x,1"], "row 3: column 'actual_y' is not a number: 'x'"),
+    (["0,0,0,1,0,0", "0,x,1,0,0,0"], "row 3: user_id/video_id/gop_index must be integers"),
+])
+def test_load_reports_the_first_failing_check_in_file_order(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER_LINE + "".join(row + "\n" for row in rows))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_traces(path)
+
+
+def test_load_checks_the_actual_norm_before_a_bad_prediction(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(TRACE_HEADER + ["pred_x", "pred_y", "pred_z"]) + "\n"
+                    "0,0,0,1,0,0,1,0,0\n0,0,1,0,0,3,x,0,1\n")
+    with pytest.raises(ValueError, match="^row 3: columns actual_x..actual_z have norm 3"):
+        load_traces(path)
