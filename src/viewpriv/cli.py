@@ -11,10 +11,9 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import baselines, bpea, harness, leakage, oracle
 from .harness import DEFAULT_PRECISION, ExperimentConfig
+from .sphere import spherical_distance
 from .streaming import DEFAULT_BUDGET_MBIT
 from .traces import DEFAULT_CONCENTRATION, write_traces
 
@@ -131,8 +130,7 @@ def _cmd_attack_sim(args) -> int:
     print(f"analytic leakage  = {analytic:.6f}")
     if not args.skip_grid and args.eps < args.e < math.pi - args.eps:
         best, prob = oracle.grid_attacker_best(args.e, args.eps, cfg)
-        distance = math.acos(min(1.0, max(-1.0,
-                   float(np.dot(best.as_array(), oracle.REFERENCE_POINT.as_array())))))
+        distance = spherical_distance(best, oracle.REFERENCE_POINT)
         print(f"grid attacker: best guess at distance {distance:.6f} rad "
               f"(true error {args.e:.6f}), leak {prob:.6f}")
     return EXIT_OK

@@ -23,7 +23,7 @@ from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_at_distance, u
 # The predicted viewpoint is fixed here; leakage is rotation invariant.
 REFERENCE_POINT = SpherePoint(0.0, 0.0, 1.0)
 
-_CANDIDATE_CHUNK = 256
+_CANDIDATE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,9 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1_000:
-            raise ValueError(f"need at least 1000 trials, got {self.trials}")
+        for name, value, least in (("trials", self.trials, 1_000), ("seed", self.seed, 0)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not 0.0 < self.grid_resolution <= 0.1:
             raise ValueError(
                 f"grid resolution must lie in (0, 0.1], got {self.grid_resolution!r}"
@@ -110,9 +111,10 @@ def grid_attacker_best(
 
     Scans a Fibonacci lattice of candidate guesses, scoring each by the
     Monte-Carlo leak fraction over a shared set of actual-viewpoint draws on
-    the circle. Returns the argmax candidate and its estimated probability.
-    ``min_distance`` optionally restricts candidates to lie farther than
-    that arc distance from the predicted viewpoint.
+    the circle. Candidates too far from the circle to come within ``eps`` of
+    any draw score 0 without a product. Returns the argmax candidate and its
+    estimated probability. ``min_distance`` optionally restricts candidates
+    to lie farther than that arc distance from the predicted viewpoint.
     """
     eps = check_precision(eps)
     error = check_angle(error, 0.0, math.pi, "error")
@@ -121,6 +123,7 @@ def grid_attacker_best(
 
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
     if min_distance is not None:
+        min_distance = check_angle(min_distance, 0.0, math.pi, "min_distance")
         ref = REFERENCE_POINT.as_array()
         keep = np.arccos(np.clip(candidates @ ref, -1.0, 1.0)) > min_distance
         if not np.any(keep):
@@ -132,11 +135,24 @@ def grid_attacker_best(
         REFERENCE_POINT, error, viewer_rng.uniform(0.0, TWO_PI, cfg.trials)
     )
 
+    # Triangle inequality, not a leakage formula: a candidate at polar angle
+    # t is at least |t - e| from every draw, so none of its products exceeds
+    # cos(t - e) = z cos e + r sin e. Below cos(eps) by a margin far above
+    # the products' rounding (~1e-16), its count is exactly 0. Lattice z
+    # falls with the index, so the live candidates lie in one index range.
     cos_eps = math.cos(eps)
-    counts = np.empty(len(candidates), dtype=np.int64)
-    for start in range(0, len(candidates), _CANDIDATE_CHUNK):
-        chunk = candidates[start : start + _CANDIDATE_CHUNK]
-        counts[start : start + len(chunk)] = np.sum(chunk @ actual.T >= cos_eps, axis=1)
+    z = candidates[:, 2]
+    reach = z * math.cos(error) + np.sqrt(np.maximum(1.0 - z * z, 0.0)) * math.sin(error)
+    live = np.flatnonzero(reach >= cos_eps - 1e-9)
+    counts = np.zeros(len(candidates), dtype=np.int64)
+    if len(live):
+        # A (1, 3) @ (3, N) product takes another BLAS path, whose last bit can
+        # differ: a lone row is scored with a neighbour, a 1-row tail joins its chunk.
+        lo, hi = int(live[0]), int(live[-1]) + 1
+        lo, hi = max(min(lo, hi - 2), 0), max(hi, 2)
+        edges = [*range(lo, hi - 1, _CANDIDATE_CHUNK), hi]
+        for rows in map(slice, edges, edges[1:]):
+            counts[rows] = np.count_nonzero(candidates[rows] @ actual.T >= cos_eps, axis=1)
 
     best = int(np.argmax(counts))
     return SpherePoint.from_array(candidates[best]), float(counts[best] / cfg.trials)

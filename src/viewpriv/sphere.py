@@ -138,8 +138,11 @@ def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarra
     distance = check_angle(distance, 0.0, math.pi, "distance")
     t1, t2 = tangent_frame(origin)
     b = np.asarray(bearings, dtype=float)
-    directions = np.cos(b)[:, None] * t1 + np.sin(b)[:, None] * t2
-    rows = math.cos(distance) * origin.as_array() + math.sin(distance) * directions
+    cos_b, sin_b = np.cos(b), np.sin(b)
+    c, s, o = math.cos(distance), math.sin(distance), origin.as_array()
+    rows = np.empty((len(b), 3))
+    for k in range(3):
+        rows[:, k] = c * o[k] + s * (cos_b * t1[k] + sin_b * t2[k])
     return unit_rows(rows)
 
 

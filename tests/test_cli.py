@@ -38,6 +38,16 @@ def test_attack_sim_command(capsys):
     assert "empirical leakage" in out and "analytic leakage" in out
 
 
+def test_attack_sim_readme_example_output(capsys):
+    # The README example, grid attacker included; stdout is pinned byte for byte.
+    assert cli.main(["attack-sim", "--e", "0.9424778", "--trials", "100000", "--seed", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "empirical leakage = 0.122670 +- 0.004150 (100000 trials)\n"
+        "analytic leakage  = 0.123607\n"
+        "grid attacker: best guess at distance 0.901948 rad (true error 0.942478), leak 0.127680\n"
+    )
+
+
 def test_calibrate_infeasible_exits_3(capsys):
     code = cli.main([
         "calibrate", "--kind", "gaussian", "--q", "0.05", "--users", "2",

@@ -7,11 +7,13 @@ from viewpriv.bpea import conditional_leakage_noisy
 from viewpriv.oracle import (
     OracleConfig,
     REFERENCE_POINT,
+    _lattice_size,
+    _streams,
     empirical_conditional_leakage,
     fibonacci_sphere,
     grid_attacker_best,
 )
-from viewpriv.sphere import spherical_distance
+from viewpriv.sphere import SpherePoint, TWO_PI, points_at_distance, spherical_distance
 
 EPS = 0.1 * math.pi
 
@@ -23,6 +25,12 @@ def test_config_validation():
         OracleConfig(grid_resolution=0.2)
     with pytest.raises(ValueError):
         OracleConfig(grid_resolution=0.0)
+    # Trials and seed are integers, checked here rather than failing inside numpy.
+    for bad in ({"trials": 1e4}, {"trials": math.nan}, {"trials": True}, {"trials": 999},
+                {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}):
+        with pytest.raises(ValueError):
+            OracleConfig(**bad)
+    assert OracleConfig(trials=np.int64(1_000), seed=np.uint32(7)).seed == 7
 
 
 def test_noise_bounds_enforced():
@@ -160,3 +168,55 @@ def test_candidates_beyond_reach_never_leak():
     cfg = OracleConfig(trials=20_000, grid_resolution=0.1, seed=11)
     _, prob = grid_attacker_best(0.5 * math.pi, EPS, cfg, min_distance=0.5 * math.pi + EPS)
     assert prob == 0.0
+
+
+def test_min_distance_is_validated():
+    cfg = OracleConfig(trials=1_000, grid_resolution=0.1, seed=0)
+    for bad in (-1.0, math.nan, math.inf, 4.0):
+        with pytest.raises(ValueError, match="min_distance"):
+            grid_attacker_best(0.5 * math.pi, EPS, cfg, min_distance=bad)
+    with pytest.raises(ValueError, match="removed every lattice point"):
+        grid_attacker_best(0.5 * math.pi, EPS, cfg, min_distance=math.pi)
+
+
+def brute_force_grid_attacker(error, eps, cfg, min_distance=None):
+    """Every lattice candidate scored against every draw, in 256-row chunks."""
+    candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
+    if min_distance is not None:
+        keep = np.arccos(np.clip(candidates @ REFERENCE_POINT.as_array(), -1.0, 1.0)) > min_distance
+        if not np.any(keep):
+            raise ValueError("candidate filter removed every lattice point")
+        candidates = candidates[keep]
+    viewer_rng, _ = _streams(cfg.seed)
+    actual = points_at_distance(REFERENCE_POINT, error, viewer_rng.uniform(0.0, TWO_PI, cfg.trials))
+    counts = np.empty(len(candidates), dtype=np.int64)
+    for start in range(0, len(candidates), 256):
+        chunk = candidates[start : start + 256]
+        counts[start : start + len(chunk)] = np.sum(chunk @ actual.T >= math.cos(eps), axis=1)
+    best = int(np.argmax(counts))
+    return SpherePoint.from_array(candidates[best]), float(counts[best] / cfg.trials)
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_pruned_grid_attacker_matches_brute_force():
+    # The cases reach every path: no live candidate, one live row (eps = 0.01),
+    # a 1-row tail chunk, a single candidate left by a min_distance between the
+    # last two lattice points, and a filter that removes every candidate.
+    rng = np.random.default_rng(8)
+    for eps in (EPS, 0.01):
+        for seed in range(3):
+            for res in (0.1, 0.07):
+                cfg = OracleConfig(trials=1_000, grid_resolution=res, seed=seed)
+                last_two = fibonacci_sphere(_lattice_size(res))[-2:, 2]
+                for e in (eps + 1e-9, math.pi - eps - 1e-9, 0.5 * math.pi,
+                          *rng.uniform(eps, math.pi - eps, 2)):
+                    for md in (None, 0.5, e, e + eps, float(np.arccos(last_two.mean()))):
+                        got = outcome(grid_attacker_best, e, eps, cfg, md)
+                        want = outcome(brute_force_grid_attacker, e, eps, cfg, md)
+                        assert got == want, (eps, seed, res, e, md)

@@ -187,6 +187,28 @@ def test_vectorized_helpers_match_scalars():
     assert np.array_equal(prediction_errors(u[:100], u[0]), numpy_prediction_errors(u[:100], u[0]))
 
 
+def broadcast_points_at_distance(origin, distance, bearings):
+    t1, t2 = tangent_frame(origin)
+    b = np.asarray(bearings, dtype=float)
+    directions = np.cos(b)[:, None] * t1 + np.sin(b)[:, None] * t2
+    return unit_rows(math.cos(distance) * origin.as_array() + math.sin(distance) * directions)
+
+
+def test_circle_sampler_matches_the_broadcast_form():
+    # +z, random origins, and origins within UNIT_TOLERANCE of +-z, where the
+    # tangent frame falls back to the +x axis.
+    rng = np.random.default_rng(12)
+    u, _ = hard_rows(rng, 50)
+    origins = [SpherePoint(0.0, 0.0, 1.0), *(SpherePoint.from_array(row) for row in u)]
+    assert sum(abs(o.z) > 1.0 - UNIT_TOLERANCE for o in origins) >= 11
+    bearings = np.concatenate(([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi],
+                               rng.uniform(0.0, 2.0 * math.pi, 5_000)))
+    for origin in origins:
+        for distance in (0.0, math.pi, 1e-300, 0.1 * math.pi, *rng.uniform(0.0, math.pi, 3)):
+            assert np.array_equal(points_at_distance(origin, distance, bearings),
+                                  broadcast_points_at_distance(origin, distance, bearings))
+
+
 def test_unit_rows_rejects_zero_rows():
     with pytest.raises(ValueError):
         unit_rows(np.array([[0.0, 0.0, 0.0]]))
