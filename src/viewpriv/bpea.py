@@ -54,7 +54,7 @@ def noise_bounds(error: float) -> tuple[float, float]:
 
 def _effective(noise, eps: float, cos_eps: float):
     n = np.abs(noise)
-    ratio = np.clip(cos_eps / np.cos(np.minimum(n, eps)), -1.0, 1.0)
+    ratio = np.minimum(np.maximum(cos_eps / np.cos(np.minimum(n, eps)), -1.0), 1.0)
     return np.where(n == 0.0, eps, np.arccos(ratio))
 
 
@@ -135,12 +135,14 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     right = math.pi - e - eps
     m_left = _mid_leakage(left, eps, cos_eps, denom)
     m_right = _mid_leakage(right, eps, cos_eps, denom)
-    m_zero = _mid_leakage(0.0, eps, cos_eps, denom)
+    m_zero = np.minimum(eps / denom, 1.0)  # mid(e, 0): eff is eps exactly at n = 0
 
     # Magnitude solving mid-regime leakage == q; clamp keeps arccos in
     # domain where the value is masked out as unused.
     target = q * math.pi * np.sin(e)
-    crossing = np.arccos(np.clip(cos_eps / np.cos(np.minimum(target, eps)), -1.0, 1.0))
+    crossing = np.arccos(
+        np.minimum(np.maximum(cos_eps / np.cos(np.minimum(target, eps)), -1.0), 1.0)
+    )
     # Zero target means |n| must reach the saturation point eps exactly;
     # keep the arccos round-trip from landing an ulp short of it.
     crossing = np.where(target <= 0.0, np.maximum(crossing, eps), crossing)

@@ -11,6 +11,7 @@ this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .bpea import noise_bounds
 from .leakage import LeakageEstimate, check_precision
-from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_at_distance, unit_rows
+from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_at_bearings, unit_rows
 
 # The predicted viewpoint is fixed here; leakage is rotation invariant.
 REFERENCE_POINT = SpherePoint(0.0, 0.0, 1.0)
@@ -48,6 +49,19 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(viewer_seq), np.random.default_rng(attacker_seq)
 
 
+@functools.lru_cache(maxsize=2)
+def _bearings(seed: int, trials: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only (cos, sin) of the viewer's and the attacker's bearings. Each
+    call with one (seed, trials) would draw the same, so they are drawn once."""
+    pairs = []
+    for rng in _streams(seed):
+        b = rng.uniform(0.0, TWO_PI, trials)
+        pairs.append((np.cos(b), np.sin(b)))
+        for a in pairs[-1]:
+            a.flags.writeable = False
+    return tuple(pairs)
+
+
 def empirical_conditional_leakage(
     error: float, noise: float, eps: float, cfg: OracleConfig
 ) -> LeakageEstimate:
@@ -61,10 +75,8 @@ def empirical_conditional_leakage(
     lo, hi = noise_bounds(error)
     noise = check_angle(noise, lo, hi, "noise")
 
-    viewer_rng, attacker_rng = _streams(cfg.seed)
-    actual = points_at_distance(
-        REFERENCE_POINT, error, viewer_rng.uniform(0.0, TWO_PI, cfg.trials)
-    )
+    viewer, attacker = _bearings(int(cfg.seed), int(cfg.trials))
+    actual = points_at_bearings(REFERENCE_POINT, error, *viewer)
 
     reported = error + noise
     if reported <= eps:
@@ -72,9 +84,7 @@ def empirical_conditional_leakage(
     elif reported >= math.pi - eps:
         guesses = -REFERENCE_POINT.as_array()[None, :]
     else:
-        guesses = points_at_distance(
-            REFERENCE_POINT, reported, attacker_rng.uniform(0.0, TWO_PI, cfg.trials)
-        )
+        guesses = points_at_bearings(REFERENCE_POINT, reported, *attacker)
 
     # d(V, Vhat) <= eps is equivalent to dot(V, Vhat) >= cos(eps).
     leaked = dot(actual, guesses) >= math.cos(eps)
@@ -130,10 +140,8 @@ def grid_attacker_best(
             raise ValueError("candidate filter removed every lattice point")
         candidates = candidates[keep]
 
-    viewer_rng, _ = _streams(cfg.seed)
-    actual = points_at_distance(
-        REFERENCE_POINT, error, viewer_rng.uniform(0.0, TWO_PI, cfg.trials)
-    )
+    viewer, _ = _bearings(int(cfg.seed), int(cfg.trials))
+    actual = points_at_bearings(REFERENCE_POINT, error, *viewer)
 
     # Triangle inequality, not a leakage formula: a candidate at polar angle
     # t is at least |t - e| from every draw, so none of its products exceeds

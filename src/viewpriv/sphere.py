@@ -135,12 +135,16 @@ def point_at_distance(origin: SpherePoint, distance: float, bearing: float) -> S
 
 def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarray) -> np.ndarray:
     """Vectorized ``point_at_distance``: one unit row per bearing."""
+    b = np.asarray(bearings, dtype=float)
+    return points_at_bearings(origin, distance, np.cos(b), np.sin(b))
+
+
+def points_at_bearings(origin: SpherePoint, distance: float, cos_b, sin_b) -> np.ndarray:
+    """``points_at_distance`` on precomputed cosines and sines of the bearings."""
     distance = check_angle(distance, 0.0, math.pi, "distance")
     t1, t2 = tangent_frame(origin)
-    b = np.asarray(bearings, dtype=float)
-    cos_b, sin_b = np.cos(b), np.sin(b)
     c, s, o = math.cos(distance), math.sin(distance), origin.as_array()
-    rows = np.empty((len(b), 3))
+    rows = np.empty((len(cos_b), 3))
     for k in range(3):
         rows[:, k] = c * o[k] + s * (cos_b * t1[k] + sin_b * t2[k])
     return unit_rows(rows)

@@ -241,12 +241,17 @@ def test_batch_matches_scalar():
         assert np.allclose(batch, scalar, rtol=0.0, atol=1e-15)
 
 
+def _reference_effective(noise, eps):
+    # The effective precision with numpy's clip, as the solver first wrote it.
+    n = np.abs(np.asarray(noise, dtype=float))
+    ratio = np.clip(math.cos(eps) / np.cos(np.minimum(n, eps)), -1.0, 1.0)
+    return np.where(n == 0.0, eps, np.arccos(ratio))
+
+
 def _reference_mid_leakage(error, noise, eps):
     # The middle-regime formula as the solver evaluated it before it took
     # cos(eps) and the denominators precomputed: everything on each call.
-    n = np.abs(np.asarray(noise, dtype=float))
-    ratio = np.clip(math.cos(eps) / np.cos(np.minimum(n, eps)), -1.0, 1.0)
-    eff = np.where(n == 0.0, eps, np.arccos(ratio))
+    eff = _reference_effective(noise, eps)
     denom = np.maximum(math.pi * np.sin(np.asarray(error, dtype=float)), 1e-300)
     return np.where(eff <= 0.0, 0.0, np.minimum(eff / denom, 1.0))
 
@@ -287,13 +292,17 @@ def _reference_optimal_noise_batch(e, eps, q, margin):
 
 def test_batch_matches_the_per_pass_reference_bit_for_bit():
     rng = np.random.default_rng(8)
-    special = [0.0, math.pi, EPS, 0.5 * math.pi, math.pi - EPS]
-    near = np.nextafter(np.repeat(special, 2), np.tile([-1.0, 4.0], len(special)))
-    es = np.concatenate([special, np.clip(near, 0.0, math.pi), rng.uniform(0.0, math.pi, 200_000),
-                         rng.uniform(0.0, 1e-9, 1_000), math.pi - rng.uniform(0.0, 1e-9, 1_000)])
-    for q in (0.0, 0.01, 0.05, 0.1, 0.3, 0.95, 1.0):
-        got = optimal_noise_batch(es, EPS, q, TAU)
-        assert got.tobytes() == _reference_optimal_noise_batch(es, EPS, q, TAU).tobytes(), q
+    for eps, count in ((EPS, 200_000), (0.01, 5_000), (0.7, 5_000), (1.5, 5_000)):
+        special = [0.0, 1e-300, math.pi, eps, 0.5 * math.pi, math.pi - eps]
+        near = np.nextafter(np.repeat(special, 2), np.tile([-1.0, 4.0], len(special)))
+        es = np.concatenate([special, np.clip(near, 0.0, math.pi),
+                             rng.uniform(0.0, math.pi, count), rng.uniform(0.0, 1e-9, 1_000),
+                             math.pi - rng.uniform(0.0, 1e-9, 1_000)])
+        noise = np.concatenate([-es, rng.uniform(-math.pi, math.pi, 2_000), [0.0, eps]])
+        assert np.array_equal(effective_precision(noise, eps), _reference_effective(noise, eps))
+        for q in (0.0, 0.01, 0.05, 0.1, 0.3, 0.6, 0.95, 1.0):
+            want = _reference_optimal_noise_batch(es, eps, q, TAU)
+            assert optimal_noise_batch(es, eps, q, TAU).tobytes() == want.tobytes(), (eps, q)
 
 
 def test_obfuscate_error_examples():

@@ -7,13 +7,15 @@ from viewpriv.bpea import conditional_leakage_noisy
 from viewpriv.oracle import (
     OracleConfig,
     REFERENCE_POINT,
+    _bearings,
     _lattice_size,
     _streams,
     empirical_conditional_leakage,
     fibonacci_sphere,
     grid_attacker_best,
 )
-from viewpriv.sphere import SpherePoint, TWO_PI, points_at_distance, spherical_distance
+from viewpriv.leakage import LeakageEstimate
+from viewpriv.sphere import SpherePoint, TWO_PI, dot, points_at_distance, spherical_distance
 
 EPS = 0.1 * math.pi
 
@@ -220,3 +222,58 @@ def test_pruned_grid_attacker_matches_brute_force():
                         got = outcome(grid_attacker_best, e, eps, cfg, md)
                         want = outcome(brute_force_grid_attacker, e, eps, cfg, md)
                         assert got == want, (eps, seed, res, e, md)
+
+
+def per_call_draw_leakage(error, noise, eps, cfg):
+    """The Monte-Carlo estimate with both bearing sets drawn afresh on every
+    call, through ``points_at_distance``; the cached draw must match it bit
+    for bit."""
+    viewer_rng, attacker_rng = _streams(cfg.seed)
+    actual = points_at_distance(REFERENCE_POINT, error, viewer_rng.uniform(0.0, TWO_PI, cfg.trials))
+    reported = error + noise
+    if reported <= eps:
+        guesses = REFERENCE_POINT.as_array()[None, :]
+    elif reported >= math.pi - eps:
+        guesses = -REFERENCE_POINT.as_array()[None, :]
+    else:
+        guesses = points_at_distance(
+            REFERENCE_POINT, reported, attacker_rng.uniform(0.0, TWO_PI, cfg.trials)
+        )
+    p = float(np.mean(dot(actual, guesses) >= math.cos(eps)))
+    half_width = 4.0 * math.sqrt(p * (1.0 - p) / cfg.trials)
+    return LeakageEstimate(p, "monte_carlo", trials=cfg.trials, half_width=half_width)
+
+
+def test_cached_bearings_match_per_call_draws():
+    # Reported errors at or below eps, at or above pi - eps, and mid-range.
+    cells = [(0.05 * math.pi, 0.0), (0.5 * math.pi, EPS - 0.5 * math.pi),
+             (0.95 * math.pi, 0.05 * math.pi), (0.5 * math.pi, 0.4 * math.pi),
+             (0.4 * math.pi, 0.1), (0.3 * math.pi, -0.2), (0.5 * math.pi, 0.0)]
+    # Seeds 123, 124, 123 at two trial counts make four keys for the
+    # two-entry cache, so each is used, evicted and drawn again. The last
+    # config repeats the first with numpy integers.
+    configs = [OracleConfig(trials=t, grid_resolution=0.1, seed=s)
+               for s in (123, 124, 123) for t in (1_000, 30_000)]
+    configs.append(OracleConfig(trials=np.int64(1_000), grid_resolution=0.1, seed=np.int64(123)))
+    _bearings.cache_clear()
+    results = []
+    for cfg in configs:
+        estimates = [empirical_conditional_leakage(e, n, EPS, cfg) for e, n in cells]
+        assert estimates == [per_call_draw_leakage(e, n, EPS, cfg) for e, n in cells], cfg
+        grid = grid_attacker_best(0.4 * math.pi, EPS, cfg)
+        assert grid == brute_force_grid_attacker(0.4 * math.pi, EPS, cfg), cfg
+        results.append((estimates, grid))
+        cached = _bearings(int(cfg.seed), int(cfg.trials))
+        for (cos_b, sin_b), rng in zip(cached, _streams(cfg.seed)):
+            b = rng.uniform(0.0, TWO_PI, cfg.trials)
+            assert np.array_equal(cos_b, np.cos(b)) and np.array_equal(sin_b, np.sin(b))
+    assert results[-1] == results[0]
+    info = _bearings.cache_info()
+    assert info.hits > 0 and info.misses > 4, info
+
+
+def test_cached_bearings_are_read_only():
+    for pair in _bearings(5, 1_000):
+        for values in pair:
+            with pytest.raises(ValueError):
+                values[0] = 0.0
