@@ -7,7 +7,8 @@ Subpackages:
 * ``leakage``    -- leakage probabilities for exact-error uploads
 * ``bpea``       -- noisy-error mechanism and minimal-noise solver
 * ``oracle``     -- Monte-Carlo / grid-search attacker for verification
-* ``baselines``  -- Gaussian/Laplace viewpoint noise and calibration
+* ``baselines``  -- Gaussian/Laplace viewpoint noise policies and calibration
+* ``policies``   -- obfuscation policy descriptors
 * ``streaming``  -- tile-based proactive streaming simulator
 * ``traces``     -- trace synthesis, persistence predictor, CSV IO
 * ``harness``    -- tradeoff experiments and results CSV
@@ -17,13 +18,8 @@ Subpackages:
 from .sphere import SpherePoint, spherical_distance
 from .leakage import LeakageEstimate, conditional_leakage, optimal_error_distribution
 from .bpea import conditional_leakage_noisy, obfuscate_error, optimal_noise
-from .policies import (
-    BpeaPolicy,
-    GaussianViewpointNoise,
-    LaplaceViewpointNoise,
-    NoObfuscation,
-    ObfuscationPolicy,
-)
+from .baselines import NoiseScale
+from .policies import BpeaPolicy, NoObfuscation, ObfuscationPolicy
 from .harness import ExperimentConfig, run_tradeoff_experiment
 
 __all__ = [
@@ -36,8 +32,7 @@ __all__ = [
     "optimal_noise",
     "obfuscate_error",
     "BpeaPolicy",
-    "GaussianViewpointNoise",
-    "LaplaceViewpointNoise",
+    "NoiseScale",
     "NoObfuscation",
     "ObfuscationPolicy",
     "ExperimentConfig",

@@ -7,6 +7,7 @@ Because such noise only reshapes the error distribution, the achievable
 leakage is floored at eps/pi regardless of scale; calibration searches the
 scale parameter with one forward scan per noise kind, shared by every
 requirement, and reports infeasibility when no scale meets a requirement.
+A ``NoiseScale`` (noise kind and scale) is itself the baseline policy.
 """
 
 from __future__ import annotations
@@ -20,21 +21,30 @@ import numpy as np
 from .leakage import check_precision, check_requirement, leakage_sample_mean
 from .sphere import norm, unit_rows
 
-GAUSSIAN_KIND = "gaussian_sigma"
-LAPLACE_KIND = "laplace_b"
+GAUSSIAN_KIND = "gaussian"
+LAPLACE_KIND = "laplace"
 
 # Largest scale the one-dimensional calibration search scans, per kind.
 SEARCH_MAX = {GAUSSIAN_KIND: 7.0, LAPLACE_KIND: 6.0}
 DEFAULT_SEARCH_STEP = 0.05
 
 
+def check_search_step(step: float) -> float:
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"search step must be positive, got {step!r}")
+    return step
+
+
 @dataclass(frozen=True)
 class NoiseScale:
+    """The baseline policy named ``kind``: zero-mean noise of scale ``value``
+    (Gaussian sigma, Laplace b) on each viewpoint coordinate."""
+
     kind: str
     value: float
 
     def __post_init__(self):
-        if self.kind not in (GAUSSIAN_KIND, LAPLACE_KIND):
+        if self.kind not in SEARCH_MAX:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not math.isfinite(self.value) or self.value < 0.0:
             raise ValueError(f"noise scale must be non-negative, got {self.value!r}")
@@ -44,21 +54,16 @@ class NoiseScale:
 class CalibrationResult:
     """Outcome of the forward scan over noise scales.
 
-    ``scale`` is the smallest scanned scale meeting the requirement, or None
-    when none does. ``fallback_scale`` is the scanned scale with the lowest
-    achieved leakage, for callers that must run a baseline even when the
-    requirement is unattainable. ``achieved_leakage`` belongs to ``scale``
-    when feasible, otherwise to ``fallback_scale``.
+    ``scale`` is the scale to run: the smallest scanned scale meeting the
+    requirement when ``feasible``, otherwise the first scanned scale with the
+    lowest achieved leakage, for callers that must run a baseline even when
+    the requirement is unattainable. ``achieved_leakage`` belongs to ``scale``.
     """
 
-    scale: NoiseScale | None
+    scale: NoiseScale
     achieved_leakage: float
     search_evals: int
-    fallback_scale: NoiseScale
-
-    @property
-    def feasible(self) -> bool:
-        return self.scale is not None
+    feasible: bool
 
 
 def perturb_traces(points: np.ndarray, kind: str, value: float, rngs: Sequence) -> np.ndarray:
@@ -108,8 +113,7 @@ def calibrate_noise_scales(
     """
     check_precision(eps)
     qs = [check_requirement(q) for q in q_grid]
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"search step must be positive, got {step!r}")
+    check_search_step(step)
     if kind not in SEARCH_MAX:
         raise ValueError(f"unknown noise kind {kind!r}")
     search_max = SEARCH_MAX[kind]
@@ -131,7 +135,7 @@ def calibrate_noise_scales(
         i = meeting[0] if meeting else leaks.index(min(leaks))   # else the first lowest
         scale = NoiseScale(kind, scales[i])
         evals = i + 1 if meeting else len(leaks)
-        results.append(CalibrationResult(scale if meeting else None, leaks[i], evals, scale))
+        results.append(CalibrationResult(scale, leaks[i], evals, bool(meeting)))
     return results
 
 

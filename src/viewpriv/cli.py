@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
 
     p = sub.add_parser("calibrate", help="one-dimensional baseline noise-scale search")
-    p.add_argument("--kind", choices=("gaussian", "laplace"), required=True)
+    p.add_argument("--kind", choices=tuple(baselines.SEARCH_MAX), required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--step", type=float, default=baselines.DEFAULT_SEARCH_STEP)
     p.add_argument("--users", type=int, default=48)
@@ -151,7 +151,7 @@ def _cmd_calibrate(args) -> int:
               f"({result.search_evals} scales scanned)")
         return EXIT_OK
     print(f"infeasible: best leakage {result.achieved_leakage:.6f} at scale "
-          f"{result.fallback_scale.value:.4g} exceeds q={args.q:.6g} "
+          f"{result.scale.value:.4g} exceeds q={args.q:.6g} "
           f"({result.search_evals} scales scanned)")
     return EXIT_INFEASIBLE
 

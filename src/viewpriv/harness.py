@@ -17,20 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines
-from .baselines import CalibrationResult, calibrate_noise_scales, perturb_rows, pspr
-from .bpea import DEFAULT_MARGIN
+from .baselines import NoiseScale, calibrate_noise_scales, perturb_rows, pspr
+from .bpea import DEFAULT_MARGIN, check_margin
 from .leakage import check_precision, check_requirement
-from .policies import (
-    BpeaPolicy,
-    GaussianViewpointNoise,
-    LaplaceViewpointNoise,
-    NoObfuscation,
-)
+from .policies import BpeaPolicy, NoObfuscation
 from .streaming import (
     DEFAULT_BUDGET_MBIT, SessionConfig, apply_policy, score_sessions, tiles_of, upload_errors,
 )
 from .traces import (
     DEFAULT_CONCENTRATION,
+    MIN_GOPS,
     SessionTrace,
     generate_synthetic_traces,
     persistence_predict,
@@ -43,11 +39,6 @@ RESULTS_HEADER = ["q", "policy", "pr_leak", "mean_error_rad", "mean_abs_noise_ra
 
 POLICY_NAMES = ("none", "bpea", "gaussian", "laplace")
 _POLICY_IDS = {name: i for i, name in enumerate(POLICY_NAMES)}
-
-_KIND_FOR_POLICY = {
-    "gaussian": baselines.GAUSSIAN_KIND,
-    "laplace": baselines.LAPLACE_KIND,
-}
 
 
 def default_q_grid() -> tuple[float, ...]:
@@ -86,9 +77,11 @@ class ExperimentConfig:
             raise ValueError(f"policies must not repeat, got {self.policies}")
         if min(self.num_users, self.num_videos) < 1 or self.num_train_videos < 1:
             raise ValueError("need at least one user and one video per split")
-        if self.gops_per_video < 3:
-            raise ValueError("traces need at least 3 GoPs")
+        if self.gops_per_video < MIN_GOPS:
+            raise ValueError(f"traces need at least {MIN_GOPS} GoPs")
         SessionConfig(self.budget_mbit)   # rejects a negative or NaN budget
+        check_margin(self.margin)
+        baselines.check_search_step(self.calibration_step)
 
 
 @dataclass(frozen=True)
@@ -160,13 +153,12 @@ def calibrate_baselines(cfg: ExperimentConfig, train: list[SessionTrace]) -> dic
     """{(policy, q): CalibrationResult} for every baseline policy of ``cfg``
     and every q of its grid, from one forward scan per policy on ``train``."""
     calibrations: dict = {}
-    for name in cfg.policies:
-        kind = _KIND_FOR_POLICY.get(name)
-        if kind is not None:
+    for kind in cfg.policies:
+        if kind in baselines.SEARCH_MAX:
             pipeline = _calibration_pipeline(cfg, kind, train)
             results = calibrate_noise_scales(pipeline, cfg.eps, cfg.q_grid, kind,
                                              step=cfg.calibration_step)
-            calibrations.update(((name, q), r) for q, r in zip(cfg.q_grid, results))
+            calibrations.update(((kind, q), r) for q, r in zip(cfg.q_grid, results))
     return calibrations
 
 
@@ -175,11 +167,7 @@ def _policy_instance(name: str, q: float, cfg: ExperimentConfig, calibrations: d
         return NoObfuscation()
     if name == "bpea":
         return BpeaPolicy(q=q, margin=cfg.margin)
-    result: CalibrationResult = calibrations[(name, q)]
-    scale = result.scale if result.feasible else result.fallback_scale
-    if name == "gaussian":
-        return GaussianViewpointNoise(sigma=scale.value)
-    return LaplaceViewpointNoise(scale_b=scale.value)
+    return calibrations[(name, q)].scale
 
 
 def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -187,7 +175,7 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     train, evaluation = generate_trace_set(cfg)
     calibrations = calibrate_baselines(cfg, train)
 
-    # none and bpea upload the clean persistence errors of all traces at once.
+    # Non-baseline policies upload the clean persistence errors of all traces at once.
     actual = np.stack([t.actual for t in evaluation])
     predicted = persistence_predict(actual)
     errors = prediction_errors(predicted, actual)
@@ -199,7 +187,7 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for q in cfg.q_grid:
         for name in cfg.policies:
             policy = _policy_instance(name, q, cfg, calibrations)
-            if name in ("none", "bpea"):
+            if not isinstance(policy, NoiseScale):
                 pfov_tiles, errs = clean_tiles, errors
                 noises, uploaded, leak = upload_errors(errors, policy, cfg.eps)
             else:   # one RNG per trace, seeded by (q, policy, user, video)

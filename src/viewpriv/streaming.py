@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .leakage import LeakageEstimate, check_errors, check_precision, conditional_leakage
-from .baselines import perturb_traces
-from .policies import BpeaPolicy, GaussianViewpointNoise, LaplaceViewpointNoise, ObfuscationPolicy
+from .baselines import NoiseScale, perturb_traces
+from .policies import BpeaPolicy, ObfuscationPolicy
 from .traces import DEFAULT_HORIZON, SessionTrace, persistence_predict, prediction_errors
 from . import bpea
 
@@ -339,9 +339,8 @@ def apply_policy(
     traces, rngs = ([trace], [rng]) if single else (trace, rng)
     actual = _stack([t.actual for t in traces])
 
-    if isinstance(policy, (GaussianViewpointNoise, LaplaceViewpointNoise)):
-        scale = policy.scale()
-        predicted = persistence_predict(perturb_traces(actual, scale.kind, scale.value, rngs),
+    if isinstance(policy, NoiseScale):
+        predicted = persistence_predict(perturb_traces(actual, policy.kind, policy.value, rngs),
                                         horizon)
     else:
         predicted = _stack([persistence_predict(t.actual, horizon) if t.predicted is None

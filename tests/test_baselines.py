@@ -24,10 +24,16 @@ EPS = 0.1 * math.pi
 
 
 def test_noise_scale_validation():
-    with pytest.raises(ValueError):
-        NoiseScale("unknown", 1.0)
-    with pytest.raises(ValueError):
-        NoiseScale(GAUSSIAN_KIND, -0.5)
+    # A kind is its baseline policy's name, and no other spelling is accepted.
+    for kind in ("unknown", "gaussian_sigma", "laplace_b"):
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            NoiseScale(kind, 1.0)
+    assert (GAUSSIAN_KIND, LAPLACE_KIND) == ("gaussian", "laplace") == tuple(SEARCH_MAX)
+    # A bad scale fails at construction, before any policy is applied.
+    for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+        for value in (-0.5, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise scale must be non-negative"):
+                NoiseScale(kind, value)
 
 
 def test_zero_scale_is_identity():
@@ -159,9 +165,8 @@ def test_calibration_below_floor_is_infeasible():
         pipeline = RecordingPipeline()
         result = calibrate_noise_scale(pipeline, EPS, 0.05, kind)
         assert not result.feasible
-        assert result.scale is None
         assert result.achieved_leakage > 0.05
-        assert isinstance(result.fallback_scale, NoiseScale)
+        assert isinstance(result.scale, NoiseScale) and result.scale.kind == kind
         assert result.search_evals == len(pipeline.calls)
 
 
@@ -209,8 +214,8 @@ def reference_scan(pipeline, eps, q, kind, step):
         if leak < best_leak:
             best_scale, best_leak = scale, leak
         if leak <= q:
-            return CalibrationResult(NoiseScale(kind, scale), leak, evals, NoiseScale(kind, scale))
-    return CalibrationResult(None, best_leak, evals, NoiseScale(kind, best_scale))
+            return CalibrationResult(NoiseScale(kind, scale), leak, evals, feasible=True)
+    return CalibrationResult(NoiseScale(kind, best_scale), best_leak, evals, feasible=False)
 
 
 class ProfilePipeline:
@@ -261,7 +266,7 @@ def test_one_scan_matches_a_scan_per_requirement():
     assert ties   # the first-argmin fallback was exercised
     infeasible = calibrate_noise_scales(ProfilePipeline(PROFILES["tied_minimum"]), EPS,
                                         (0.0,), GAUSSIAN_KIND, 0.05)[0]
-    assert not infeasible.feasible and infeasible.fallback_scale.value == pytest.approx(2.15)
+    assert not infeasible.feasible and infeasible.scale.value == pytest.approx(2.15)
 
 
 def test_pspr_counts():
@@ -293,6 +298,6 @@ def test_calibration_result_fields():
         scale=NoiseScale(GAUSSIAN_KIND, 1.0),
         achieved_leakage=0.2,
         search_evals=21,
-        fallback_scale=NoiseScale(GAUSSIAN_KIND, 1.0),
+        feasible=True,
     )
-    assert result.feasible
+    assert result.feasible and result.scale == NoiseScale(GAUSSIAN_KIND, 1.0)

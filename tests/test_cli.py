@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from viewpriv import cli
+from viewpriv import cli, harness
 from viewpriv.harness import ExperimentConfig, generate_trace_set
 from viewpriv.traces import load_traces
 
@@ -54,16 +54,21 @@ def test_calibrate_infeasible_exits_3(capsys):
         "--videos", "1", "--gops", "12", "--step", "2.0",
     ])
     assert code == 3
-    assert "infeasible" in capsys.readouterr().out
+    # Pinned byte for byte: the lowest-leakage scale that is run in its place.
+    assert capsys.readouterr().out == (
+        "infeasible: best leakage 0.127718 at scale 4 exceeds q=0.05 (4 scales scanned)\n"
+    )
 
 
 def test_calibrate_feasible_exits_0(capsys):
-    code = cli.main([
-        "calibrate", "--kind", "laplace", "--q", "1.0", "--users", "2",
-        "--videos", "1", "--gops", "12",
-    ])
-    assert code == 0
-    assert "feasible" in capsys.readouterr().out
+    base = ["calibrate", "--kind", "laplace", "--users", "2", "--videos", "1", "--gops", "12"]
+    # Pinned byte for byte: the smallest scanned scale meeting q.
+    for q, out in (
+        ("1.0", "feasible: scale 0 achieves leakage 0.613164 <= q=1 (1 scales scanned)\n"),
+        ("0.2", "feasible: scale 0.35 achieves leakage 0.190332 <= q=0.2 (8 scales scanned)\n"),
+    ):
+        assert cli.main(base + ["--q", q]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_gen_traces_and_tradeoff_round_trip(tmp_path, capsys):
@@ -123,6 +128,20 @@ def test_tradeoff_rejects_a_nan_budget_and_an_empty_policy_list(tmp_path, capsys
     assert "budget must be non-negative" in capsys.readouterr().err
     assert cli.main(base + ["--policies", ","]) == 2
     assert "need at least one policy" in capsys.readouterr().err
+    assert not results_path.exists()
+
+
+def test_tradeoff_rejects_a_bad_tau_before_calibrating(tmp_path, capsys, monkeypatch):
+    def no_calibration(*args):
+        raise AssertionError("the calibration scan ran")
+
+    monkeypatch.setattr(harness, "calibrate_baselines", no_calibration)
+    results_path = tmp_path / "rows.csv"
+    for tau in ("-1", "0", "nan"):
+        assert cli.main(["tradeoff", "--users", "2", "--videos", "1", "--train-videos", "1",
+                         "--gops", "10", "--q-grid", "0.3", "--tau", tau,
+                         "--out", str(results_path)]) == 2
+        assert "solver margin must be positive" in capsys.readouterr().err
     assert not results_path.exists()
 
 

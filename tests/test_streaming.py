@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from viewpriv.harness import ExperimentConfig, generate_trace_set
-from viewpriv.policies import BpeaPolicy, GaussianViewpointNoise, NoObfuscation
+from viewpriv.baselines import GAUSSIAN_KIND, NoiseScale
+from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.streaming import (
     Allocation,
     GOP_SECONDS,
@@ -396,7 +397,7 @@ def test_simulate_gaussian_policy_inflates_errors():
     trace = walking_trace(gops=40)
     base = simulate_session(trace, NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(1))
     noisy = simulate_session(
-        trace, GaussianViewpointNoise(sigma=2.0), SessionConfig(), EPS, np.random.default_rng(1)
+        trace, NoiseScale(GAUSSIAN_KIND, 2.0), SessionConfig(), EPS, np.random.default_rng(1)
     )
     assert noisy.mean_error_rad > base.mean_error_rad
     assert noisy.mean_abs_noise_rad == 0.0
