@@ -18,8 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .leakage import check_precision, check_requirement, leakage_sample_mean
-from .sphere import norm, unit_rows
+from .leakage import (
+    check_precision, check_requirement, conditional_leakage, optimal_error_distribution,
+)
+from .sphere import norm
 
 GAUSSIAN_KIND = "gaussian"
 LAPLACE_KIND = "laplace"
@@ -27,6 +29,9 @@ LAPLACE_KIND = "laplace"
 # Largest scale the one-dimensional calibration search scans, per kind.
 SEARCH_MAX = {GAUSSIAN_KIND: 7.0, LAPLACE_KIND: 6.0}
 DEFAULT_SEARCH_STEP = 0.05
+# Errors one pipeline call of a scan below the leakage floor evaluates at most.
+# Small sets pay numpy's per-call cost once per block of scales, not per scale.
+SCAN_BLOCK_ERRORS = 16_384
 
 
 def check_search_step(step: float) -> float:
@@ -77,14 +82,19 @@ def perturb_traces(points: np.ndarray, kind: str, value: float, rngs: Sequence) 
     if value == 0.0:
         return pts.copy()
     draws = [rng.normal if kind == GAUSSIAN_KIND else rng.laplace for rng in rngs]
-    noisy = np.stack([draw(0.0, value, size=pts.shape[1:]) for draw in draws])
+    noisy = (np.stack([draw(0.0, value, size=pts.shape[1:]) for draw in draws]) if len(draws) > 1
+             else draws[0](0.0, value, size=pts.shape[1:])[None])   # a lone trace needs no copy
     noisy += pts
-    bad = norm(noisy) < 1e-12
+    norms = norm(noisy)
+    bad = norms < 1e-12
     for i in np.flatnonzero(bad.any(axis=-1)):
         while np.any(bad[i]):
             noisy[i, bad[i]] = pts[i, bad[i]] + draws[i](0.0, value, size=(int(np.sum(bad[i])), 3))
-            bad[i] = norm(noisy[i]) < 1e-12
-    return unit_rows(noisy.reshape(-1, 3)).reshape(noisy.shape)
+            norms[i] = norm(noisy[i])
+            bad[i] = norms[i] < 1e-12
+    if not np.all(np.isfinite(norms)):   # a non-finite coordinate gives a non-finite norm
+        raise ValueError("rows must be finite and nonzero")
+    return noisy / norms[..., None]
 
 
 def perturb_rows(points: np.ndarray, kind: str, value: float, rng: np.random.Generator) -> np.ndarray:
@@ -93,7 +103,7 @@ def perturb_rows(points: np.ndarray, kind: str, value: float, rng: np.random.Gen
 
 
 def calibrate_noise_scales(
-    error_pipeline: Callable[[float], np.ndarray],
+    error_pipeline: Callable[[np.ndarray], np.ndarray],
     eps: float,
     q_grid,
     kind: str,
@@ -102,14 +112,19 @@ def calibrate_noise_scales(
     """One forward scan over noise scales that calibrates every requirement
     in ``q_grid``; returns one result per q, in grid order.
 
-    ``error_pipeline`` maps a scale value to the prediction errors measured
-    on the calibration traces after obfuscation at that scale; it must be
-    deterministic per scale (callers derive its randomness from the scale).
+    ``error_pipeline`` maps a 1-D array of k scale values to a (k, n) array:
+    row i holds the prediction errors measured on the calibration traces
+    after obfuscation at scale i. It must be deterministic per scale
+    (callers derive its randomness from the scale, not from the block).
     Scales 0, step, ... are visited once each and the scan stops at the
-    first one meeting ``min(q_grid)``. A forward scan is used instead of
-    bisection because the achieved leakage need not be monotone in the
-    scale near the floor. ``search_evals`` counts the scales a scan for
-    that q alone would have visited.
+    first one meeting ``min(q_grid)``. Scale 0 is evaluated alone. When
+    ``min(q_grid)`` lies below the eps/pi floor, which no error
+    distribution reaches, the scan visits every scale, so it evaluates the
+    rest in blocks of at most ``SCAN_BLOCK_ERRORS`` errors; otherwise one
+    scale per call. A forward scan is used instead of bisection because the
+    achieved leakage need not be monotone in the scale near the floor.
+    ``search_evals`` counts the scales a scan for that q alone would have
+    visited.
     """
     check_precision(eps)
     qs = [check_requirement(q) for q in q_grid]
@@ -119,28 +134,36 @@ def calibrate_noise_scales(
     search_max = SEARCH_MAX[kind]
 
     target = min(qs)   # an empty grid raises ValueError here, before any scan
-    scales, leaks = [], []
-    for i in range(int(math.floor(search_max / step + 1e-9)) + 1):
-        scales.append(min(i * step, search_max))
-        errors = np.asarray(error_pipeline(scales[-1]), dtype=float)
-        if errors.size == 0:
-            raise ValueError("error pipeline produced an empty calibration set")
-        leaks.append(leakage_sample_mean(errors, eps).value)
-        if leaks[-1] <= target:
-            break
+    scales = np.minimum(np.arange(int(math.floor(search_max / step + 1e-9)) + 1) * step,
+                        search_max)
+
+    # Below the eps/pi floor no scale meets the target and the scan visits
+    # them all. The margin sits far above the rounding of a mean of values
+    # >= the floor.
+    below_floor = target < optimal_error_distribution(eps)[1] * (1.0 - 1e-9)
+    leaks, per_call = [], 1   # scale 0 alone; its error count sizes the blocks
+    while len(leaks) < len(scales) and not (leaks and leaks[-1] <= target):
+        block = scales[len(leaks):len(leaks) + per_call]
+        errors = np.asarray(error_pipeline(block), dtype=float)
+        if errors.ndim != 2 or len(errors) != len(block) or errors.size == 0:
+            raise ValueError(f"error pipeline must give one non-empty row of errors per scale, "
+                             f"got shape {errors.shape} for {len(block)} scales")
+        leaks += conditional_leakage(errors, eps).mean(axis=-1).tolist()
+        if below_floor:
+            per_call = max(1, SCAN_BLOCK_ERRORS // errors.shape[1])
 
     results = []
     for q in qs:
         meeting = [i for i, leak in enumerate(leaks) if leak <= q]
         i = meeting[0] if meeting else leaks.index(min(leaks))   # else the first lowest
-        scale = NoiseScale(kind, scales[i])
+        scale = NoiseScale(kind, float(scales[i]))
         evals = i + 1 if meeting else len(leaks)
         results.append(CalibrationResult(scale, leaks[i], evals, bool(meeting)))
     return results
 
 
 def calibrate_noise_scale(
-    error_pipeline: Callable[[float], np.ndarray],
+    error_pipeline: Callable[[np.ndarray], np.ndarray],
     eps: float,
     q: float,
     kind: str,

@@ -32,6 +32,7 @@ def _add_seed(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    cfg = ExperimentConfig()   # the tradeoff and calibrate defaults
     parser = argparse.ArgumentParser(
         prog="viewpriv",
         description="Viewpoint-leakage analysis and noisy-error obfuscation "
@@ -65,9 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=tuple(baselines.SEARCH_MAX), required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--step", type=float, default=baselines.DEFAULT_SEARCH_STEP)
-    p.add_argument("--users", type=int, default=48)
-    p.add_argument("--videos", type=int, default=5, help="calibration videos per user")
-    p.add_argument("--gops", type=int, default=60)
+    p.add_argument("--users", type=int, default=cfg.num_users)
+    p.add_argument("--videos", type=int, default=cfg.num_train_videos,
+                   help="calibration videos per user")
+    p.add_argument("--gops", type=int, default=cfg.gops_per_video)
     p.add_argument("--concentration", type=float, default=DEFAULT_CONCENTRATION)
     _add_eps(p)
     _add_seed(p)
@@ -75,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tradeoff", help="full QoE-privacy tradeoff experiment to CSV")
     p.add_argument("--q-grid", type=str, default=None,
                    help="comma-separated requirements (default 0,0.05,...,1)")
-    p.add_argument("--policies", type=str, default="bpea,gaussian,laplace")
-    p.add_argument("--users", type=int, default=48)
-    p.add_argument("--videos", type=int, default=4, help="evaluation videos per user")
-    p.add_argument("--train-videos", type=int, default=5)
-    p.add_argument("--gops", type=int, default=60)
+    p.add_argument("--policies", type=str, default=",".join(cfg.policies))
+    p.add_argument("--users", type=int, default=cfg.num_users)
+    p.add_argument("--videos", type=int, default=cfg.num_videos, help="evaluation videos per user")
+    p.add_argument("--train-videos", type=int, default=cfg.num_train_videos)
+    p.add_argument("--gops", type=int, default=cfg.gops_per_video)
     p.add_argument("--budget-mbit", type=float, default=DEFAULT_BUDGET_MBIT)
     p.add_argument("--tau", type=float, default=bpea.DEFAULT_MARGIN)
     p.add_argument("--concentration", type=float, default=DEFAULT_CONCENTRATION)

@@ -45,6 +45,17 @@ def default_q_grid() -> tuple[float, ...]:
     return tuple(round(0.05 * i, 2) for i in range(21))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> int:
+    """An experiment seed: an integer in [0, 2^32), one word of ``_rng``'s key."""
+    if not (_is_int(seed) and 0 <= seed < 2 ** 32):
+        raise ValueError(f"seed must be an integer in [0, 2^32), got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     eps: float = DEFAULT_PRECISION
@@ -75,6 +86,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
         if len(set(self.policies)) != len(self.policies):
             raise ValueError(f"policies must not repeat, got {self.policies}")
+        for name in ("num_users", "num_videos", "num_train_videos", "gops_per_video"):
+            if not _is_int(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_seed(self.seed)
         if min(self.num_users, self.num_videos) < 1 or self.num_train_videos < 1:
             raise ValueError("need at least one user and one video per split")
         if self.gops_per_video < MIN_GOPS:
@@ -108,7 +123,7 @@ class ExperimentResult:
 
 
 def _rng(*parts: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts]))
+    return np.random.default_rng(np.random.SeedSequence([int(p) for p in parts]))
 
 
 def _q_id(q: float) -> int:
@@ -120,6 +135,7 @@ def synthesize_traces(seed: int, users: int, videos: int, gops: int,
     """Synthetic traces for every (user, video) pair, user-major. Each trace
     draws from its own RNG seeded by (seed, user, video), so the same pair
     gives the same trace in every command and split."""
+    check_seed(seed)
     keys = [(user, video) for user in range(users) for video in range(videos)]
     rngs = [_rng(seed, 1, user, video) for user, video in keys]
     return generate_synthetic_traces(keys, gops, rngs, concentration)
@@ -134,17 +150,21 @@ def generate_trace_set(cfg: ExperimentConfig) -> tuple[list[SessionTrace], list[
 
 
 def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionTrace]):
-    """Scale -> prediction errors over the stacked training traces, with one
-    RNG per (kind, scale), per the seed discipline for calibration. Training
-    traces must share a GoP count (synthetic sets do).
+    """Scales -> (scales, errors) prediction errors over the stacked training
+    traces, with one RNG per (kind, scale), per the seed discipline for
+    calibration. Training traces must share a GoP count (synthetic sets do).
     """
     stacked = np.stack([t.actual for t in train])
+    rows = stacked.reshape(-1, 3)
     kind_id = 0 if kind == baselines.GAUSSIAN_KIND else 1
 
-    def pipeline(scale: float) -> np.ndarray:
-        rng = _rng(cfg.seed, 2, kind_id, int(round(scale / cfg.calibration_step)))
-        noisy = perturb_rows(stacked.reshape(-1, 3), kind, scale, rng).reshape(stacked.shape)
-        return prediction_errors(persistence_predict(noisy), stacked).ravel()
+    def pipeline(scales: np.ndarray) -> np.ndarray:
+        noisy = np.stack([
+            perturb_rows(rows, kind, scale,
+                         _rng(cfg.seed, 2, kind_id, int(round(scale / cfg.calibration_step))))
+            for scale in scales.tolist()
+        ]).reshape((len(scales),) + stacked.shape)
+        return prediction_errors(persistence_predict(noisy), stacked).reshape(len(scales), -1)
 
     return pipeline
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphere import TWO_PI, cross, dot, norm, random_point, tangent_frame, unit_rows
+from .sphere import TWO_PI, norm, random_point, tangent_frame, unit_rows
 
 # Tuned so that two-GoP-ahead persistence errors spread across both sides of
 # a 0.1*pi precision radius.
@@ -123,10 +123,13 @@ def persistence_predict(actual: np.ndarray, horizon: int = DEFAULT_HORIZON) -> n
 
 def prediction_errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
     """Spherical distances between predictions and actuals, elementwise over
-    the last axis."""
-    predicted = np.asarray(predicted, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    return np.arctan2(norm(cross(predicted, actual)), dot(predicted, actual))
+    the last axis. Written out by component, and bit-equal to
+    ``arctan2(linalg.norm(cross(p, a), axis=-1), sum(p * a, axis=-1))``."""
+    p = np.asarray(predicted, dtype=float)
+    a = np.asarray(actual, dtype=float)
+    p0, p1, p2, a0, a1, a2 = p[..., 0], p[..., 1], p[..., 2], a[..., 0], a[..., 1], a[..., 2]
+    c0, c1, c2 = p1 * a2 - p2 * a1, p2 * a0 - p0 * a2, p0 * a1 - p1 * a0
+    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), p0 * a0 + p1 * a1 + p2 * a2)
 
 
 def _coordinate_problem(columns, fields) -> str | None:

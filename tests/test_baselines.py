@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from viewpriv.baselines import (
+    DEFAULT_SEARCH_STEP,
     CalibrationResult,
     GAUSSIAN_KIND,
     LAPLACE_KIND,
     NoiseScale,
+    SCAN_BLOCK_ERRORS,
     SEARCH_MAX,
     calibrate_noise_scale,
     calibrate_noise_scales,
@@ -16,11 +18,12 @@ from viewpriv.baselines import (
     pspr,
 )
 from viewpriv.bpea import conditional_leakage_noisy, optimal_noise_batch
-from viewpriv.leakage import leakage_sample_mean
+from viewpriv.leakage import leakage_sample_mean, optimal_error_distribution
 from viewpriv.sphere import SpherePoint, unit_rows
 from viewpriv.traces import prediction_errors
 
 EPS = 0.1 * math.pi
+FLOOR = optimal_error_distribution(EPS)[1]
 
 
 def test_noise_scale_validation():
@@ -109,6 +112,21 @@ def reference_perturb(points, kind, value, rng):
     return noisy / np.linalg.norm(noisy, axis=1)[:, None]
 
 
+def two_norm_perturb_traces(points, kind, value, rngs):
+    """``perturb_traces`` as it computed the row norms twice, once for the
+    zero-row check and again in ``unit_rows``: the bit-for-bit reference."""
+    draws = [rng.normal if kind == GAUSSIAN_KIND else rng.laplace for rng in rngs]
+    noisy = np.stack([draw(0.0, value, size=points.shape[1:]) for draw in draws])
+    noisy += points
+    bad = np.linalg.norm(noisy, axis=-1) < 1e-12
+    for i in np.flatnonzero(bad.any(axis=-1)):
+        while np.any(bad[i]):
+            noisy[i, bad[i]] = points[i, bad[i]] + draws[i](0.0, value,
+                                                             size=(int(np.sum(bad[i])), 3))
+            bad[i] = np.linalg.norm(noisy[i], axis=-1) < 1e-12
+    return unit_rows(noisy.reshape(-1, 3)).reshape(noisy.shape)
+
+
 def test_zero_norm_rows_are_redrawn_from_their_own_trace_rng():
     points = unit_rows(np.random.default_rng(11).normal(size=(18, 3))).reshape(3, 6, 3)
     # Trace 0 zeroes rows 1 and 4 on its first draw. Trace 1 draws honestly.
@@ -128,6 +146,9 @@ def test_zero_norm_rows_are_redrawn_from_their_own_trace_rng():
                                         for p, r in zip(points, rngs())])
         assert np.array_equal(stacked, [reference_perturb(p, kind, 0.7, r)
                                         for p, r in zip(points, rngs())])
+        assert np.array_equal(stacked, two_norm_perturb_traces(points, kind, 0.7, rngs()))
+        lone = perturb_traces(points[2:], kind, 0.7, rngs()[2:])
+        assert np.array_equal(lone, two_norm_perturb_traces(points[2:], kind, 0.7, rngs()[2:]))
         assert np.allclose(np.linalg.norm(stacked, axis=-1), 1.0, rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError, match="one RNG per trace"):
         perturb_traces(points, GAUSSIAN_KIND, 0.7, rngs()[:1])
@@ -135,18 +156,41 @@ def test_zero_norm_rows_are_redrawn_from_their_own_trace_rng():
         perturb_rows(points, GAUSSIAN_KIND, 0.7, rngs()[0])
 
 
+def test_perturbation_matches_the_two_norm_reference():
+    rng = np.random.default_rng(12)
+    for traces in (1, 4):
+        points = unit_rows(rng.normal(size=(traces * 50, 3))).reshape(traces, 50, 3)
+        for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+            for value in (1e-3, 0.4, SEARCH_MAX[kind]):
+                seeds = range(traces)
+                out = perturb_traces(points, kind, value,
+                                     [np.random.default_rng(s) for s in seeds])
+                assert np.array_equal(out, two_norm_perturb_traces(
+                    points, kind, value, [np.random.default_rng(s) for s in seeds]))
+    # A non-finite coordinate gives a non-finite norm, and is rejected.
+    for bad in (math.nan, math.inf):
+        points = np.array([[[1.0, 0.0, 0.0], [0.0, bad, 0.0]]])
+        with pytest.raises(ValueError, match="finite"):
+            perturb_traces(points, GAUSSIAN_KIND, 0.3, [np.random.default_rng(0)])
+
+
 class RecordingPipeline:
     """Deterministic synthetic error pipeline: noise scale shifts the error
-    distribution toward the half-turn leakage floor."""
+    distribution toward the half-turn leakage floor. ``calls`` lists every
+    scale evaluated, ``blocks`` the number of scales per call."""
 
     def __init__(self, seed=0, floor=0.5 * math.pi, start=0.1):
         rng = np.random.default_rng(seed)
         self.base = rng.uniform(0.05, start, 4_000)
         self.floor = floor
-        self.calls = []
+        self.calls, self.blocks = [], []
 
-    def __call__(self, scale):
-        self.calls.append(scale)
+    def __call__(self, scales):
+        self.calls += scales.tolist()
+        self.blocks.append(len(scales))
+        return np.stack([self.errors(scale) for scale in scales.tolist()])
+
+    def errors(self, scale):
         frac = min(scale / 4.0, 1.0)
         return self.base + frac * (self.floor - self.base)
 
@@ -175,12 +219,12 @@ def test_calibration_finds_minimal_scale_and_replays():
     q = 0.5
     result = calibrate_noise_scale(pipeline, EPS, q, GAUSSIAN_KIND, step=0.05)
     assert result.feasible
-    replay = leakage_sample_mean(pipeline(result.scale.value), EPS)
+    replay = leakage_sample_mean(pipeline.errors(result.scale.value), EPS)
     assert replay.value == result.achieved_leakage
     assert replay.value <= q
     # Minimality up to one step: the previous scanned scale exceeds q.
     previous = result.scale.value - 0.05
-    assert previous < 0 or leakage_sample_mean(pipeline(previous), EPS).value > q
+    assert previous < 0 or leakage_sample_mean(pipeline.errors(previous), EPS).value > q
 
 
 def test_calibration_validates_arguments():
@@ -196,8 +240,14 @@ def test_calibration_validates_arguments():
     with pytest.raises(ValueError):
         calibrate_noise_scales(pipeline, EPS, (0.5, 1.5), GAUSSIAN_KIND)
     assert pipeline.calls == []
-    with pytest.raises(ValueError):
-        calibrate_noise_scale(lambda s: np.array([]), EPS, 0.5, GAUSSIAN_KIND)
+    with pytest.raises(ValueError, match="one non-empty row of errors per scale"):
+        calibrate_noise_scale(lambda s: np.empty((len(s), 0)), EPS, 0.5, GAUSSIAN_KIND)
+    # One row of errors per scale, for the first call and for every block.
+    for bad in (lambda s: np.full(5, 1.0), lambda s: np.full((len(s) + 1, 5), 1.0)):
+        with pytest.raises(ValueError, match="one non-empty row of errors per scale"):
+            calibrate_noise_scale(bad, EPS, 0.5, GAUSSIAN_KIND)
+    with pytest.raises(ValueError, match="one non-empty row of errors per scale"):
+        calibrate_noise_scale(lambda s: np.full((1, 5), 1.0), EPS, 0.0, GAUSSIAN_KIND)
     with pytest.raises(ValueError, match="unknown noise kind"):
         calibrate_noise_scale(pipeline, EPS, 0.5, "bogus")
 
@@ -209,7 +259,7 @@ def reference_scan(pipeline, eps, q, kind, step):
     best_scale, best_leak, evals = None, math.inf, 0
     for i in range(int(math.floor(search_max / step + 1e-9)) + 1):
         scale = min(i * step, search_max)
-        leak = leakage_sample_mean(pipeline(scale), eps).value
+        leak = leakage_sample_mean(pipeline.errors(scale), eps).value
         evals += 1
         if leak < best_leak:
             best_scale, best_leak = scale, leak
@@ -225,10 +275,14 @@ class ProfilePipeline:
 
     def __init__(self, profile):
         self.profile = profile
-        self.calls = []
+        self.calls, self.blocks = [], []
 
-    def __call__(self, scale):
-        self.calls.append(scale)
+    def __call__(self, scales):
+        self.calls += scales.tolist()
+        self.blocks.append(len(scales))
+        return np.stack([self.errors(scale) for scale in scales.tolist()])
+
+    def errors(self, scale):
         return np.full(3, min(max(self.profile(scale), 0.0), math.pi))
 
 
@@ -261,12 +315,37 @@ def test_one_scan_matches_a_scan_per_requirement():
                     stop = reference_scan(make(), EPS, min(grid), kind, step).search_evals
                     assert pipeline.calls == [min(i * step, SEARCH_MAX[kind]) for i in range(stop)]
                     assert len(set(pipeline.calls)) == len(pipeline.calls)
-                    leaks = [leakage_sample_mean(make()(s), EPS).value for s in pipeline.calls]
+                    # Scale 0 alone, then blocks below the floor, else one scale per call.
+                    per_call = (SCAN_BLOCK_ERRORS // len(pipeline.errors(0.0))
+                                if min(grid) < FLOOR else 1)
+                    assert pipeline.blocks == [1] + [min(per_call, stop - i)
+                                                     for i in range(1, stop, per_call)]
+                    leaks = [leakage_sample_mean(make().errors(s), EPS).value
+                             for s in pipeline.calls]
                     ties += leaks.count(min(leaks)) > 1
     assert ties   # the first-argmin fallback was exercised
     infeasible = calibrate_noise_scales(ProfilePipeline(PROFILES["tied_minimum"]), EPS,
                                         (0.0,), GAUSSIAN_KIND, 0.05)[0]
     assert not infeasible.feasible and infeasible.scale.value == pytest.approx(2.15)
+
+
+def test_block_scan_starts_just_below_the_floor():
+    # The scan blocks only when no scale can meet min(q): a requirement at
+    # the eps/pi floor still scans one scale per call, one a hair below it
+    # (beyond the margin for rounding of a mean) scans in blocks.
+    n = len(RecordingPipeline().base)
+    for q, per_call in ((FLOOR, 1), (FLOOR * (1.0 - 1e-8), SCAN_BLOCK_ERRORS // n)):
+        pipeline = RecordingPipeline()
+        result = calibrate_noise_scale(pipeline, EPS, q, GAUSSIAN_KIND)
+        assert result == reference_scan(RecordingPipeline(), EPS, q, GAUSSIAN_KIND,
+                                        DEFAULT_SEARCH_STEP)
+        assert not result.feasible and len(pipeline.calls) == result.search_evals == 141
+        assert pipeline.blocks[:3] == [1, per_call, per_call]
+    # Sets larger than the budget still go one scale per call.
+    pipeline = RecordingPipeline()
+    pipeline.base = np.tile(pipeline.base, SCAN_BLOCK_ERRORS // n + 1)
+    calibrate_noise_scale(pipeline, EPS, 0.0, LAPLACE_KIND)
+    assert pipeline.blocks == [1] * 121
 
 
 def test_pspr_counts():

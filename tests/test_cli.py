@@ -165,6 +165,39 @@ def test_calibrate_and_gen_traces_reject_non_finite_arguments(tmp_path, capsys):
     assert "concentration must be positive" in capsys.readouterr().err
 
 
+def test_seeds_outside_32_bits_exit_2(tmp_path, capsys):
+    # Seeds 0 and 2^32 once gave byte-identical runs: only [0, 2^32) is taken.
+    small = ["--users", "2", "--gops", "10"]
+    tradeoff = ["tradeoff", *small, "--videos", "1", "--train-videos", "1",
+                "--q-grid", "1.0", "--policies", "gaussian"]
+    commands = {"tradeoff": tradeoff, "calibrate": ["calibrate", "--kind", "laplace",
+                                                    "--q", "1.0", *small, "--videos", "1"],
+                "gen-traces": ["gen-traces", *small, "--videos", "1"]}
+    for name, command in commands.items():
+        path = tmp_path / f"{name}.csv"
+        out = ["--out", str(path)] if name != "calibrate" else []
+        for seed in (str(2 ** 32), "-1"):
+            assert cli.main(command + out + ["--seed", seed]) == 2
+            assert "seed must be an integer in [0, 2^32)" in capsys.readouterr().err
+            assert not path.exists()
+        for seed in ("0", str(2 ** 32 - 1)):
+            assert cli.main(command + out + ["--seed", seed]) == 0
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    config = ExperimentConfig()
+    tradeoff = vars(parser.parse_args(["tradeoff", "--out", "x.csv"]))
+    assert tradeoff["policies"].split(",") == list(config.policies)
+    assert (tradeoff["users"], tradeoff["videos"], tradeoff["train_videos"], tradeoff["gops"]) \
+        == (config.num_users, config.num_videos, config.num_train_videos, config.gops_per_video)
+    calibrate = vars(parser.parse_args(["calibrate", "--kind", "gaussian", "--q", "0.5"]))
+    assert (calibrate["users"], calibrate["videos"], calibrate["gops"]) \
+        == (config.num_users, config.num_train_videos, config.gops_per_video)
+    for args in (tradeoff, calibrate):
+        assert (args["seed"], args["eps"]) == (config.seed, config.eps)
+
+
 def test_solve_noise_respects_tau(capsys):
     assert cli.main(["solve-noise", "--e", str(0.1 * math.pi), "--q", "0.5",
                      "--tau", "0.001"]) == 0

@@ -17,6 +17,7 @@ from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.streaming import (
     ZONE_SHAPES, SessionConfig, apply_policy, score_sessions, stream_session, tiles_of,
 )
+from viewpriv.leakage import leakage_sample_mean, optimal_error_distribution
 from viewpriv.traces import MIN_GOPS, persistence_predict, prediction_errors
 
 SMALL = dict(
@@ -61,6 +62,22 @@ def test_config_rejects_a_bad_margin_and_calibration_step():
         for step in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="search step must be positive"):
                 ExperimentConfig(calibration_step=step, policies=policies)
+
+
+def test_config_rejects_non_integer_counts_and_bad_seeds():
+    for name in ("num_users", "num_videos", "num_train_videos", "gops_per_video"):
+        for value in (2.5, 4.0, True, "4", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ExperimentConfig(**{name: value})
+        assert getattr(ExperimentConfig(**{name: np.int64(7)}), name) == 7
+    for seed in (-1, 2 ** 32, 2 ** 40, 1.0, True, "3"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^32\)"):
+            ExperimentConfig(seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            harness.synthesize_traces(seed, 1, 1, MIN_GOPS)
+    for seed in (0, 2 ** 32 - 1, np.uint32(2 ** 32 - 1)):
+        assert ExperimentConfig(seed=seed).seed == seed
+        assert harness.check_seed(seed) == seed
 
 
 def test_config_rejects_repeated_policies():
@@ -181,18 +198,18 @@ def test_policy_instances_read_calibration():
 
 def test_calibration_evaluates_each_perturbed_scale_once(monkeypatch):
     perturbed, evaluations = [], []
-    perturb_rows, leakage_sample_mean = harness.perturb_rows, baselines.leakage_sample_mean
+    perturb_rows, conditional_leakage = harness.perturb_rows, baselines.conditional_leakage
 
     def counting_perturb(points, kind, value, rng):
         perturbed.append((kind, value))
         return perturb_rows(points, kind, value, rng)
 
     def counting_leakage(errors, eps):
-        evaluations.append(eps)
-        return leakage_sample_mean(errors, eps)
+        evaluations.extend([eps] * len(errors))   # one row of errors per scale
+        return conditional_leakage(errors, eps)
 
     monkeypatch.setattr(harness, "perturb_rows", counting_perturb)
-    monkeypatch.setattr(baselines, "leakage_sample_mean", counting_leakage)
+    monkeypatch.setattr(baselines, "conditional_leakage", counting_leakage)
     result = run_tradeoff_experiment(ExperimentConfig(**SMALL))
     assert len(evaluations) == len(set(perturbed)) == len(perturbed)
     # One forward scan per kind, from scale 0 upwards.
@@ -201,6 +218,65 @@ def test_calibration_evaluates_each_perturbed_scale_once(monkeypatch):
         assert scales[0] == 0.0 and scales == sorted(scales)
         assert len(scales) == max(c.search_evals for (name, q), c in result.calibrations.items()
                                   if name == policy)
+
+
+def per_scale_calibration(cfg, kind, train):
+    """The calibration scan as it ran with one scale per pipeline call, RNG
+    and error kernel written out: the reference for the blocked scan.
+    Returns one CalibrationResult per q and the scales visited, in order."""
+    stacked = np.stack([t.actual for t in train])
+    kind_id = 0 if kind == baselines.GAUSSIAN_KIND else 1
+    search_max, step, target = baselines.SEARCH_MAX[kind], cfg.calibration_step, min(cfg.q_grid)
+    scales, leaks = [], []
+    for i in range(int(math.floor(search_max / step + 1e-9)) + 1):
+        scales.append(min(i * step, search_max))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, kind_id, i]))
+        noisy = baselines.perturb_rows(stacked.reshape(-1, 3), kind, scales[-1], rng)
+        predicted = persistence_predict(noisy.reshape(stacked.shape))
+        errors = np.arctan2(np.linalg.norm(np.cross(predicted, stacked), axis=-1),
+                            np.sum(predicted * stacked, axis=-1)).ravel()
+        leaks.append(leakage_sample_mean(errors, cfg.eps).value)
+        if leaks[-1] <= target:
+            break
+    results = []
+    for q in cfg.q_grid:
+        meeting = [i for i, leak in enumerate(leaks) if leak <= q]
+        i = meeting[0] if meeting else leaks.index(min(leaks))
+        results.append(baselines.CalibrationResult(
+            NoiseScale(kind, scales[i]), leaks[i], i + 1 if meeting else len(leaks),
+            bool(meeting)))
+    return results, scales
+
+
+def test_blocked_calibration_matches_the_per_scale_scan(monkeypatch):
+    perturbed = []
+    perturb_rows = harness.perturb_rows
+
+    def recording_perturb(points, kind, value, rng):
+        perturbed.append((kind, value))
+        return perturb_rows(points, kind, value, rng)
+
+    monkeypatch.setattr(harness, "perturb_rows", recording_perturb)
+    # 2,400 training errors: below the floor, a full scan of 13 or 15 scales
+    # takes several blocks of several scales each.
+    base = dict(num_users=4, num_videos=1, num_train_videos=5, gops_per_video=120, seed=9,
+                calibration_step=0.5)
+    assert 1 < baselines.SCAN_BLOCK_ERRORS // (4 * 5 * 120) < 12
+    floor = optimal_error_distribution(harness.DEFAULT_PRECISION)[1]
+    for q_grid in ((0.0, 0.3, 1.0), (floor, 0.2, 0.6), (0.2, 0.25)):
+        cfg = ExperimentConfig(q_grid=q_grid, **base)
+        train, _ = generate_trace_set(cfg)
+        perturbed.clear()
+        calibrations = harness.calibrate_baselines(cfg, train)
+        expected_visits = []
+        for kind in (baselines.GAUSSIAN_KIND, baselines.LAPLACE_KIND):
+            expected, visited = per_scale_calibration(cfg, kind, train)
+            assert [calibrations[(kind, q)] for q in q_grid] == expected
+            expected_visits += [(kind, scale) for scale in visited]
+            if min(q_grid) < floor:
+                assert len(visited) == int(baselines.SEARCH_MAX[kind] / 0.5) + 1
+        assert perturbed == expected_visits
+    assert all(c.feasible for c in calibrations.values()) and len(visited) < 13   # stops early
 
 
 def test_write_results_formats_rows(tmp_path):

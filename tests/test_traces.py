@@ -147,6 +147,27 @@ def test_persistence_on_stationary_trace_has_zero_error():
     assert np.all(errors == 0.0)
 
 
+def test_prediction_errors_match_numpy_bit_for_bit():
+    def reference(p, a):
+        return np.arctan2(np.linalg.norm(np.cross(p, a), axis=-1), np.sum(p * a, axis=-1))
+
+    rng = np.random.default_rng(17)
+    a = unit_rows(rng.normal(size=(400, 3)))
+    p = unit_rows(rng.normal(size=(400, 3)))
+    x, y, z = np.eye(3)
+    special = np.array([x, y, -z, p[0], p[1], p[2], p[3]])
+    partner = np.array([x, -y, x, p[0], -p[1], np.cross(p[2], a[2]), np.cross(p[3], x)])
+    p, a = np.vstack((p, special)), np.vstack((a, partner))   # identical, antipodal, orthogonal
+    assert np.array_equal(prediction_errors(p, a), reference(p, a))
+    out = prediction_errors(special, partner)
+    assert out[0] == 0.0 and out[3] == 0.0 and out[1] == math.pi and out[4] == math.pi
+    assert np.allclose(out[[2, 5, 6]], 0.5 * math.pi, rtol=0.0, atol=1e-15)
+    # Broadcast over a block of (scales, traces, GoPs, 3) against (traces, GoPs, 3).
+    block, actual = p[:360].reshape(3, 4, 30, 3), a[:120].reshape(4, 30, 3)
+    assert np.array_equal(prediction_errors(block, actual), reference(block, actual))
+    assert np.array_equal(prediction_errors(p, x), reference(p, x))
+
+
 def test_mean_error_grows_with_horizon():
     trace = generate_synthetic_trace(0, 0, 1_000, np.random.default_rng(42))
     means = [
