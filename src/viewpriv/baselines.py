@@ -93,6 +93,8 @@ def perturb_traces(points: np.ndarray, kind: str, value: float, rngs: Sequence) 
             norms[i] = norm(noisy[i])
             bad[i] = norms[i] < 1e-12
     if not np.all(np.isfinite(norms)):   # a non-finite coordinate gives a non-finite norm
+        if np.all(np.isfinite(pts)):
+            raise ValueError(f"noise scale {value!r} is too large: squared row norms overflow")
         raise ValueError("rows must be finite and nonzero")
     return noisy / norms[..., None]
 

@@ -37,6 +37,10 @@ from .leakage import check_errors, check_precision, check_requirement
 from .sphere import check_angle
 
 DEFAULT_MARGIN = 1e-4
+# Crossing candidates the refinement tries per error before it gives up.
+REFINE_STEPS = 200
+# Candidates one refinement pass evaluates at most, over all short errors.
+REFINE_BLOCK_EVALS = 2048
 
 
 def check_margin(margin: float) -> float:
@@ -54,7 +58,8 @@ def noise_bounds(error: float) -> tuple[float, float]:
 
 def _effective(noise, eps: float, cos_eps: float):
     n = np.abs(noise)
-    ratio = np.minimum(np.maximum(cos_eps / np.cos(np.minimum(n, eps)), -1.0), 1.0)
+    # The ratio is at least cos eps > 0 (eps < pi/2), so only the upper clamp acts.
+    ratio = np.minimum(cos_eps / np.cos(np.minimum(n, eps)), 1.0)
     return np.where(n == 0.0, eps, np.arccos(ratio))
 
 
@@ -70,9 +75,9 @@ def effective_precision(noise, eps: float):
 def _mid_leakage(noise, eps: float, cos_eps: float, denom):
     """The middle-regime leakage formula on checked inputs. The caller
     computes cos(eps) and denom = max(pi * sin e, 1e-300), which keeps the
-    formula safe at sin(e) = 0, once per call."""
-    eff = _effective(noise, eps, cos_eps)
-    return np.where(eff <= 0.0, 0.0, np.minimum(eff / denom, 1.0))
+    formula safe at sin(e) = 0, once per call. eff is never negative, and
+    eff = 0 gives +0.0."""
+    return np.minimum(_effective(noise, eps, cos_eps) / denom, 1.0)
 
 
 def conditional_leakage_noisy(error, noise, eps: float):
@@ -120,7 +125,10 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     a hair on the wrong side of the requirement (roundoff through an
     ill-conditioned arccos), so geometric step escalation nudges each short
     crossing up until its evaluated leakage meets q, within ~1e-13 of the
-    true crossing. Raises ArithmeticError if that takes over 200 steps.
+    true crossing. A pass evaluates the next k = max(1, REFINE_BLOCK_EVALS //
+    short count) candidates of each short error at once and keeps the first
+    that meets q; a candidate is the same sum of doubling steps for any k.
+    Raises ArithmeticError if none of the first ``REFINE_STEPS`` meets q.
     """
     eps = check_precision(eps)
     q = check_requirement(q)
@@ -140,31 +148,42 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     # Magnitude solving mid-regime leakage == q; clamp keeps arccos in
     # domain where the value is masked out as unused.
     target = q * math.pi * np.sin(e)
-    crossing = np.arccos(
-        np.minimum(np.maximum(cos_eps / np.cos(np.minimum(target, eps)), -1.0), 1.0)
-    )
+    crossing = np.arccos(np.minimum(cos_eps / np.cos(np.minimum(target, eps)), 1.0))
     # Zero target means |n| must reach the saturation point eps exactly;
     # keep the arccos round-trip from landing an ulp short of it.
     crossing = np.where(target <= 0.0, np.maximum(crossing, eps), crossing)
     # Refine only where the inversion is in domain, and only what is short.
     short = np.flatnonzero(target <= eps)
-    step = np.maximum(np.spacing(crossing), 1e-18)
-    for _ in range(200):
-        short = short[_mid_leakage(crossing[short], eps, cos_eps, denom[short]) > q]
-        if not short.size:
-            break
-        crossing[short] += step[short]
-        step[short] *= 2.0
-    else:
-        raise ArithmeticError(
-            f"crossing refinement did not converge at e={float(e[short[0]])!r}, q={q!r}"
-        )
+    short = short[_mid_leakage(crossing[short], eps, cos_eps, denom[short]) > q]
+    step = np.maximum(np.spacing(crossing[short]), 1e-18)
+    tried = 1
+    while short.size:
+        block = min(max(REFINE_BLOCK_EVALS // short.size, 1), REFINE_STEPS - tried)
+        if block <= 0:
+            raise ArithmeticError(
+                f"crossing refinement did not converge at e={float(e[short[0]])!r}, q={q!r}"
+            )
+        # Candidates c + s, c + s + 2s, ...: the sequential additions of a
+        # step that doubles after each one (doubling is exact).
+        candidates = np.ldexp(step[:, None], np.arange(block))
+        candidates[:, 0] += crossing[short]
+        candidates = np.add.accumulate(candidates, axis=1)
+        meets = _mid_leakage(candidates, eps, cos_eps, denom[short, None]) <= q
+        first = meets.argmax(axis=1)
+        rows = np.arange(short.size)
+        done = meets[rows, first]
+        # An error still short keeps its last candidate; its next step is past it.
+        crossing[short] = candidates[rows, np.where(done, first, block - 1)]
+        short, step = short[~done], np.ldexp(step[~done], block)
+        tried += block
 
     low_val = np.where(m_left <= q, left + margin, np.where(m_right <= q, crossing, right))
     high_val = np.where(m_right <= q, right - margin, np.where(m_left <= q, -crossing, left))
 
-    m_far = _mid_leakage(np.maximum(-left, right), eps, cos_eps, denom)
-    bound_val = np.where(-left <= right, left, right)
+    # The far bound max(-left, right) is -left or right, and mid is even in n.
+    nearer_left = -left <= right
+    m_far = np.where(nearer_left, m_right, m_left)
+    bound_val = np.where(nearer_left, left, right)
     bound_mag = np.minimum(-left, right)
     with_crossing = np.where(crossing < bound_mag, crossing, bound_val)
     mid_val = np.where(m_zero <= q, 0.0, np.where(m_far <= q, with_crossing, bound_val))

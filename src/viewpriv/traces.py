@@ -222,10 +222,11 @@ def write_traces(traces: list[SessionTrace], path) -> None:
         raise ValueError("either all traces carry predictions or none do")
     header = TRACE_HEADER + TRACE_PRED_COLUMNS if include_pred else TRACE_HEADER
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # csv writes a Python float as its repr, the shortest round-trip digits.
+        # The bytes csv.writer gives: a float is its repr, the shortest
+        # round-trip digits, and no int or float repr needs quoting.
+        fh.write(",".join(header) + "\r\n")
         for trace in traces:
             coords = np.hstack((trace.actual, trace.predicted)) if include_pred else trace.actual
-            writer.writerows([trace.user_id, trace.video_id, gop, *row]
-                             for gop, row in enumerate(coords.tolist()))
+            key = f"{trace.user_id},{trace.video_id}"
+            fh.write("".join([f"{key},{gop},{','.join(map(repr, row))}\r\n"
+                              for gop, row in enumerate(coords.tolist())]))

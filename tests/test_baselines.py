@@ -174,6 +174,20 @@ def test_perturbation_matches_the_two_norm_reference():
             perturb_traces(points, GAUSSIAN_KIND, 0.3, [np.random.default_rng(0)])
 
 
+def test_overflowing_scale_is_named_apart_from_bad_rows():
+    # Finite rows at a finite scale whose squared row norms overflow: the
+    # error names the scale. A non-finite row at that scale still names the rows.
+    for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"scale 1e\+200 is too"):
+            perturb_rows(np.array([[1.0, 0.0, 0.0]]), kind, 1e200, np.random.default_rng(0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="rows must be finite"):
+            perturb_rows(np.array([[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]), kind, 1e200,
+                         np.random.default_rng(0))
+        # A large scale whose squares stay finite still perturbs.
+        out = perturb_rows(np.array([[1.0, 0.0, 0.0]]), kind, 1e150, np.random.default_rng(0))
+        assert np.allclose(np.linalg.norm(out, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+
+
 class RecordingPipeline:
     """Deterministic synthetic error pipeline: noise scale shifts the error
     distribution toward the half-turn leakage floor. ``calls`` lists every

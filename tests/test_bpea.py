@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewpriv import bpea
+from viewpriv.harness import default_q_grid
 from viewpriv.leakage import conditional_leakage
 from viewpriv.bpea import (
     DEFAULT_MARGIN,
@@ -150,6 +152,27 @@ def test_crossing_refinement_raises_when_it_cannot_converge(monkeypatch):
     monkeypatch.setattr(bpea, "_mid_leakage", lambda noise, *args: np.ones_like(noise))
     with pytest.raises(ArithmeticError):
         optimal_noise_batch([1.0], EPS, 0.05)
+
+
+def test_refinement_tries_the_capped_sequence_of_candidates(monkeypatch):
+    # Blocks or not, the candidates are the inversion c and the sequential
+    # sums c + s, c + s + 2s, ..., and exactly REFINE_STEPS of them are tried.
+    tried = []
+
+    def never_meets(noise, *args):
+        tried.append(np.array(noise, dtype=float).ravel())
+        return np.ones_like(noise)
+
+    monkeypatch.setattr(bpea, "_mid_leakage", never_meets)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        optimal_noise_batch([1.0], EPS, 0.05)
+    got = np.concatenate(tried[2:])   # after m_left and m_right
+    c, s, want = got[0], max(np.spacing(got[0]), 1e-18), [got[0]]
+    for _ in range(bpea.REFINE_STEPS - 1):
+        c += s
+        s *= 2.0
+        want.append(c)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_optimal_noise_zero_when_requirement_already_met():
@@ -303,6 +326,33 @@ def test_batch_matches_the_per_pass_reference_bit_for_bit():
         for q in (0.0, 0.01, 0.05, 0.1, 0.3, 0.6, 0.95, 1.0):
             want = _reference_optimal_noise_batch(es, eps, q, TAU)
             assert optimal_noise_batch(es, eps, q, TAU).tobytes() == want.tobytes(), (eps, q)
+
+
+def test_per_row_solves_match_the_stacked_solve(monkeypatch):
+    # The refinement sizes its blocks from the short set, so a (16, 1000)
+    # solve and each of its rows refine in different blocks. Errors near 0
+    # and pi put the inversion where arccos is ill-conditioned.
+    rng = np.random.default_rng(5)
+    es = np.concatenate([rng.uniform(0.0, math.pi, (16, 500)), rng.uniform(0.0, 0.12, (16, 250)),
+                         math.pi - rng.uniform(0.0, 0.12, (16, 250))], axis=1)
+    evaluations, reference = [], _reference_mid_leakage
+
+    def spy(error, noise, eps):
+        evaluations.append(np.size(noise))
+        return reference(error, noise, eps)
+
+    monkeypatch.setattr(sys.modules[__name__], "_reference_mid_leakage", spy)
+    for q in default_q_grid():
+        stacked = optimal_noise_batch(es, EPS, q, TAU)
+        doublings = []
+        for row, got in zip(es, stacked):
+            evaluations.clear()
+            want = _reference_optimal_noise_batch(row, EPS, q, TAU).tobytes()
+            assert optimal_noise_batch(row, EPS, q, TAU).tobytes() == got.tobytes() == want, q
+            # Four evaluations outside the loop, and the pass that finds none short.
+            doublings.append(len(evaluations) - 5)
+        if 0.85 <= q < 1.0:   # q = 1 needs no noise and returns early
+            assert min(doublings) >= 8, (q, doublings)
 
 
 def test_obfuscate_error_examples():

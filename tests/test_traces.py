@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -8,6 +9,7 @@ from viewpriv.harness import ExperimentConfig, generate_trace_set
 from viewpriv.sphere import random_point, unit_rows
 from viewpriv.traces import (
     TRACE_HEADER,
+    TRACE_PRED_COLUMNS,
     SessionTrace,
     generate_synthetic_trace,
     generate_synthetic_traces,
@@ -274,6 +276,42 @@ def test_write_traces_golden_bytes(tmp_path):
         "user_id,video_id,gop_index,actual_x,actual_y,actual_z\r\n"
         + "".join(f"12,0,{row}\r\n" for row in rows)
     ).encode()
+
+
+def csv_writer_traces(traces, path):
+    """The trace writer through csv.writer, kept as the byte reference."""
+    include_pred = traces[0].predicted is not None
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER + TRACE_PRED_COLUMNS if include_pred else TRACE_HEADER)
+        for trace in traces:
+            coords = np.hstack((trace.actual, trace.predicted)) if include_pred else trace.actual
+            writer.writerows([trace.user_id, trace.video_id, gop, *row]
+                             for gop, row in enumerate(coords.tolist()))
+
+
+def test_write_traces_matches_csv_writer_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(31)
+    # Unit rows whose reprs are awkward: subnormals, -0.0, tiny and 17-digit values.
+    awkward = np.array([[5e-324, -0.0, 1.0], [1e-20, 1.0, -0.0], [-0.0, -1.0, 2.5e-310],
+                        [2.2250738585072014e-308, 0.0, -1.0], [0.6, -0.8, -0.0]])
+
+    def rows(n):
+        points = unit_rows(rng.normal(size=(n, 3)))
+        points[rng.choice(n, len(awkward), replace=False)] = awkward
+        return points
+
+    ids = (3, np.int64(7), np.int32(2), np.uint8(250), 0)
+    traces = [SessionTrace(u, v, rows(n), rows(n))
+              for u, v, n in zip(ids, ids[::-1], (5, 40, 12, 300, 7))]
+    bare = [SessionTrace(t.user_id, t.video_id, t.actual) for t in traces]
+    for batch in (traces[3:4], bare[:1], traces, bare):
+        write_traces(batch, tmp_path / "got.csv")
+        csv_writer_traces(batch, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+    assert b"5e-324" in got and b"-0.0" in got and b"1e-20" in got
+    assert re.search(rb",-?0\.[1-9]\d{16}[,\r]", got)   # 17 significant digits
 
 
 def test_loaded_rows_are_normalised_once(tmp_path):
