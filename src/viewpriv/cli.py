@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for invalid configuration, 3 when a baseline
-calibration cannot meet the requested requirement (results are still
-written).
+Exit codes: 0 on success, 2 for invalid configuration or an output path
+that cannot be written, 3 when a baseline calibration cannot meet the
+requested requirement (results are still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import baselines, bpea, harness, leakage, oracle
@@ -32,7 +33,7 @@ def _add_seed(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg = ExperimentConfig()   # the tradeoff and calibrate defaults
+    cfg = ExperimentConfig()   # the tradeoff, calibrate and gen-traces defaults
     parser = argparse.ArgumentParser(
         prog="viewpriv",
         description="Viewpoint-leakage analysis and noisy-error obfuscation "
@@ -90,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
 
     p = sub.add_parser("gen-traces", help="synthesize head traces to CSV")
-    p.add_argument("--users", type=int, default=48)
-    p.add_argument("--videos", type=int, default=9)
-    p.add_argument("--gops", type=int, default=60)
+    p.add_argument("--users", type=int, default=cfg.num_users)
+    p.add_argument("--videos", type=int, default=cfg.num_train_videos + cfg.num_videos)
+    p.add_argument("--gops", type=int, default=cfg.gops_per_video)
     p.add_argument("--concentration", type=float, default=DEFAULT_CONCENTRATION)
     p.add_argument("--out", type=str, required=True)
     _add_seed(p)
@@ -158,7 +159,15 @@ def _cmd_calibrate(args) -> int:
     return EXIT_INFEASIBLE
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work when the directory ``path`` would be written in is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"output directory {directory!r} does not exist")
+
+
 def _cmd_tradeoff(args) -> int:
+    _check_out_dir(args.out)
     if args.q_grid is None:
         q_grid = harness.default_q_grid()
     else:
@@ -181,6 +190,7 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_gen_traces(args) -> int:
+    _check_out_dir(args.out)
     traces = harness.synthesize_traces(args.seed, args.users, args.videos, args.gops,
                                        args.concentration)
     write_traces(traces, args.out)
@@ -203,7 +213,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -35,9 +35,8 @@ from .traces import (
 
 DEFAULT_PRECISION = 0.1 * math.pi
 
-RESULTS_HEADER = ["q", "policy", "pr_leak", "mean_error_rad", "mean_abs_noise_rad", "qoe", "pspr"]
-
-POLICY_NAMES = ("none", "bpea", "gaussian", "laplace")
+# A policy's index here, and a baseline kind's in ``SEARCH_MAX``, key its RNG streams.
+POLICY_NAMES = ("none", "bpea", *baselines.SEARCH_MAX)
 _POLICY_IDS = {name: i for i, name in enumerate(POLICY_NAMES)}
 
 
@@ -47,6 +46,11 @@ def default_q_grid() -> tuple[float, ...]:
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _q_id(q: float) -> int:
+    """A requirement's word of ``_rng``'s key: q in millionths."""
+    return int(round(q * 1_000_000))
 
 
 def check_seed(seed) -> int:
@@ -77,8 +81,12 @@ class ExperimentConfig:
         check_precision(self.eps)
         if not self.q_grid:
             raise ValueError("q grid must not be empty")
+        keys: dict = {}
         for q in self.q_grid:
             check_requirement(q)
+            if keys.setdefault(_q_id(q), q) != q:
+                raise ValueError(f"q values {keys[_q_id(q)]!r} and {q!r} round to the same "
+                                 "millionth, which seeds their baseline noise")
         if not self.policies:
             raise ValueError("need at least one policy")
         for name in self.policies:
@@ -110,6 +118,9 @@ class TradeoffRow:
     pspr: float
 
 
+RESULTS_HEADER = [f.name for f in fields(TradeoffRow)]
+
+
 @dataclass
 class ExperimentResult:
     rows: list
@@ -124,10 +135,6 @@ class ExperimentResult:
 
 def _rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(p) for p in parts]))
-
-
-def _q_id(q: float) -> int:
-    return int(round(q * 1_000_000))
 
 
 def synthesize_traces(seed: int, users: int, videos: int, gops: int,
@@ -156,7 +163,7 @@ def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionT
     """
     stacked = np.stack([t.actual for t in train])
     rows = stacked.reshape(-1, 3)
-    kind_id = 0 if kind == baselines.GAUSSIAN_KIND else 1
+    kind_id = tuple(baselines.SEARCH_MAX).index(kind)
 
     def pipeline(scales: np.ndarray) -> np.ndarray:
         noisy = np.stack([
@@ -247,14 +254,4 @@ def write_results(rows: list, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         for row in rows:
-            writer.writerow(
-                [
-                    repr(float(row.q)),
-                    row.policy,
-                    repr(float(row.pr_leak)),
-                    repr(float(row.mean_error_rad)),
-                    repr(float(row.mean_abs_noise_rad)),
-                    repr(float(row.qoe)),
-                    repr(float(row.pspr)),
-                ]
-            )
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in astuple(row)])

@@ -62,10 +62,6 @@ class QualityLevel(enum.Enum):
     HIGH = 6.0
 
     @property
-    def mbps(self) -> float:
-        return self.value
-
-    @property
     def normalized(self) -> float:
         return self.value / QualityLevel.HIGH.value
 
@@ -128,19 +124,6 @@ def fov_tiles(center: Tile) -> frozenset:
     return block_tiles(center, FOV_SHAPE)
 
 
-@dataclass(frozen=True)
-class Zone:
-    shape: tuple[int, int]
-    center: Tile
-    tiles: frozenset = field(repr=False)
-
-
-def make_zone(center: Tile, shape: tuple[int, int]) -> Zone:
-    if shape not in ZONE_SHAPES:
-        raise ValueError(f"zone shape {shape} is outside the feasible set {ZONE_SHAPES}")
-    return Zone(shape=shape, center=center, tiles=block_tiles(center, shape))
-
-
 def zone_indices(uploaded) -> np.ndarray:
     """``ZONE_SHAPES`` index per uploaded error, any shape; linear, rounded half up."""
     e = check_errors(uploaded)
@@ -172,15 +155,18 @@ class Allocation:
     spent_mbit: float
 
 
-def allocate_quality(zone: Zone, pfov: frozenset, cfg: SessionConfig) -> Allocation:
-    """Per-tile quality map for one GoP under the bitrate budget."""
-    order = _ring_key(zone.center)
+def allocate_quality(center: Tile, shape: tuple[int, int], cfg: SessionConfig) -> Allocation:
+    """Per-tile quality map for one GoP under the bitrate budget: the zone of
+    ``shape`` and the pFoV are both the blocks around the pFoV center tile."""
+    if shape not in ZONE_SHAPES:
+        raise ValueError(f"zone shape {shape} is outside the feasible set {ZONE_SHAPES}")
+    zone, pfov, order = block_tiles(center, shape), fov_tiles(center), _ring_key(center)
     quality: dict = {}
     spent = 0.0
     under = False
 
-    low_cost = QualityLevel.LOW.mbps * GOP_SECONDS
-    for tile in sorted(zone.tiles, key=order):
+    low_cost = QualityLevel.LOW.value * GOP_SECONDS
+    for tile in sorted(zone, key=order):
         if spent + low_cost <= cfg.budget_mbit + _BUDGET_SLACK:
             quality[tile] = QualityLevel.LOW
             spent += low_cost
@@ -189,11 +175,11 @@ def allocate_quality(zone: Zone, pfov: frozenset, cfg: SessionConfig) -> Allocat
     if under:
         return Allocation(quality, True, spent)
 
-    upgrade_cost = (QualityLevel.HIGH.mbps - QualityLevel.LOW.mbps) * GOP_SECONDS
+    upgrade_cost = (QualityLevel.HIGH.value - QualityLevel.LOW.value) * GOP_SECONDS
     tiers = [
-        [zone.center],
-        sorted(pfov - {zone.center}, key=order),
-        sorted(zone.tiles - pfov, key=order),
+        [center],
+        sorted(pfov - {center}, key=order),
+        sorted(zone - pfov, key=order),
     ]
     for tier in tiers:
         for tile in tier:
@@ -201,9 +187,8 @@ def allocate_quality(zone: Zone, pfov: frozenset, cfg: SessionConfig) -> Allocat
                 quality[tile] = QualityLevel.HIGH
                 spent += upgrade_cost
 
-    add_cost = QualityLevel.HIGH.mbps * GOP_SECONDS
-    every = ((r, c) for r in range(TILE_ROWS) for c in range(TILE_COLS))
-    for tile in sorted((x for x in every if x not in zone.tiles), key=order):
+    add_cost = QualityLevel.HIGH.value * GOP_SECONDS
+    for tile in sorted((x for x in _TILES if x not in zone), key=order):
         if spent + add_cost <= cfg.budget_mbit + _BUDGET_SLACK:
             quality[tile] = QualityLevel.HIGH
             spent += add_cost
@@ -220,7 +205,7 @@ def _qoe_tables(cfg: SessionConfig) -> tuple[np.ndarray, ...]:
     under = np.zeros((count, len(ZONE_SHAPES), 1), dtype=bool)
     for p, center in enumerate(_TILES):
         for z, shape in enumerate(ZONE_SHAPES):
-            allocation = allocate_quality(make_zone(center, shape), fov_tiles(center), cfg)
+            allocation = allocate_quality(center, shape, cfg)
             under[p, z] = allocation.under_provisioned
             for (r, c), level in allocation.quality.items():
                 quality[p, z, r * TILE_COLS + c] = level.normalized
@@ -235,7 +220,6 @@ def _qoe_tables(cfg: SessionConfig) -> tuple[np.ndarray, ...]:
 @dataclass(frozen=True)
 class GopRecord:
     fov_center: Tile
-    fov_tiles: frozenset
     quality: dict
     under_provisioned: bool
 
@@ -271,16 +255,17 @@ def _qoe_reports(gaze, fov_mean, covered, fov_size, stalled) -> list[QoEReport]:
 
 
 def qoe_score(per_gop: list) -> QoEReport:
-    """Session score from per-GoP FoV tiles and streamed quality maps,
-    weighted by ``QOE_WEIGHTS``."""
+    """Session score from per-GoP actual-FoV center tiles and streamed quality
+    maps, weighted by ``QOE_WEIGHTS``."""
     if not per_gop:
         raise ValueError("cannot score an empty session")
     terms = []
     for rec in per_gop:
         norm = {tile: level.normalized for tile, level in rec.quality.items()}
-        covered = sum(1 for tile in rec.fov_tiles if tile in norm)
-        size = len(rec.fov_tiles)
-        fov_mean = sum(norm.get(tile, 0.0) for tile in rec.fov_tiles) / size
+        fov = fov_tiles(rec.fov_center)
+        covered = sum(1 for tile in fov if tile in norm)
+        size = len(fov)
+        fov_mean = sum(norm.get(tile, 0.0) for tile in fov) / size
         terms.append((norm.get(rec.fov_center, 0.0), fov_mean, covered, size,
                       rec.under_provisioned or covered < size))
     return _qoe_reports(*(np.array([column]) for column in zip(*terms)))[0]

@@ -33,8 +33,6 @@ from viewpriv.streaming import (
     TILE_ROWS,
     ZONE_SHAPES,
     allocate_quality,
-    fov_tiles,
-    make_zone,
     simulate_session,
 )
 from viewpriv.traces import generate_synthetic_trace
@@ -281,7 +279,7 @@ def test_criterion_7_property_suites(tmp_path):
             for r in range(TILE_ROWS):
                 for c in range(TILE_COLS):
                     for shape in ZONE_SHAPES:
-                        alloc = allocate_quality(make_zone((r, c), shape), fov_tiles((r, c)), cfg)
+                        alloc = allocate_quality((r, c), shape, cfg)
                         assert alloc.spent_mbit <= budget + 1e-9
         session_rng = np.random.default_rng(41)
         for i in range(1_000):

@@ -196,6 +196,36 @@ def test_parser_defaults_are_the_config_defaults():
         == (config.num_users, config.num_train_videos, config.gops_per_video)
     for args in (tradeoff, calibrate):
         assert (args["seed"], args["eps"]) == (config.seed, config.eps)
+    gen_traces = vars(parser.parse_args(["gen-traces", "--out", "x.csv"]))
+    assert (gen_traces["users"], gen_traces["videos"], gen_traces["gops"]) \
+        == (config.num_users, config.num_train_videos + config.num_videos, config.gops_per_video)
+    assert (gen_traces["seed"], gen_traces["concentration"]) == (config.seed, config.concentration)
+
+
+def test_a_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the command ran before checking its output path")
+
+    monkeypatch.setattr(harness, "synthesize_traces", no_work)
+    monkeypatch.setattr(harness, "run_tradeoff_experiment", no_work)
+    missing = tmp_path / "missing" / "out.csv"
+    small = ["--users", "2", "--videos", "1", "--gops", "10", "--out", str(missing)]
+    for command in (["tradeoff", "--train-videos", "1", "--q-grid", "1.0", *small],
+                    ["gen-traces", *small]):
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory") and "does not exist" in err
+    assert not missing.parent.exists()
+
+
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
+    # A directory where the file should go passes the directory check, then
+    # fails to open: main reports the OSError instead of a traceback.
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert cli.main(["gen-traces", "--users", "1", "--videos", "1", "--gops", "5",
+                     "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_noise_respects_tau(capsys):

@@ -88,6 +88,22 @@ def test_config_rejects_repeated_policies():
     assert ExperimentConfig(q_grid=(0.3, 0.3)).q_grid == (0.3, 0.3)
 
 
+def test_config_rejects_distinct_q_values_sharing_a_seed_key():
+    # Baseline noise is seeded by q in millionths: 0.3 and 0.3000001 once
+    # drew identical noise and gave equal rows in every column.
+    for grid in ((0.3, 0.3000001), (0.5, 0.2, 0.4999996)):
+        with pytest.raises(ValueError, match="round to the same millionth"):
+            ExperimentConfig(q_grid=grid)
+    assert ExperimentConfig(q_grid=(0.3, 0.300001, 0.3)).q_grid == (0.3, 0.300001, 0.3)
+
+
+def test_policy_and_kind_ids_are_pinned():
+    # These ids are words of the RNG keys: renumbering them changes every
+    # baseline row. Policy ids key the uploads, kind ids the calibration scan.
+    assert harness.POLICY_NAMES == ("none", "bpea", "gaussian", "laplace")
+    assert tuple(baselines.SEARCH_MAX) == ("gaussian", "laplace")
+
+
 def test_default_q_grid():
     grid = default_q_grid()
     assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 21
@@ -117,6 +133,7 @@ def test_experiment_csv_deterministic(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     header = out_a.read_text().splitlines()[0]
     assert header == ",".join(RESULTS_HEADER)
+    assert header == "q,policy,pr_leak,mean_error_rad,mean_abs_noise_rad,qoe,pspr"
 
 
 def test_bpea_noise_non_increasing_in_q():

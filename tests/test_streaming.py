@@ -23,7 +23,6 @@ from viewpriv.streaming import (
     apply_policy,
     block_tiles,
     fov_tiles,
-    make_zone,
     qoe_score,
     score_sessions,
     simulate_session,
@@ -132,16 +131,15 @@ def test_zone_indices_match_zone_from_error_at_bin_edges():
 
 def test_zone_shape_feasible_set_only():
     with pytest.raises(ValueError):
-        make_zone((1, 1), (2, 2))
+        allocate_quality((1, 1), (2, 2), SessionConfig())
 
 
 # ----------------------------------------------------------------- allocation
 
 
 def test_allocation_exact_low_budget_means_no_upgrades():
-    zone = make_zone((1, 4), (3, 5))
     cfg = SessionConfig(budget_mbit=15 * 1.8)
-    alloc = allocate_quality(zone, fov_tiles((1, 4)), cfg)
+    alloc = allocate_quality((1, 4), (3, 5), cfg)
     assert not alloc.under_provisioned
     assert len(alloc.quality) == 15
     assert all(level is QualityLevel.LOW for level in alloc.quality.values())
@@ -150,9 +148,8 @@ def test_allocation_exact_low_budget_means_no_upgrades():
 def test_allocation_default_budget_fills_pfov_high():
     # 9 pFoV tiles at the top rate plus 23 low tiles exactly consume the
     # default per-GoP budget.
-    zone = make_zone((1, 4), (4, 8))
     cfg = SessionConfig()
-    alloc = allocate_quality(zone, fov_tiles((1, 4)), cfg)
+    alloc = allocate_quality((1, 4), (4, 8), cfg)
     assert not alloc.under_provisioned
     highs = [t for t, lvl in alloc.quality.items() if lvl is QualityLevel.HIGH]
     lows = [t for t, lvl in alloc.quality.items() if lvl is QualityLevel.LOW]
@@ -162,16 +159,15 @@ def test_allocation_default_budget_fills_pfov_high():
 
 
 def test_allocation_zero_budget_under_provisions():
-    zone = make_zone((1, 4), (3, 3))
-    alloc = allocate_quality(zone, fov_tiles((1, 4)), SessionConfig(budget_mbit=0.0))
+    alloc = allocate_quality((1, 4), (3, 3), SessionConfig(budget_mbit=0.0))
     assert alloc.under_provisioned
     assert alloc.quality == {}
 
 
 def test_allocation_extends_outside_zone():
-    zone = make_zone((1, 4), (3, 3))
-    alloc = allocate_quality(zone, fov_tiles((1, 4)), SessionConfig(budget_mbit=95.4))
-    outside = [t for t in alloc.quality if t not in zone.tiles]
+    zone = block_tiles((1, 4), (3, 3))
+    alloc = allocate_quality((1, 4), (3, 3), SessionConfig(budget_mbit=95.4))
+    outside = [t for t in alloc.quality if t not in zone]
     assert outside and all(alloc.quality[t] is QualityLevel.HIGH for t in outside)
 
 
@@ -182,17 +178,15 @@ def test_budget_conservation_exhaustive():
         for r in range(TILE_ROWS):
             for c in range(TILE_COLS):
                 for shape in ZONE_SHAPES:
-                    zone = make_zone((r, c), shape)
-                    alloc = allocate_quality(zone, fov_tiles((r, c)), cfg)
-                    total = sum(lvl.mbps for lvl in alloc.quality.values()) * GOP_SECONDS
+                    alloc = allocate_quality((r, c), shape, cfg)
+                    total = sum(lvl.value for lvl in alloc.quality.values()) * GOP_SECONDS
                     assert total == pytest.approx(alloc.spent_mbit, abs=1e-9)
                     assert total <= budget + 1e-9
 
 
 def test_allocation_order_prefers_pfov_center():
-    zone = make_zone((2, 2), (3, 5))
     cfg = SessionConfig(budget_mbit=15 * 1.8 + 4.2)  # room for exactly one upgrade
-    alloc = allocate_quality(zone, fov_tiles((2, 2)), cfg)
+    alloc = allocate_quality((2, 2), (3, 5), cfg)
     highs = [t for t, lvl in alloc.quality.items() if lvl is QualityLevel.HIGH]
     assert highs == [(2, 2)]
 
@@ -201,8 +195,7 @@ def test_allocation_order_prefers_pfov_center():
 
 
 def _static_records(gops, quality, center=(1, 1), under=False):
-    fov = fov_tiles(center)
-    return [GopRecord(center, fov, dict(quality), under) for _ in range(gops)]
+    return [GopRecord(center, dict(quality), under) for _ in range(gops)]
 
 
 def test_qoe_everything_high_no_stalls_is_five():
@@ -254,7 +247,7 @@ def test_qoe_bounds_random_sessions():
                 for t in fov
                 if rng.random() > 0.3
             }
-            records.append(GopRecord((2, 3), frozenset(fov), quality, rng.random() < 0.1))
+            records.append(GopRecord((2, 3), quality, rng.random() < 0.1))
         report = qoe_score(records)
         assert 1.0 <= report.qoe <= 5.0
 
@@ -277,11 +270,10 @@ def test_zone_inflation_never_helps_under_fixed_budget():
     # FoV equals pFoV; growing the zone only spreads the budget thinner.
     cfg = SessionConfig(budget_mbit=60.0)
     center = (1, 1)
-    fov = fov_tiles(center)
     scores = []
     for shape in ZONE_SHAPES:
-        alloc = allocate_quality(make_zone(center, shape), fov, cfg)
-        records = [GopRecord(center, fov, alloc.quality, alloc.under_provisioned)
+        alloc = allocate_quality(center, shape, cfg)
+        records = [GopRecord(center, alloc.quality, alloc.under_provisioned)
                    for _ in range(5)]
         scores.append(qoe_score(records).qoe)
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
@@ -295,8 +287,7 @@ def reference_qoe(predicted, actual, uploaded, cfg):
     covered_pairs = total_pairs = 0
     for p, a, e in zip(predicted, actual, uploaded):
         pcenter, acenter = tile_of(p), tile_of(a)
-        zone = make_zone(pcenter, zone_from_error(float(e)))
-        quality = allocate_quality(zone, fov_tiles(pcenter), cfg)
+        quality = allocate_quality(pcenter, zone_from_error(float(e)), cfg)
         level = {t: lvl.normalized for t, lvl in quality.quality.items()}
         fov = fov_tiles(acenter)
         central.append(level.get(acenter, 0.0))
@@ -305,7 +296,7 @@ def reference_qoe(predicted, actual, uploaded, cfg):
         covered_pairs += covered
         total_pairs += len(fov)
         stalled.append(quality.under_provisioned or covered < len(fov))
-        records.append(GopRecord(acenter, fov, quality.quality, quality.under_provisioned))
+        records.append(GopRecord(acenter, quality.quality, quality.under_provisioned))
     transitions = [
         1.0 if (stalled[i] or stalled[i + 1]) else min(1.0, abs(fov_means[i + 1] - fov_means[i]))
         for i in range(len(stalled) - 1)
