@@ -180,13 +180,12 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     low_val = np.where(m_left <= q, left + margin, np.where(m_right <= q, crossing, right))
     high_val = np.where(m_right <= q, right - margin, np.where(m_left <= q, -crossing, left))
 
-    # The far bound max(-left, right) is -left or right, and mid is even in n.
-    nearer_left = -left <= right
-    m_far = np.where(nearer_left, m_right, m_left)
-    bound_val = np.where(nearer_left, left, right)
+    # The nearer bound is -left or right, and mid is even in n. Where even the far
+    # bound leaks more than q, mid not rising with |n| > 0 puts the crossing past both.
+    bound_val = np.where(-left <= right, left, right)
     bound_mag = np.minimum(-left, right)
     with_crossing = np.where(crossing < bound_mag, crossing, bound_val)
-    mid_val = np.where(m_zero <= q, 0.0, np.where(m_far <= q, with_crossing, bound_val))
+    mid_val = np.where(m_zero <= q, 0.0, with_crossing)
 
     low = e <= eps
     high = e >= math.pi - eps

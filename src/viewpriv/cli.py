@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import baselines, bpea, harness, leakage, oracle
@@ -34,6 +33,7 @@ def _add_seed(parser):
 
 def build_parser() -> argparse.ArgumentParser:
     cfg = ExperimentConfig()   # the tradeoff, calibrate and gen-traces defaults
+    attack = oracle.OracleConfig()   # the attack-sim defaults
     parser = argparse.ArgumentParser(
         prog="viewpriv",
         description="Viewpoint-leakage analysis and noisy-error obfuscation "
@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack-sim", help="Monte-Carlo attacker at (e, n), plus grid search")
     p.add_argument("--e", type=float, required=True)
     p.add_argument("--n", type=float, default=0.0)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--grid-resolution", type=float, default=0.05)
+    p.add_argument("--trials", type=int, default=attack.trials)
+    p.add_argument("--grid-resolution", type=float, default=attack.grid_resolution)
     p.add_argument("--skip-grid", action="store_true", help="skip the grid attacker search")
     _add_eps(p)
     _add_seed(p)
@@ -159,15 +159,7 @@ def _cmd_calibrate(args) -> int:
     return EXIT_INFEASIBLE
 
 
-def _check_out_dir(path: str) -> None:
-    """Fail before any work when the directory ``path`` would be written in is missing."""
-    directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"output directory {directory!r} does not exist")
-
-
 def _cmd_tradeoff(args) -> int:
-    _check_out_dir(args.out)
     if args.q_grid is None:
         q_grid = harness.default_q_grid()
     else:
@@ -190,7 +182,7 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_gen_traces(args) -> int:
-    _check_out_dir(args.out)
+    harness.check_out_path(args.out)
     traces = harness.synthesize_traces(args.seed, args.users, args.videos, args.gops,
                                        args.concentration)
     write_traces(traces, args.out)

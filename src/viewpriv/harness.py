@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -28,6 +29,7 @@ from .traces import (
     DEFAULT_CONCENTRATION,
     MIN_GOPS,
     SessionTrace,
+    check_concentration,
     generate_synthetic_traces,
     persistence_predict,
     prediction_errors,
@@ -58,6 +60,13 @@ def check_seed(seed) -> int:
     if not (_is_int(seed) and 0 <= seed < 2 ** 32):
         raise ValueError(f"seed must be an integer in [0, 2^32), got {seed!r}")
     return int(seed)
+
+
+def check_out_path(path) -> None:
+    """Fail before any work when the directory ``path`` would be written in is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"output directory {directory!r} does not exist")
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,10 @@ class ExperimentConfig:
             raise ValueError(f"traces need at least {MIN_GOPS} GoPs")
         SessionConfig(self.budget_mbit)   # rejects a negative or NaN budget
         check_margin(self.margin)
+        check_concentration(self.concentration)
         baselines.check_search_step(self.calibration_step)
+        if self.out_path is not None:
+            check_out_path(self.out_path)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .sphere import SpherePoint, check_angle, sample_on_circle
 # 0.5*pi the middle regime vanishes and leakage is always 1.
 MAX_PRECISION = 0.5 * math.pi
 
-_METHODS = ("analytic", "sample_mean", "monte_carlo")
+_METHODS = ("sample_mean", "monte_carlo")
 
 
 def check_precision(eps: float) -> float:

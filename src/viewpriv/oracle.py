@@ -111,20 +111,14 @@ def _lattice_size(resolution: float) -> int:
     return max(64, int(math.ceil(16.0 * math.pi / resolution**2)))
 
 
-def grid_attacker_best(
-    error: float,
-    eps: float,
-    cfg: OracleConfig,
-    min_distance: float | None = None,
-) -> tuple[SpherePoint, float]:
+def grid_attacker_best(error: float, eps: float, cfg: OracleConfig) -> tuple[SpherePoint, float]:
     """Exhaustive search for the best inferred viewpoint.
 
     Scans a Fibonacci lattice of candidate guesses, scoring each by the
     Monte-Carlo leak fraction over a shared set of actual-viewpoint draws on
     the circle. Candidates too far from the circle to come within ``eps`` of
     any draw score 0 without a product. Returns the argmax candidate and its
-    estimated probability. ``min_distance`` optionally restricts candidates
-    to lie farther than that arc distance from the predicted viewpoint.
+    estimated probability.
     """
     eps = check_precision(eps)
     error = check_angle(error, 0.0, math.pi, "error")
@@ -132,14 +126,6 @@ def grid_attacker_best(
         raise ValueError("grid search applies to mid-range errors only")
 
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
-    if min_distance is not None:
-        min_distance = check_angle(min_distance, 0.0, math.pi, "min_distance")
-        ref = REFERENCE_POINT.as_array()
-        keep = np.arccos(np.clip(candidates @ ref, -1.0, 1.0)) > min_distance
-        if not np.any(keep):
-            raise ValueError("candidate filter removed every lattice point")
-        candidates = candidates[keep]
-
     viewer, _ = _bearings(int(cfg.seed), int(cfg.trials))
     actual = points_at_bearings(REFERENCE_POINT, error, *viewer)
 

@@ -152,7 +152,6 @@ def _ring_key(center: Tile):
 class Allocation:
     quality: dict
     under_provisioned: bool
-    spent_mbit: float
 
 
 def allocate_quality(center: Tile, shape: tuple[int, int], cfg: SessionConfig) -> Allocation:
@@ -173,7 +172,7 @@ def allocate_quality(center: Tile, shape: tuple[int, int], cfg: SessionConfig) -
         else:
             under = True
     if under:
-        return Allocation(quality, True, spent)
+        return Allocation(quality, True)
 
     upgrade_cost = (QualityLevel.HIGH.value - QualityLevel.LOW.value) * GOP_SECONDS
     tiers = [
@@ -192,7 +191,7 @@ def allocate_quality(center: Tile, shape: tuple[int, int], cfg: SessionConfig) -
         if spent + add_cost <= cfg.budget_mbit + _BUDGET_SLACK:
             quality[tile] = QualityLevel.HIGH
             spent += add_cost
-    return Allocation(quality, False, spent)
+    return Allocation(quality, False)
 
 
 @lru_cache(maxsize=16)
@@ -362,17 +361,12 @@ def simulate_session(
     cfg: SessionConfig,
     eps: float,
     rng: np.random.Generator,
-    horizon: int = DEFAULT_HORIZON,
 ) -> SessionOutcome:
-    """Stream one session under a policy: ``apply_policy``, then ``stream_session``."""
-    return stream_session(trace, apply_policy(trace, policy, eps, rng, horizon), cfg)
-
-
-def stream_session(trace: SessionTrace, app: PolicyApplication, cfg: SessionConfig) -> SessionOutcome:
-    """Stream one session from its upload pipeline outputs; score QoE and
-    leakage. The leakage estimate is the sample mean of per-GoP conditional
-    leakage at the attacker-observed uploads (see ``apply_policy``).
+    """Stream one session under a policy; score QoE and leakage. The leakage
+    estimate is the sample mean of per-GoP conditional leakage at the
+    attacker-observed uploads (see ``apply_policy``).
     """
+    app = apply_policy(trace, policy, eps, rng)
     report, = score_sessions(tiles_of(app.predicted)[None], app.uploaded[None],
                              tiles_of(trace.actual)[None], cfg)
     estimate = LeakageEstimate(

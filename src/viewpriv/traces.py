@@ -59,6 +59,12 @@ class SessionTrace:
         return len(self.actual)
 
 
+def check_concentration(concentration: float) -> None:
+    """A walk's vMF concentration: positive, or +inf for a stationary walk."""
+    if not concentration > 0.0:
+        raise ValueError(f"concentration must be positive, got {concentration!r}")
+
+
 def generate_synthetic_traces(
     keys: list[tuple[int, int]],
     gops: int,
@@ -73,8 +79,7 @@ def generate_synthetic_traces(
     """
     if gops < MIN_GOPS:
         raise ValueError(f"need at least {MIN_GOPS} GoPs, got {gops}")
-    if not concentration > 0.0:
-        raise ValueError(f"concentration must be positive, got {concentration!r}")
+    check_concentration(concentration)
     if not keys or len(keys) != len(rngs):
         raise ValueError(f"need one RNG per trace key, got {len(keys)} keys, {len(rngs)} RNGs")
     rows = np.empty((len(keys), gops, 3))

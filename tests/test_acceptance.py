@@ -28,6 +28,7 @@ from viewpriv.oracle import (
 from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.sphere import point_at_distance, random_point, spherical_distance
 from viewpriv.streaming import (
+    GOP_SECONDS,
     SessionConfig,
     TILE_COLS,
     TILE_ROWS,
@@ -280,7 +281,8 @@ def test_criterion_7_property_suites(tmp_path):
                 for c in range(TILE_COLS):
                     for shape in ZONE_SHAPES:
                         alloc = allocate_quality((r, c), shape, cfg)
-                        assert alloc.spent_mbit <= budget + 1e-9
+                        spent = sum(lvl.value for lvl in alloc.quality.values()) * GOP_SECONDS
+                        assert spent <= budget + 1e-9
         session_rng = np.random.default_rng(41)
         for i in range(1_000):
             trace = generate_synthetic_trace(0, i, 6, session_rng)

@@ -119,6 +119,28 @@ def test_mid_column_monotone_in_noise_magnitude(e, n1, n2):
     assert conditional_leakage_noisy(e, hi, EPS) <= conditional_leakage_noisy(e, lo, EPS) + 1e-12
 
 
+def test_mid_cell_never_rises_with_nonzero_noise_magnitude():
+    # To the last bit, on a grid of |n| > 0 and each point's next float. The
+    # solver relies on it: where the far noise bound leaks more than q, the
+    # crossing it found lies past both bounds. n = 0 is left out: there eff
+    # is eps exactly, while at |n| below ~1e-8 cos n rounds to 1 and eff is
+    # arccos(cos eps), which can be an ulp above eps. The solver never keeps
+    # such a crossing, since it leaks at least mid(e, 0) > q.
+    rng = np.random.default_rng(12)
+    for eps in (0.01, EPS, 0.3, 0.7, 1.2, 1.5):
+        es = np.concatenate([rng.uniform(0.0, math.pi, 150), [eps, 0.5 * math.pi, math.pi - eps]])
+        grid = np.concatenate([np.linspace(0.0, eps, 2_000)[1:], np.geomspace(1e-12, eps, 500),
+                               [5e-324, 1e-300, 1e-16, 1e-9]])
+        magnitudes = np.unique(np.concatenate([grid, np.nextafter(grid, math.inf)]))
+        for sign in (1.0, -1.0):
+            n = sign * magnitudes[None, :]
+            inside = (n > eps - es[:, None]) & (n < math.pi - es[:, None] - eps)
+            leak = conditional_leakage_noisy(es[:, None], np.where(inside, n, 0.0), eps)
+            rises = np.diff(np.where(inside, leak, np.nan), axis=1) > 0.0
+            assert not np.any(rises), (eps, sign, np.argwhere(rises)[:3])
+            assert np.count_nonzero(inside) > 30_000, (eps, sign)
+
+
 # ------------------------------------------------------------- noise solving
 
 

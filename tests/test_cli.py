@@ -5,6 +5,7 @@ import numpy as np
 
 from viewpriv import cli, harness
 from viewpriv.harness import ExperimentConfig, generate_trace_set
+from viewpriv.oracle import OracleConfig
 from viewpriv.traces import load_traces
 
 
@@ -200,6 +201,11 @@ def test_parser_defaults_are_the_config_defaults():
     assert (gen_traces["users"], gen_traces["videos"], gen_traces["gops"]) \
         == (config.num_users, config.num_train_videos + config.num_videos, config.gops_per_video)
     assert (gen_traces["seed"], gen_traces["concentration"]) == (config.seed, config.concentration)
+    attack = vars(parser.parse_args(["attack-sim", "--e", "1.0"]))
+    oracle_config = OracleConfig()
+    assert (attack["trials"], attack["grid_resolution"], attack["seed"]) \
+        == (oracle_config.trials, oracle_config.grid_resolution, oracle_config.seed)
+    assert attack["eps"] == config.eps
 
 
 def test_a_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch):

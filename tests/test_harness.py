@@ -15,7 +15,7 @@ from viewpriv.harness import (
 )
 from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.streaming import (
-    ZONE_SHAPES, SessionConfig, apply_policy, score_sessions, stream_session, tiles_of,
+    ZONE_SHAPES, SessionConfig, apply_policy, score_sessions, tiles_of,
 )
 from viewpriv.leakage import leakage_sample_mean, optimal_error_distribution
 from viewpriv.traces import MIN_GOPS, persistence_predict, prediction_errors
@@ -95,6 +95,37 @@ def test_config_rejects_distinct_q_values_sharing_a_seed_key():
         with pytest.raises(ValueError, match="round to the same millionth"):
             ExperimentConfig(q_grid=grid)
     assert ExperimentConfig(q_grid=(0.3, 0.300001, 0.3)).q_grid == (0.3, 0.300001, 0.3)
+
+
+def test_config_rejects_a_bad_concentration_and_a_missing_output_directory(tmp_path):
+    # Both once failed only after work: the concentration at synthesis, the
+    # output path when the finished rows were written.
+    for concentration in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="concentration must be positive"):
+            ExperimentConfig(concentration=concentration)
+    assert ExperimentConfig(concentration=math.inf).concentration == math.inf
+    missing = tmp_path / "missing" / "rows.csv"
+    with pytest.raises(FileNotFoundError, match="output directory .* does not exist"):
+        ExperimentConfig(out_path=str(missing))
+    for path in (str(tmp_path / "rows.csv"), "rows.csv"):   # a bare name is written in cwd
+        assert ExperimentConfig(out_path=path).out_path == path
+
+
+def test_a_missing_output_directory_fails_before_any_trace_is_made(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise RuntimeError("traces requested")
+
+    monkeypatch.setattr(harness, "synthesize_traces", spy)
+    with pytest.raises(RuntimeError, match="traces requested"):   # the spy is on the path
+        run_tradeoff_experiment(ExperimentConfig(out_path=str(tmp_path / "rows.csv"), **SMALL))
+    assert len(calls) == 1
+    with pytest.raises(FileNotFoundError, match="does not exist"):
+        run_tradeoff_experiment(
+            ExperimentConfig(out_path=str(tmp_path / "missing" / "rows.csv"), **SMALL))
+    assert len(calls) == 1
 
 
 def test_policy_and_kind_ids_are_pinned():
@@ -197,7 +228,8 @@ def test_stacked_rows_match_the_per_trace_pipeline():
         assert row.mean_abs_noise_rad == np.mean([a.mean_abs_noise_rad for a in apps])
         assert row.pspr == np.mean([np.mean(leak) <= row.q for leak in leaks])
         assert row.qoe == np.mean([
-            stream_session(t, a, SessionConfig(cfg.budget_mbit)).qoe.qoe
+            score_sessions(tiles_of(a.predicted)[None], a.uploaded[None], tiles_of(t.actual)[None],
+                           SessionConfig(cfg.budget_mbit))[0].qoe
             for t, a in zip(evaluation, apps)
         ])
 

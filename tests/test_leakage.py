@@ -131,8 +131,10 @@ def test_grid_check_monotone_on_nested_grids():
 
 
 def test_estimate_invariants():
-    with pytest.raises(ValueError):
-        LeakageEstimate(1.2, "analytic")
+    with pytest.raises(ValueError, match="out of"):
+        LeakageEstimate(1.2, "sample_mean")
+    with pytest.raises(ValueError, match="unknown estimate method"):
+        LeakageEstimate(0.5, "analytic")
     with pytest.raises(ValueError):
         LeakageEstimate(0.5, "sample_mean", half_width=0.1)
     with pytest.raises(ValueError):

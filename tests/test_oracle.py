@@ -166,62 +166,72 @@ def test_grid_attacker_rejects_outer_errors():
         grid_attacker_best(0.05 * math.pi, EPS, cfg)
 
 
-def test_candidates_beyond_reach_never_leak():
-    cfg = OracleConfig(trials=20_000, grid_resolution=0.1, seed=11)
-    _, prob = grid_attacker_best(0.5 * math.pi, EPS, cfg, min_distance=0.5 * math.pi + EPS)
-    assert prob == 0.0
-
-
-def test_min_distance_is_validated():
-    cfg = OracleConfig(trials=1_000, grid_resolution=0.1, seed=0)
-    for bad in (-1.0, math.nan, math.inf, 4.0):
-        with pytest.raises(ValueError, match="min_distance"):
-            grid_attacker_best(0.5 * math.pi, EPS, cfg, min_distance=bad)
-    with pytest.raises(ValueError, match="removed every lattice point"):
-        grid_attacker_best(0.5 * math.pi, EPS, cfg, min_distance=math.pi)
-
-
-def brute_force_grid_attacker(error, eps, cfg, min_distance=None):
-    """Every lattice candidate scored against every draw, in 256-row chunks."""
+def brute_force_counts(error, eps, cfg):
+    """The lattice and every candidate's leak count over the viewer's draws,
+    each candidate scored against every draw in 256-row chunks."""
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
-    if min_distance is not None:
-        keep = np.arccos(np.clip(candidates @ REFERENCE_POINT.as_array(), -1.0, 1.0)) > min_distance
-        if not np.any(keep):
-            raise ValueError("candidate filter removed every lattice point")
-        candidates = candidates[keep]
     viewer_rng, _ = _streams(cfg.seed)
     actual = points_at_distance(REFERENCE_POINT, error, viewer_rng.uniform(0.0, TWO_PI, cfg.trials))
     counts = np.empty(len(candidates), dtype=np.int64)
     for start in range(0, len(candidates), 256):
         chunk = candidates[start : start + 256]
         counts[start : start + len(chunk)] = np.sum(chunk @ actual.T >= math.cos(eps), axis=1)
+    return candidates, counts
+
+
+def brute_force_grid_attacker(error, eps, cfg):
+    """Every lattice candidate scored against every draw."""
+    candidates, counts = brute_force_counts(error, eps, cfg)
     best = int(np.argmax(counts))
     return SpherePoint.from_array(candidates[best]), float(counts[best] / cfg.trials)
 
 
-def outcome(search, *args):
-    try:
-        return search(*args)
-    except ValueError as exc:
-        return str(exc)
+def beyond_reach(candidates, error, eps):
+    """Candidates whose polar angle t puts them farther than eps from the
+    circle, with the attacker's 1e-9 allowance: cos(t - e) < cos(eps) - 1e-9."""
+    t = np.arccos(np.clip(candidates[:, 2], -1.0, 1.0))
+    return np.cos(t - error) < math.cos(eps) - 1e-9
+
+
+def test_candidates_beyond_reach_never_leak():
+    skipped = leaking = 0
+    for eps in (EPS, 0.01):
+        for res, seed in ((0.1, 11), (0.07, 3)):
+            cfg = OracleConfig(trials=5_000, grid_resolution=res, seed=seed)
+            for e in (eps + 1e-9, 0.3 * math.pi, 0.5 * math.pi, math.pi - eps - 1e-9):
+                candidates, counts = brute_force_counts(e, eps, cfg)
+                far = beyond_reach(candidates, e, eps)
+                assert not np.any(counts[far]), (eps, res, e)
+                skipped += np.count_nonzero(far)
+                leaking += np.count_nonzero(counts)
+    assert skipped and leaking
+
+
+def live_rows(error, eps, cfg):
+    """The number of lattice rows within the attacker's reach bound."""
+    candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
+    live = np.flatnonzero(~beyond_reach(candidates, error, eps))
+    return int(live[-1] - live[0] + 1) if len(live) else 0
 
 
 def test_pruned_grid_attacker_matches_brute_force():
-    # The cases reach every path: no live candidate, one live row (eps = 0.01),
-    # a 1-row tail chunk, a single candidate left by a min_distance between the
-    # last two lattice points, and a filter that removes every candidate.
+    # The cases reach every path: no live row (eps = 1e-5), one live row
+    # (eps = 0.01, next to a pole), and a live range whose 64-row chunks
+    # leave a 1-row tail.
     rng = np.random.default_rng(8)
-    for eps in (EPS, 0.01):
+    seen = set()
+    for eps in (EPS, 0.01, 1e-5):
         for seed in range(3):
             for res in (0.1, 0.07):
                 cfg = OracleConfig(trials=1_000, grid_resolution=res, seed=seed)
-                last_two = fibonacci_sphere(_lattice_size(res))[-2:, 2]
                 for e in (eps + 1e-9, math.pi - eps - 1e-9, 0.5 * math.pi,
                           *rng.uniform(eps, math.pi - eps, 2)):
-                    for md in (None, 0.5, e, e + eps, float(np.arccos(last_two.mean()))):
-                        got = outcome(grid_attacker_best, e, eps, cfg, md)
-                        want = outcome(brute_force_grid_attacker, e, eps, cfg, md)
-                        assert got == want, (eps, seed, res, e, md)
+                    rows = live_rows(e, eps, cfg)
+                    seen.add("none" if rows == 0 else "lone" if rows == 1
+                             else "tail" if rows % 64 == 1 else "other")
+                    got = grid_attacker_best(e, eps, cfg)
+                    assert got == brute_force_grid_attacker(e, eps, cfg), (eps, seed, res, e)
+    assert seen >= {"none", "lone", "tail"}, seen
 
 
 def per_call_draw_leakage(error, noise, eps, cfg):

@@ -11,7 +11,6 @@ from viewpriv.streaming import (
     Allocation,
     GOP_SECONDS,
     GopRecord,
-    PolicyApplication,
     QOE_WEIGHTS,
     QoEReport,
     QualityLevel,
@@ -26,7 +25,6 @@ from viewpriv.streaming import (
     qoe_score,
     score_sessions,
     simulate_session,
-    stream_session,
     tile_of,
     tiles_of,
     zone_from_error,
@@ -35,6 +33,11 @@ from viewpriv.streaming import (
 from viewpriv.traces import SessionTrace, generate_synthetic_trace, persistence_predict
 
 EPS = 0.1 * math.pi
+
+
+def spent_mbit(alloc):
+    """What an allocation's quality map costs over one GoP."""
+    return sum(lvl.value for lvl in alloc.quality.values()) * GOP_SECONDS
 
 
 def walking_trace(gops=12, seed=4):
@@ -155,7 +158,7 @@ def test_allocation_default_budget_fills_pfov_high():
     lows = [t for t, lvl in alloc.quality.items() if lvl is QualityLevel.LOW]
     assert sorted(highs) == sorted(fov_tiles((1, 4)))
     assert len(lows) == 23
-    assert alloc.spent_mbit == pytest.approx(95.4, abs=1e-9)
+    assert spent_mbit(alloc) == pytest.approx(95.4, abs=1e-9)
 
 
 def test_allocation_zero_budget_under_provisions():
@@ -179,9 +182,7 @@ def test_budget_conservation_exhaustive():
             for c in range(TILE_COLS):
                 for shape in ZONE_SHAPES:
                     alloc = allocate_quality((r, c), shape, cfg)
-                    total = sum(lvl.value for lvl in alloc.quality.values()) * GOP_SECONDS
-                    assert total == pytest.approx(alloc.spent_mbit, abs=1e-9)
-                    assert total <= budget + 1e-9
+                    assert spent_mbit(alloc) <= budget + 1e-9
 
 
 def test_allocation_order_prefers_pfov_center():
@@ -337,11 +338,12 @@ def test_table_scorer_matches_the_per_gop_reference():
                 want, records = reference_qoe(predicted[i], actual[i], uploaded[i], cfg)
                 pairs += [(report, want), (qoe_score(records), want)]
             if gops >= 3:   # the shortest SessionTrace
+                # One session of (1, GoPs) arrays, scored from a trace's rows.
                 trace = SessionTrace(0, 0, actual[0])
-                zeros = np.zeros(gops)
-                app = PolicyApplication(predicted[0], zeros, zeros, uploaded[0], zeros)
+                one, = score_sessions(tiles_of(predicted[0])[None], uploaded[0][None],
+                                      tiles_of(trace.actual)[None], cfg)
                 want, _ = reference_qoe(predicted[0], trace.actual, uploaded[0], cfg)
-                pairs.append((stream_session(trace, app, cfg).qoe, want))
+                pairs.append((one, want))
             for got, want in pairs:
                 for name in ("qoe", "fov_coverage", "mean_fov_quality", "quality_variation",
                              "stall_fraction"):
@@ -415,5 +417,5 @@ def test_under_provisioned_budget_stalls_every_gop():
 
 
 def test_allocation_dataclass_shape():
-    alloc = Allocation(quality={}, under_provisioned=True, spent_mbit=0.0)
+    alloc = Allocation(quality={}, under_provisioned=True)
     assert alloc.under_provisioned
