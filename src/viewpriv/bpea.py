@@ -18,8 +18,9 @@ leakage probability is piecewise in (e, n):
 with b = pi - e - eps and mid(e, n) = min(eff / (pi * sin e), 1), where
 eff = arccos(cos eps / cos(min(|n|, eps))) is the effective precision: the
 half-arc of the attacker's neighborhood intersected with the circle of
-possible actual viewpoints. mid decreases in |n| and is exactly 0 once
-|n| >= eps.
+possible actual viewpoints. mid does not rise with |n| > 0 and is exactly
+0 once |n| >= eps. At n = 0 eff is eps exactly, while arccos(cos eps) at
+tiny |n| > 0 can round above eps, so mid(e, 0) can lie below mid at tiny |n|.
 
 ``optimal_noise`` returns the signed noise of smallest magnitude whose
 leakage does not exceed the requirement q. Where the optimum sits at an
@@ -152,9 +153,14 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     # Zero target means |n| must reach the saturation point eps exactly;
     # keep the arccos round-trip from landing an ulp short of it.
     crossing = np.where(target <= 0.0, np.maximum(crossing, eps), crossing)
-    # Refine only where the inversion is in domain, and only what is short.
-    short = np.flatnonzero(target <= eps)
-    short = short[_mid_leakage(crossing[short], eps, cos_eps, denom[short]) > q]
+    # Refine only where the crossing is used, because the regime's own bound
+    # leaks more than q, and only what is short. Each such use needs |n| > 0,
+    # where mid can lie above mid(0), so a crossing of 0 is short there.
+    low = e <= eps
+    high = e >= math.pi - eps
+    short = np.flatnonzero(np.where(low, m_left, np.where(high, m_right, m_zero)) > q)
+    c = crossing[short]
+    short = short[(c == 0.0) | (_mid_leakage(c, eps, cos_eps, denom[short]) > q)]
     step = np.maximum(np.spacing(crossing[short]), 1e-18)
     tried = 1
     while short.size:
@@ -187,8 +193,6 @@ def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MA
     with_crossing = np.where(crossing < bound_mag, crossing, bound_val)
     mid_val = np.where(m_zero <= q, 0.0, with_crossing)
 
-    low = e <= eps
-    high = e >= math.pi - eps
     return np.where(low, low_val, np.where(high, high_val, mid_val)).reshape(np.shape(errors))
 
 

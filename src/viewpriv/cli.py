@@ -14,8 +14,7 @@ import sys
 from . import baselines, bpea, harness, leakage, oracle
 from .harness import DEFAULT_PRECISION, ExperimentConfig
 from .sphere import spherical_distance
-from .streaming import DEFAULT_BUDGET_MBIT
-from .traces import DEFAULT_CONCENTRATION, write_traces
+from .traces import write_traces
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -66,12 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="one-dimensional baseline noise-scale search")
     p.add_argument("--kind", choices=tuple(baselines.SEARCH_MAX), required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--step", type=float, default=baselines.DEFAULT_SEARCH_STEP)
+    p.add_argument("--step", type=float, default=cfg.calibration_step)
     p.add_argument("--users", type=int, default=cfg.num_users)
     p.add_argument("--videos", type=int, default=cfg.num_train_videos,
                    help="calibration videos per user")
     p.add_argument("--gops", type=int, default=cfg.gops_per_video)
-    p.add_argument("--concentration", type=float, default=DEFAULT_CONCENTRATION)
+    p.add_argument("--concentration", type=float, default=cfg.concentration)
     _add_eps(p)
     _add_seed(p)
 
@@ -83,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--videos", type=int, default=cfg.num_videos, help="evaluation videos per user")
     p.add_argument("--train-videos", type=int, default=cfg.num_train_videos)
     p.add_argument("--gops", type=int, default=cfg.gops_per_video)
-    p.add_argument("--budget-mbit", type=float, default=DEFAULT_BUDGET_MBIT)
-    p.add_argument("--tau", type=float, default=bpea.DEFAULT_MARGIN)
-    p.add_argument("--concentration", type=float, default=DEFAULT_CONCENTRATION)
+    p.add_argument("--budget-mbit", type=float, default=cfg.budget_mbit)
+    p.add_argument("--tau", type=float, default=cfg.margin)
+    p.add_argument("--concentration", type=float, default=cfg.concentration)
     p.add_argument("--out", type=str, required=True)
     _add_eps(p)
     _add_seed(p)
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, default=cfg.num_users)
     p.add_argument("--videos", type=int, default=cfg.num_train_videos + cfg.num_videos)
     p.add_argument("--gops", type=int, default=cfg.gops_per_video)
-    p.add_argument("--concentration", type=float, default=DEFAULT_CONCENTRATION)
+    p.add_argument("--concentration", type=float, default=cfg.concentration)
     p.add_argument("--out", type=str, required=True)
     _add_seed(p)
 
@@ -146,7 +145,8 @@ def _cmd_calibrate(args) -> int:
         gops_per_video=args.gops, seed=args.seed, concentration=args.concentration,
         calibration_step=args.step,
     )
-    train, _ = harness.generate_trace_set(cfg)
+    train = harness.synthesize_traces(cfg.seed, cfg.num_users, cfg.num_train_videos,
+                                      cfg.gops_per_video, cfg.concentration)
     result = harness.calibrate_baselines(cfg, train)[(args.kind, args.q)]
     if result.feasible:
         print(f"feasible: scale {result.scale.value:.4g} achieves leakage "

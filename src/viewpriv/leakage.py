@@ -1,5 +1,5 @@
 """Viewpoint-leakage probabilities when predicted viewpoint and exact
-prediction error are uploaded, and the attacker strategy attaining them.
+prediction error are uploaded, under the attacker strategy attaining them.
 
 The attacker intercepts the predicted viewpoint P and the reported error e,
 concludes that the actual viewpoint lies on the circle of arc radius e
@@ -12,7 +12,9 @@ landing within the required precision ``eps`` of the actual one:
 
 The resulting conditional leakage probability is 1 in the two outer regimes
 and min(eps / (pi * sin e), 1) in the middle one. Boundary errors e = eps
-and e = pi - eps are assigned to the value-1 regime.
+and e = pi - eps are assigned to the value-1 regime. This module holds only
+these closed forms and the eps/pi floor; :mod:`viewpriv.oracle` implements
+the strategy itself and checks the closed forms from geometry.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .sphere import SpherePoint, check_angle, sample_on_circle
 
 # Required inference precision must stay below a quarter turn; at and above
 # 0.5*pi the middle regime vanishes and leakage is always 1.
@@ -86,22 +86,6 @@ def conditional_leakage(error, eps: float):
     middle = np.minimum(eps / (math.pi * sine), 1.0)
     out = np.where((e <= eps) | (e >= math.pi - eps), 1.0, middle)
     return float(out) if np.ndim(error) == 0 else out
-
-
-def optimal_inferred_viewpoint(
-    predicted: SpherePoint,
-    reported_error: float,
-    eps: float,
-    rng: np.random.Generator,
-) -> SpherePoint:
-    """The attacker's best guess for the actual viewpoint."""
-    eps = check_precision(eps)
-    reported_error = check_angle(reported_error, 0.0, math.pi, "reported_error")
-    if reported_error <= eps:
-        return predicted
-    if reported_error >= math.pi - eps:
-        return predicted.antipode()
-    return sample_on_circle(predicted, reported_error, rng)
 
 
 def leakage_sample_mean(errors, eps: float) -> LeakageEstimate:

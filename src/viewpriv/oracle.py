@@ -2,11 +2,11 @@
 
 Verifies the analytic leakage expressions from geometry alone: the actual
 viewpoint is drawn uniformly on its circle around a fixed predicted
-viewpoint, the attacker applies the selection rule from
-:mod:`viewpriv.leakage` to the (possibly noisy) reported error, and a trial
-counts as leakage when the guess lands within the required precision of the
-actual viewpoint. No closed-form leakage formula is consulted anywhere in
-this module.
+viewpoint, the attacker applies the strategy stated in
+:mod:`viewpriv.leakage`'s docstring to the (possibly noisy) reported error,
+and a trial counts as leakage when the guess lands within the required
+precision of the actual viewpoint. No closed-form leakage formula is
+consulted anywhere in this module; it is the library's only attacker code.
 """
 
 from __future__ import annotations

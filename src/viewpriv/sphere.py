@@ -50,9 +50,6 @@ class SpherePoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def antipode(self) -> "SpherePoint":
-        return SpherePoint(-self.x, -self.y, -self.z)
-
 
 def check_angle(value: float, lo: float, hi: float, name: str) -> float:
     """Validate that an angle lies in [lo, hi]; returns it as a float."""
@@ -118,23 +115,8 @@ def tangent_frame(origin) -> tuple[np.ndarray, np.ndarray]:
     return t1, cross(o, t1)
 
 
-def point_at_distance(origin: SpherePoint, distance: float, bearing: float) -> SpherePoint:
-    """Point at a given arc distance and bearing from ``origin``.
-
-    Parameters
-    ----------
-    origin : SpherePoint
-    distance : float
-        Arc length in [0, pi].
-    bearing : float
-        Direction in the origin's tangent frame, in [0, 2*pi).
-    """
-    rows = points_at_distance(origin, distance, [float(bearing) % TWO_PI])
-    return SpherePoint.from_array(rows[0])
-
-
 def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarray) -> np.ndarray:
-    """Vectorized ``point_at_distance``: one unit row per bearing."""
+    """Unit rows at arc distance ``distance`` from ``origin``, one per tangent-frame bearing."""
     b = np.asarray(bearings, dtype=float)
     return points_at_bearings(origin, distance, np.cos(b), np.sin(b))
 
@@ -148,12 +130,6 @@ def points_at_bearings(origin: SpherePoint, distance: float, cos_b, sin_b) -> np
     for k in range(3):
         rows[:, k] = c * o[k] + s * (cos_b * t1[k] + sin_b * t2[k])
     return unit_rows(rows)
-
-
-def sample_on_circle(center: SpherePoint, radius: float, rng: np.random.Generator) -> SpherePoint:
-    """Uniform random point on the circle of given arc radius around ``center``."""
-    radius = check_angle(radius, 0.0, math.pi, "radius")
-    return point_at_distance(center, radius, rng.uniform(0.0, TWO_PI))
 
 
 def random_point(rng: np.random.Generator) -> SpherePoint:

@@ -26,7 +26,7 @@ from viewpriv.oracle import (
     grid_attacker_best,
 )
 from viewpriv.policies import BpeaPolicy, NoObfuscation
-from viewpriv.sphere import point_at_distance, random_point, spherical_distance
+from viewpriv.sphere import SpherePoint, points_at_distance, random_point, spherical_distance
 from viewpriv.streaming import (
     GOP_SECONDS,
     SessionConfig,
@@ -238,7 +238,8 @@ def test_criterion_7_property_suites(tmp_path):
         for _ in range(10_000):
             origin = random_point(rng)
             d = rng.uniform(0.0, math.pi)
-            out = point_at_distance(origin, d, rng.uniform(0.0, 2.0 * math.pi))
+            row = points_at_distance(origin, d, [rng.uniform(0.0, 2.0 * math.pi)])[0]
+            out = SpherePoint.from_array(row)
             assert abs(spherical_distance(origin, out) - d) <= 1e-9
 
         # Mid-column monotonicity in |n|: 1e3 cases.

@@ -124,8 +124,8 @@ def test_mid_cell_never_rises_with_nonzero_noise_magnitude():
     # solver relies on it: where the far noise bound leaks more than q, the
     # crossing it found lies past both bounds. n = 0 is left out: there eff
     # is eps exactly, while at |n| below ~1e-8 cos n rounds to 1 and eff is
-    # arccos(cos eps), which can be an ulp above eps. The solver never keeps
-    # such a crossing, since it leaks at least mid(e, 0) > q.
+    # arccos(cos eps), which can lie above eps. So the solver counts a
+    # crossing of 0 as short wherever a regime uses the crossing.
     rng = np.random.default_rng(12)
     for eps in (0.01, EPS, 0.3, 0.7, 1.2, 1.5):
         es = np.concatenate([rng.uniform(0.0, math.pi, 150), [eps, 0.5 * math.pi, math.pi - eps]])
@@ -253,6 +253,29 @@ def test_guarantee_on_dense_grid():
         leaks = conditional_leakage_noisy(float(e), noises, EPS)
         assert np.all(leaks <= qs + 1e-12)
         assert np.all(e + noises >= -1e-12) and np.all(e + noises <= math.pi + 1e-12)
+
+
+def test_requirement_one_ulp_below_the_no_noise_leakage_is_met():
+    # q*pi*sin(e) rounds above eps here while mid(e, 0) is one ulp above q;
+    # the solver used to keep noise 0, which leaked 0.3404423986722801.
+    e, q = 0.7135108934498613, 0.34044239867228004
+    n = optimal_noise(e, 0.7, q)
+    assert n > 0.0 and conditional_leakage_noisy(e, n, 0.7) <= q
+
+
+def test_edge_requirements_are_met():
+    # q at mid(e, 0) and one ulp either side, on errors over [0, pi] and a
+    # hair either side of eps and pi - eps. Just inside the outer regimes mid
+    # at tiny |n| > 0 lies above mid(e, 0), and noise 0 used to leak 1 there.
+    for eps in (0.01, EPS, 0.3, 0.7, 1.2):
+        d = np.geomspace(1e-17, 1e-7, 40)
+        es = np.concatenate([np.linspace(0.0, math.pi, 201),
+                             eps - d, eps + d, math.pi - eps - d, math.pi - eps + d])
+        m_zero = np.minimum(eps / np.maximum(math.pi * np.sin(es), 1e-300), 1.0)
+        for qs in (m_zero, np.nextafter(m_zero, 0.0), np.nextafter(m_zero, 1.0)):
+            for e, q in zip(es.tolist(), qs.tolist()):
+                n = optimal_noise_batch([e], eps, q)
+                assert conditional_leakage_noisy(e, n[0], eps) <= q, (eps, e, q)
 
 
 def test_noise_magnitude_monotone_in_requirement():

@@ -72,6 +72,21 @@ def test_calibrate_feasible_exits_0(capsys):
         assert capsys.readouterr().out == out
 
 
+def test_calibrate_synthesizes_only_its_training_videos(capsys, monkeypatch):
+    calls = []
+    synthesize = harness.synthesize_traces
+
+    def spy(seed, users, videos, gops, concentration):
+        calls.append((users, videos))
+        return synthesize(seed, users, videos, gops, concentration)
+
+    monkeypatch.setattr(harness, "synthesize_traces", spy)
+    assert cli.main(["calibrate", "--kind", "laplace", "--q", "1.0", "--users", "2",
+                     "--videos", "3", "--gops", "12"]) == 0
+    assert calls == [(2, 3)]
+    assert capsys.readouterr().out.startswith("feasible: scale 0 ")
+
+
 def test_gen_traces_and_tradeoff_round_trip(tmp_path, capsys):
     traces_path = tmp_path / "traces.csv"
     assert cli.main(["gen-traces", "--users", "2", "--videos", "2", "--gops", "5",
@@ -195,6 +210,10 @@ def test_parser_defaults_are_the_config_defaults():
     calibrate = vars(parser.parse_args(["calibrate", "--kind", "gaussian", "--q", "0.5"]))
     assert (calibrate["users"], calibrate["videos"], calibrate["gops"]) \
         == (config.num_users, config.num_train_videos, config.gops_per_video)
+    assert (tradeoff["budget_mbit"], tradeoff["tau"]) == (config.budget_mbit, config.margin)
+    assert calibrate["step"] == config.calibration_step
+    for args in (tradeoff, calibrate):
+        assert args["concentration"] == config.concentration
     for args in (tradeoff, calibrate):
         assert (args["seed"], args["eps"]) == (config.seed, config.eps)
     gen_traces = vars(parser.parse_args(["gen-traces", "--out", "x.csv"]))

@@ -10,9 +10,7 @@ from viewpriv.leakage import (
     leakage_sample_mean,
     min_leakage_grid_check,
     optimal_error_distribution,
-    optimal_inferred_viewpoint,
 )
-from viewpriv.sphere import SpherePoint, spherical_distance
 
 EPS = 0.1 * math.pi
 
@@ -66,16 +64,6 @@ def test_unique_minimum_at_half_pi():
     assert grid[best] == pytest.approx(0.5 * math.pi, abs=1e-3)
     away = np.abs(grid - 0.5 * math.pi) > 1e-3
     assert np.all(values[away] > EPS / math.pi)
-
-
-def test_optimal_inferred_viewpoint_three_cases():
-    rng = np.random.default_rng(0)
-    predicted = SpherePoint(0.3, -0.2, 0.93)
-    assert optimal_inferred_viewpoint(predicted, 0.05 * math.pi, EPS, rng) is predicted
-    far = optimal_inferred_viewpoint(predicted, 0.95 * math.pi, EPS, rng)
-    assert spherical_distance(far, predicted.antipode()) <= 1e-9
-    mid = optimal_inferred_viewpoint(predicted, 0.5 * math.pi, EPS, rng)
-    assert spherical_distance(mid, predicted) == pytest.approx(0.5 * math.pi, abs=1e-9)
 
 
 def test_sample_mean_constant_lists():

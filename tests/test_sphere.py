@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from viewpriv.sphere import (
     UNIT_TOLERANCE,
     SpherePoint,
-    point_at_distance,
     points_at_distance,
     random_point,
-    sample_on_circle,
     spherical_distance,
     tangent_frame,
     unit_rows,
@@ -18,6 +16,15 @@ from viewpriv.sphere import (
 from viewpriv.traces import prediction_errors
 
 ATOL = 1e-9
+
+
+def point_at(origin, distance, bearing):
+    """The one point at ``distance`` and ``bearing`` from ``origin``."""
+    return SpherePoint.from_array(points_at_distance(origin, distance, [bearing])[0])
+
+
+def antipode(p):
+    return SpherePoint(-p.x, -p.y, -p.z)
 
 
 def test_construction_renormalizes():
@@ -35,7 +42,7 @@ def test_construction_rejects_degenerate():
 def test_distance_identity_and_antipode():
     p = SpherePoint(0.2, -0.4, 0.89)
     assert spherical_distance(p, p) == 0.0
-    assert spherical_distance(p, p.antipode()) == pytest.approx(math.pi, abs=ATOL)
+    assert spherical_distance(p, antipode(p)) == pytest.approx(math.pi, abs=ATOL)
 
 
 def test_distance_orthogonal_axes():
@@ -46,23 +53,23 @@ def test_distance_orthogonal_axes():
 
 def test_point_at_distance_degenerate_endpoints():
     p = SpherePoint(0.3, 0.5, -0.7)
-    assert spherical_distance(point_at_distance(p, 0.0, 1.23), p) <= ATOL
-    assert spherical_distance(point_at_distance(p, math.pi, 4.56), p.antipode()) <= ATOL
+    assert spherical_distance(point_at(p, 0.0, 1.23), p) <= ATOL
+    assert spherical_distance(point_at(p, math.pi, 4.56), antipode(p)) <= ATOL
 
 
 def test_point_at_distance_quarter_turn_from_pole():
     # The pole uses the fallback frame axis; the distance still round-trips.
     pole = SpherePoint(0.0, 0.0, 1.0)
-    q = point_at_distance(pole, math.pi / 2, 0.0)
+    q = point_at(pole, math.pi / 2, 0.0)
     assert spherical_distance(pole, q) == pytest.approx(math.pi / 2, abs=ATOL)
 
 
 def test_point_at_distance_rejects_bad_distance():
     p = SpherePoint(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        point_at_distance(p, -0.1, 0.0)
+        points_at_distance(p, -0.1, [0.0])
     with pytest.raises(ValueError):
-        point_at_distance(p, math.pi + 0.1, 0.0)
+        points_at_distance(p, math.pi + 0.1, [0.0])
 
 
 def test_round_trip_ten_thousand_random_triples():
@@ -71,7 +78,7 @@ def test_round_trip_ten_thousand_random_triples():
         origin = random_point(rng)
         d = rng.uniform(0.0, math.pi)
         bearing = rng.uniform(0.0, 2.0 * math.pi)
-        out = point_at_distance(origin, d, bearing)
+        out = point_at(origin, d, bearing)
         assert abs(spherical_distance(origin, out) - d) <= ATOL
 
 
@@ -85,27 +92,33 @@ def test_triangle_inequality_random_triples():
         assert ac <= ab + bc + 1e-12
 
 
+def sample_on_circle(center, radius, rng, k):
+    """k uniform random points on the circle of arc radius ``radius``."""
+    return points_at_distance(center, radius, rng.uniform(0.0, 2.0 * math.pi, k))
+
+
 def test_sample_on_circle_distance_is_exact_per_sample():
     rng = np.random.default_rng(11)
     center = SpherePoint(0.1, 0.9, 0.4)
     for radius in (0.0, 0.3, math.pi / 2, 2.9, math.pi):
-        for _ in range(200):
-            p = sample_on_circle(center, radius, rng)
+        for row in sample_on_circle(center, radius, rng, 200):
+            p = SpherePoint.from_array(row)
             assert abs(spherical_distance(center, p) - radius) <= ATOL
 
 
 def test_sample_on_circle_endpoints():
     rng = np.random.default_rng(2)
     c = SpherePoint(-0.5, 0.5, 0.7)
-    assert spherical_distance(sample_on_circle(c, 0.0, rng), c) <= ATOL
-    assert spherical_distance(sample_on_circle(c, math.pi, rng), c.antipode()) <= ATOL
+    for radius, target in ((0.0, c), (math.pi, antipode(c))):
+        for row in sample_on_circle(c, radius, rng, 50):
+            assert spherical_distance(SpherePoint.from_array(row), target) <= ATOL
 
 
 def test_sample_on_circle_bearings_cover_the_circle():
     # Mean position of many samples collapses to the circle axis component.
     rng = np.random.default_rng(3)
     c = SpherePoint(0.0, 0.0, 1.0)
-    pts = np.array([sample_on_circle(c, math.pi / 2, rng).as_array() for _ in range(4_000)])
+    pts = sample_on_circle(c, math.pi / 2, rng, 4_000)
     assert np.linalg.norm(pts.mean(axis=0)) < 0.05
 
 
@@ -113,7 +126,7 @@ def test_sample_on_circle_bearings_cover_the_circle():
 @given(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_round_trip_property(distance, bearing):
     origin = SpherePoint(0.36, -0.48, 0.8)
-    out = point_at_distance(origin, distance, bearing)
+    out = point_at(origin, distance, bearing)
     assert abs(spherical_distance(origin, out) - distance) <= ATOL
 
 
@@ -152,7 +165,7 @@ def test_vectorized_helpers_match_scalars():
     rows = points_at_distance(origin, 0.8, bearings)
     dists = prediction_errors(rows, origin.as_array())
     assert np.allclose(dists, 0.8, atol=ATOL)
-    one = point_at_distance(origin, 0.8, float(bearings[0]))
+    one = point_at(origin, 0.8, float(bearings[0]))
     assert np.allclose(rows[0], one.as_array(), atol=1e-12)
 
     # Batched tangent frames: generic points, then points within
