@@ -16,8 +16,9 @@ Subpackages:
 """
 
 from .sphere import SpherePoint, spherical_distance
-from .leakage import LeakageEstimate, conditional_leakage, optimal_error_distribution
+from .leakage import conditional_leakage, optimal_error_distribution
 from .bpea import conditional_leakage_noisy, obfuscate_error, optimal_noise
+from .oracle import LeakageEstimate
 from .baselines import NoiseScale
 from .policies import BpeaPolicy, NoObfuscation, ObfuscationPolicy
 from .harness import ExperimentConfig, run_tradeoff_experiment

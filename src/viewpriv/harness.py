@@ -63,7 +63,10 @@ def check_seed(seed) -> int:
 
 
 def check_out_path(path) -> None:
-    """Fail before any work when the directory ``path`` would be written in is missing."""
+    """Fail before any work when ``path`` names a directory, or the directory
+    it would be written in is missing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path!r} is a directory")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"output directory {directory!r} does not exist")
@@ -93,9 +96,10 @@ class ExperimentConfig:
         keys: dict = {}
         for q in self.q_grid:
             check_requirement(q)
-            if keys.setdefault(_q_id(q), q) != q:
-                raise ValueError(f"q values {keys[_q_id(q)]!r} and {q!r} round to the same "
+            if (prior := keys.get(_q_id(q))) is not None:
+                raise ValueError(f"q values {prior!r} and {q!r} repeat or round to the same "
                                  "millionth, which seeds their baseline noise")
+            keys[_q_id(q)] = q
         if not self.policies:
             raise ValueError("need at least one policy")
         for name in self.policies:

@@ -20,15 +20,12 @@ the strategy itself and checks the closed forms from geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Required inference precision must stay below a quarter turn; at and above
 # 0.5*pi the middle regime vanishes and leakage is always 1.
 MAX_PRECISION = 0.5 * math.pi
-
-_METHODS = ("sample_mean", "monte_carlo")
 
 
 def check_precision(eps: float) -> float:
@@ -53,28 +50,6 @@ def check_errors(errors) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class LeakageEstimate:
-    """A leakage probability with provenance.
-
-    ``half_width`` is the binomial confidence half-width and is present
-    exactly when the estimate is Monte-Carlo.
-    """
-
-    value: float
-    method: str
-    trials: int | None = None
-    half_width: float | None = None
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown estimate method {self.method!r}")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"leakage probability out of [0, 1]: {self.value!r}")
-        if (self.half_width is not None) != (self.method == "monte_carlo"):
-            raise ValueError("half_width is present exactly for monte_carlo estimates")
-
-
 def conditional_leakage(error, eps: float):
     """Leakage probability given a reported exact error.
 
@@ -88,13 +63,12 @@ def conditional_leakage(error, eps: float):
     return float(out) if np.ndim(error) == 0 else out
 
 
-def leakage_sample_mean(errors, eps: float) -> LeakageEstimate:
+def leakage_sample_mean(errors, eps: float) -> float:
     """Sample-mean leakage over a set of reported errors."""
     e = np.asarray(errors, dtype=float)
     if e.size == 0:
         raise ValueError("cannot estimate leakage from an empty error list")
-    value = float(np.mean(conditional_leakage(e.ravel(), eps)))
-    return LeakageEstimate(value=value, method="sample_mean", trials=int(e.size))
+    return float(np.mean(conditional_leakage(e.ravel(), eps)))
 
 
 def optimal_error_distribution(eps: float) -> tuple[float, float]:

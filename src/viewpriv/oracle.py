@@ -18,13 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpea import noise_bounds
-from .leakage import LeakageEstimate, check_precision
+from .leakage import check_precision
 from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_at_bearings, unit_rows
 
 # The predicted viewpoint is fixed here; leakage is rotation invariant.
 REFERENCE_POINT = SpherePoint(0.0, 0.0, 1.0)
 
 _CANDIDATE_CHUNK = 64
+
+
+@dataclass(frozen=True)
+class LeakageEstimate:
+    """A Monte-Carlo leak fraction over ``trials`` draws, with its binomial
+    confidence half-width."""
+
+    value: float
+    trials: int
+    half_width: float
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ def empirical_conditional_leakage(
     leaked = dot(actual, guesses) >= math.cos(eps)
     p = float(np.mean(leaked))
     half_width = 4.0 * math.sqrt(p * (1.0 - p) / cfg.trials)
-    return LeakageEstimate(p, "monte_carlo", trials=cfg.trials, half_width=half_width)
+    return LeakageEstimate(p, cfg.trials, half_width)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .leakage import LeakageEstimate, check_errors, check_precision, conditional_leakage
+from .leakage import check_errors, check_precision, conditional_leakage
 from .baselines import NoiseScale, perturb_traces
 from .policies import BpeaPolicy, ObfuscationPolicy
 from .traces import DEFAULT_HORIZON, SessionTrace, persistence_predict, prediction_errors
@@ -345,38 +345,16 @@ def upload_errors(errors: np.ndarray, policy: ObfuscationPolicy, eps: float):
     return np.zeros_like(errors), errors, np.asarray(conditional_leakage(errors, eps))
 
 
-@dataclass(frozen=True)
-class SessionOutcome:
-    qoe: QoEReport
-    leakage: LeakageEstimate
-    mean_error_rad: float
-    mean_abs_noise_rad: float
-    per_gop_leakage: np.ndarray = field(repr=False)
-    uploaded_errors: np.ndarray = field(repr=False)
-
-
 def simulate_session(
     trace: SessionTrace,
     policy: ObfuscationPolicy,
     cfg: SessionConfig,
     eps: float,
     rng: np.random.Generator,
-) -> SessionOutcome:
-    """Stream one session under a policy; score QoE and leakage. The leakage
-    estimate is the sample mean of per-GoP conditional leakage at the
-    attacker-observed uploads (see ``apply_policy``).
-    """
+) -> tuple[QoEReport, PolicyApplication]:
+    """Stream one session under a policy: its QoE report, as ``score_sessions``
+    gives it, and its upload arrays, as ``apply_policy`` gives them."""
     app = apply_policy(trace, policy, eps, rng)
     report, = score_sessions(tiles_of(app.predicted)[None], app.uploaded[None],
                              tiles_of(trace.actual)[None], cfg)
-    estimate = LeakageEstimate(
-        float(np.mean(app.per_gop_leakage)), "sample_mean", trials=trace.gops
-    )
-    return SessionOutcome(
-        qoe=report,
-        leakage=estimate,
-        mean_error_rad=app.mean_error_rad,
-        mean_abs_noise_rad=app.mean_abs_noise_rad,
-        per_gop_leakage=app.per_gop_leakage,
-        uploaded_errors=app.uploaded,
-    )
+    return report, app

@@ -289,5 +289,5 @@ def test_criterion_7_property_suites(tmp_path):
             trace = generate_synthetic_trace(0, i, 6, session_rng)
             policy = BpeaPolicy(q=float(session_rng.uniform(0.0, 1.0))) if i % 2 else NoObfuscation()
             cfg = SessionConfig(budget_mbit=budgets[i % len(budgets)])
-            outcome = simulate_session(trace, policy, cfg, EPS, session_rng)
-            assert 1.0 <= outcome.qoe.qoe <= 5.0
+            report, _ = simulate_session(trace, policy, cfg, EPS, session_rng)
+            assert 1.0 <= report.qoe <= 5.0

@@ -234,11 +234,11 @@ def test_calibration_finds_minimal_scale_and_replays():
     result = calibrate_noise_scale(pipeline, EPS, q, GAUSSIAN_KIND, step=0.05)
     assert result.feasible
     replay = leakage_sample_mean(pipeline.errors(result.scale.value), EPS)
-    assert replay.value == result.achieved_leakage
-    assert replay.value <= q
+    assert replay == result.achieved_leakage
+    assert replay <= q
     # Minimality up to one step: the previous scanned scale exceeds q.
     previous = result.scale.value - 0.05
-    assert previous < 0 or leakage_sample_mean(pipeline.errors(previous), EPS).value > q
+    assert previous < 0 or leakage_sample_mean(pipeline.errors(previous), EPS) > q
 
 
 def test_calibration_validates_arguments():
@@ -273,7 +273,7 @@ def reference_scan(pipeline, eps, q, kind, step):
     best_scale, best_leak, evals = None, math.inf, 0
     for i in range(int(math.floor(search_max / step + 1e-9)) + 1):
         scale = min(i * step, search_max)
-        leak = leakage_sample_mean(pipeline.errors(scale), eps).value
+        leak = leakage_sample_mean(pipeline.errors(scale), eps)
         evals += 1
         if leak < best_leak:
             best_scale, best_leak = scale, leak
@@ -334,7 +334,7 @@ def test_one_scan_matches_a_scan_per_requirement():
                                 if min(grid) < FLOOR else 1)
                     assert pipeline.blocks == [1] + [min(per_call, stop - i)
                                                      for i in range(1, stop, per_call)]
-                    leaks = [leakage_sample_mean(make().errors(s), EPS).value
+                    leaks = [leakage_sample_mean(make().errors(s), EPS)
                              for s in pipeline.calls]
                     ties += leaks.count(min(leaks)) > 1
     assert ties   # the first-argmin fallback was exercised

@@ -163,11 +163,13 @@ def test_tradeoff_rejects_a_bad_tau_before_calibrating(tmp_path, capsys, monkeyp
 
 def test_tradeoff_rejects_a_repeated_policy(tmp_path, capsys):
     results_path = tmp_path / "rows.csv"
-    assert cli.main(["tradeoff", "--users", "2", "--videos", "1", "--train-videos", "1",
-                     "--gops", "10", "--q-grid", "0.3,1.0", "--policies", "gaussian,gaussian",
-                     "--out", str(results_path)]) == 2
-    assert "policies must not repeat" in capsys.readouterr().err
-    assert not results_path.exists()
+    for q_grid, policies, message in (("0.3,1.0", "gaussian,gaussian", "policies must not repeat"),
+                                      ("0.3,1.0,0.3", "gaussian", "repeat or round to the same")):
+        assert cli.main(["tradeoff", "--users", "2", "--videos", "1", "--train-videos", "1",
+                         "--gops", "10", "--q-grid", q_grid, "--policies", policies,
+                         "--out", str(results_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not results_path.exists()
 
 
 def test_calibrate_and_gen_traces_reject_non_finite_arguments(tmp_path, capsys):
@@ -228,26 +230,28 @@ def test_parser_defaults_are_the_config_defaults():
 
 
 def test_a_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # An --out that names a directory once failed only on writing, after
+    # synthesis (and, for tradeoff, calibration and evaluation).
     def no_work(*args):
         raise AssertionError("the command ran before checking its output path")
 
     monkeypatch.setattr(harness, "synthesize_traces", no_work)
     monkeypatch.setattr(harness, "run_tradeoff_experiment", no_work)
     missing = tmp_path / "missing" / "out.csv"
-    small = ["--users", "2", "--videos", "1", "--gops", "10", "--out", str(missing)]
-    for command in (["tradeoff", "--train-videos", "1", "--q-grid", "1.0", *small],
-                    ["gen-traces", *small]):
-        assert cli.main(command) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: output directory") and "does not exist" in err
+    for out, message in ((missing, "does not exist"), (tmp_path, "is a directory")):
+        small = ["--users", "2", "--videos", "1", "--gops", "10", "--out", str(out)]
+        for command in (["tradeoff", "--train-videos", "1", "--q-grid", "1.0", *small],
+                        ["gen-traces", *small]):
+            assert cli.main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: output ") and message in err
     assert not missing.parent.exists()
 
 
 def test_an_unwritable_output_path_exits_2(tmp_path, capsys):
-    # A directory where the file should go passes the directory check, then
-    # fails to open: main reports the OSError instead of a traceback.
-    target = tmp_path / "taken"
-    target.mkdir()
+    # A file name too long to create passes the path check, then fails to
+    # open: main reports the OSError instead of a traceback.
+    target = tmp_path / ("x" * 300 + ".csv")
     assert cli.main(["gen-traces", "--users", "1", "--videos", "1", "--gops", "5",
                      "--out", str(target)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

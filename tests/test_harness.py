@@ -84,17 +84,16 @@ def test_config_rejects_repeated_policies():
     for policies in (("gaussian", "gaussian"), ("bpea", "laplace", "bpea")):
         with pytest.raises(ValueError, match="policies must not repeat"):
             ExperimentConfig(policies=policies)
-    # A repeated q stays legal: each (q, policy) row is computed on its own.
-    assert ExperimentConfig(q_grid=(0.3, 0.3)).q_grid == (0.3, 0.3)
 
 
 def test_config_rejects_distinct_q_values_sharing_a_seed_key():
     # Baseline noise is seeded by q in millionths: 0.3 and 0.3000001 once
-    # drew identical noise and gave equal rows in every column.
-    for grid in ((0.3, 0.3000001), (0.5, 0.2, 0.4999996)):
-        with pytest.raises(ValueError, match="round to the same millionth"):
+    # drew identical noise and gave equal rows in every column. A repeated q
+    # once wrote two identical rows per policy.
+    for grid in ((0.3, 0.3000001), (0.5, 0.2, 0.4999996), (0.3, 0.3), (0.3, 0.300001, 0.3)):
+        with pytest.raises(ValueError, match="repeat or round to the same millionth"):
             ExperimentConfig(q_grid=grid)
-    assert ExperimentConfig(q_grid=(0.3, 0.300001, 0.3)).q_grid == (0.3, 0.300001, 0.3)
+    assert ExperimentConfig(q_grid=(0.3, 0.300001)).q_grid == (0.3, 0.300001)
 
 
 def test_config_rejects_a_bad_concentration_and_a_missing_output_directory(tmp_path):
@@ -107,6 +106,8 @@ def test_config_rejects_a_bad_concentration_and_a_missing_output_directory(tmp_p
     missing = tmp_path / "missing" / "rows.csv"
     with pytest.raises(FileNotFoundError, match="output directory .* does not exist"):
         ExperimentConfig(out_path=str(missing))
+    with pytest.raises(IsADirectoryError, match="output path .* is a directory"):
+        ExperimentConfig(out_path=str(tmp_path))
     for path in (str(tmp_path / "rows.csv"), "rows.csv"):   # a bare name is written in cwd
         assert ExperimentConfig(out_path=path).out_path == path
 
@@ -284,7 +285,7 @@ def per_scale_calibration(cfg, kind, train):
         predicted = persistence_predict(noisy.reshape(stacked.shape))
         errors = np.arctan2(np.linalg.norm(np.cross(predicted, stacked), axis=-1),
                             np.sum(predicted * stacked, axis=-1)).ravel()
-        leaks.append(leakage_sample_mean(errors, cfg.eps).value)
+        leaks.append(leakage_sample_mean(errors, cfg.eps))
         if leaks[-1] <= target:
             break
     results = []

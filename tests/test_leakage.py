@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewpriv.leakage import (
-    LeakageEstimate,
     conditional_leakage,
     leakage_sample_mean,
     min_leakage_grid_check,
@@ -67,23 +66,20 @@ def test_unique_minimum_at_half_pi():
 
 
 def test_sample_mean_constant_lists():
-    assert leakage_sample_mean([0.5 * math.pi] * 8, EPS).value == pytest.approx(0.1, abs=1e-15)
-    assert leakage_sample_mean([0.01, 0.2, 0.3], EPS).value == 1.0
+    assert leakage_sample_mean([0.5 * math.pi] * 8, EPS) == pytest.approx(0.1, abs=1e-15)
+    assert leakage_sample_mean([0.01, 0.2, 0.3], EPS) == 1.0
 
 
 def test_sample_mean_mixed_list():
-    est = leakage_sample_mean([0.05 * math.pi, 0.5 * math.pi], EPS)
-    assert est.value == pytest.approx(0.55, abs=1e-12)
-    assert est.method == "sample_mean"
-    assert est.trials == 2
-    assert est.half_width is None
+    mean = leakage_sample_mean([0.05 * math.pi, 0.5 * math.pi], EPS)
+    assert mean == pytest.approx(0.55, abs=1e-12)
 
 
 def test_sample_mean_equals_mean_of_conditionals():
     rng = np.random.default_rng(4)
     errors = rng.uniform(0.0, math.pi, 500)
-    est = leakage_sample_mean(errors, EPS)
-    assert est.value == pytest.approx(float(np.mean(conditional_leakage(errors, EPS))), abs=1e-15)
+    mean = leakage_sample_mean(errors, EPS)
+    assert mean == pytest.approx(float(np.mean(conditional_leakage(errors, EPS))), abs=1e-15)
 
 
 def test_sample_mean_rejects_empty():
@@ -117,14 +113,3 @@ def test_grid_check_monotone_on_nested_grids():
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert min_leakage_grid_check(EPS, 1025) == pytest.approx(0.1, abs=1e-12)
 
-
-def test_estimate_invariants():
-    with pytest.raises(ValueError, match="out of"):
-        LeakageEstimate(1.2, "sample_mean")
-    with pytest.raises(ValueError, match="unknown estimate method"):
-        LeakageEstimate(0.5, "analytic")
-    with pytest.raises(ValueError):
-        LeakageEstimate(0.5, "sample_mean", half_width=0.1)
-    with pytest.raises(ValueError):
-        LeakageEstimate(0.5, "monte_carlo", trials=1000)
-    LeakageEstimate(0.5, "monte_carlo", trials=1000, half_width=0.01)

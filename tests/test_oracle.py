@@ -5,6 +5,7 @@ import pytest
 
 from viewpriv.bpea import conditional_leakage_noisy
 from viewpriv.oracle import (
+    LeakageEstimate,
     OracleConfig,
     REFERENCE_POINT,
     _bearings,
@@ -14,7 +15,6 @@ from viewpriv.oracle import (
     fibonacci_sphere,
     grid_attacker_best,
 )
-from viewpriv.leakage import LeakageEstimate
 from viewpriv.sphere import SpherePoint, TWO_PI, dot, points_at_distance, spherical_distance
 
 EPS = 0.1 * math.pi
@@ -125,7 +125,6 @@ def test_mid_cell_formula_bias_is_bounded_on_grid():
 def test_estimate_metadata():
     cfg = OracleConfig(trials=5_000, seed=9)
     est = empirical_conditional_leakage(0.5 * math.pi, 0.0, EPS, cfg)
-    assert est.method == "monte_carlo"
     assert est.trials == 5_000
     assert est.half_width == pytest.approx(
         4.0 * math.sqrt(est.value * (1.0 - est.value) / 5_000), abs=1e-15
@@ -251,7 +250,7 @@ def per_call_draw_leakage(error, noise, eps, cfg):
         )
     p = float(np.mean(dot(actual, guesses) >= math.cos(eps)))
     half_width = 4.0 * math.sqrt(p * (1.0 - p) / cfg.trials)
-    return LeakageEstimate(p, "monte_carlo", trials=cfg.trials, half_width=half_width)
+    return LeakageEstimate(p, cfg.trials, half_width)
 
 
 def test_cached_bearings_match_per_call_draws():

@@ -359,37 +359,39 @@ def test_table_scorer_matches_the_per_gop_reference():
 
 
 def test_simulate_perfect_predictor_no_policy():
-    outcome = simulate_session(
+    report, app = simulate_session(
         perfect_trace(), NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(0)
     )
-    assert outcome.leakage.value == 1.0
-    assert outcome.leakage.method == "sample_mean"
-    assert np.all(outcome.uploaded_errors == 0.0)
-    assert outcome.qoe.qoe == pytest.approx(5.0, abs=1e-12)
+    assert np.mean(app.per_gop_leakage) == 1.0
+    assert np.all(app.uploaded == 0.0)
+    assert report.qoe == pytest.approx(5.0, abs=1e-12)
 
 
 def test_simulate_bpea_zero_requirement_leaks_nothing():
-    outcome = simulate_session(
+    report, app = simulate_session(
         walking_trace(), BpeaPolicy(q=0.0), SessionConfig(), EPS, np.random.default_rng(0)
     )
-    assert outcome.leakage.value == 0.0
-    assert np.all(outcome.per_gop_leakage == 0.0)
+    assert np.mean(app.per_gop_leakage) == 0.0
+    assert np.all(app.per_gop_leakage == 0.0)
 
 
 def test_simulate_bpea_vacuous_requirement_equals_no_policy():
     trace = walking_trace()
-    base = simulate_session(trace, NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(0))
-    noisy = simulate_session(trace, BpeaPolicy(q=1.0), SessionConfig(), EPS, np.random.default_rng(0))
-    assert noisy.qoe == base.qoe
+    base_report, base = simulate_session(
+        trace, NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(0))
+    noisy_report, noisy = simulate_session(
+        trace, BpeaPolicy(q=1.0), SessionConfig(), EPS, np.random.default_rng(0))
+    assert noisy_report == base_report
     assert noisy.mean_error_rad == base.mean_error_rad
     assert noisy.mean_abs_noise_rad == 0.0
-    assert np.array_equal(noisy.uploaded_errors, base.uploaded_errors)
+    assert np.array_equal(noisy.uploaded, base.uploaded)
 
 
 def test_simulate_gaussian_policy_inflates_errors():
     trace = walking_trace(gops=40)
-    base = simulate_session(trace, NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(1))
-    noisy = simulate_session(
+    _, base = simulate_session(
+        trace, NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(1))
+    _, noisy = simulate_session(
         trace, NoiseScale(GAUSSIAN_KIND, 2.0), SessionConfig(), EPS, np.random.default_rng(1)
     )
     assert noisy.mean_error_rad > base.mean_error_rad
@@ -398,22 +400,25 @@ def test_simulate_gaussian_policy_inflates_errors():
 
 def test_apply_policy_matches_simulate_session_pipeline():
     trace = walking_trace()
+    cfg = SessionConfig()
     app = apply_policy(trace, BpeaPolicy(q=0.2), EPS, np.random.default_rng(3))
-    outcome = simulate_session(
-        trace, BpeaPolicy(q=0.2), SessionConfig(), EPS, np.random.default_rng(3)
+    report, outcome = simulate_session(
+        trace, BpeaPolicy(q=0.2), cfg, EPS, np.random.default_rng(3)
     )
     assert np.array_equal(app.per_gop_leakage, outcome.per_gop_leakage)
-    assert np.array_equal(app.uploaded, outcome.uploaded_errors)
+    assert np.array_equal(app.uploaded, outcome.uploaded)
     assert app.mean_error_rad == outcome.mean_error_rad
+    assert report == score_sessions(tiles_of(app.predicted)[None], app.uploaded[None],
+                                    tiles_of(trace.actual)[None], cfg)[0]
 
 
 def test_under_provisioned_budget_stalls_every_gop():
-    outcome = simulate_session(
+    report, _ = simulate_session(
         perfect_trace(), NoObfuscation(), SessionConfig(budget_mbit=5.0), EPS,
         np.random.default_rng(0),
     )
-    assert outcome.qoe.stall_fraction == 1.0
-    assert outcome.qoe.fov_coverage < 1.0
+    assert report.stall_fraction == 1.0
+    assert report.fov_coverage < 1.0
 
 
 def test_allocation_dataclass_shape():
