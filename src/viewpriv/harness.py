@@ -159,6 +159,8 @@ def synthesize_traces(seed: int, users: int, videos: int, gops: int,
     draws from its own RNG seeded by (seed, user, video), so the same pair
     gives the same trace in every command and split."""
     check_seed(seed)
+    if min(users, videos) < 1:
+        raise ValueError("need at least one user and one video")
     keys = [(user, video) for user in range(users) for video in range(videos)]
     rngs = [_rng(seed, 1, user, video) for user, video in keys]
     return generate_synthetic_traces(keys, gops, rngs, concentration)
@@ -218,7 +220,7 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     train, evaluation = generate_trace_set(cfg)
     calibrations = calibrate_baselines(cfg, train)
 
-    # Non-baseline policies upload the clean persistence errors of all traces at once.
+    # Rows without viewpoint noise upload the clean persistence errors of all traces at once.
     actual = np.stack([t.actual for t in evaluation])
     predicted = persistence_predict(actual)
     errors = prediction_errors(predicted, actual)
@@ -226,31 +228,35 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.compute_qoe:
         actual_tiles, clean_tiles = tiles_of(actual), tiles_of(predicted)
 
-    rows = []
+    def measure(pfov_tiles, errs, noises, uploaded, leak):
+        """An upload's (pr_leak, mean_error_rad, mean_abs_noise_rad, qoe, per-trace leakage)."""
+        qoe = math.nan
+        if cfg.compute_qoe:
+            reports = score_sessions(pfov_tiles, uploaded, actual_tiles,
+                                     SessionConfig(cfg.budget_mbit))
+            qoe = np.mean([r.qoe for r in reports])
+        return (float(np.mean(leak)), float(np.mean(np.mean(errs, axis=1))),
+                float(np.mean(np.mean(np.abs(noises), axis=1))), float(qoe), np.mean(leak, axis=1))
+
+    rows, clean = [], None
     for q in cfg.q_grid:
         for name in cfg.policies:
             policy = _policy_instance(name, q, cfg, calibrations)
-            if not isinstance(policy, NoiseScale):
-                pfov_tiles, errs = clean_tiles, errors
-                noises, uploaded, leak = upload_errors(errors, policy, cfg.eps)
-            else:   # one RNG per trace, seeded by (q, policy, user, video)
+            if isinstance(policy, NoiseScale) and policy.value > 0.0:
+                # One RNG per trace, seeded by (q, policy, user, video).
                 rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
                         for t in evaluation]
                 app = apply_policy(evaluation, policy, cfg.eps, rngs)
-                pfov_tiles = tiles_of(app.predicted) if cfg.compute_qoe else None
-                errs, noises, uploaded, leak = (app.errors, app.noises, app.uploaded,
-                                                app.per_gop_leakage)
-            qoe = math.nan
-            if cfg.compute_qoe:
-                reports = score_sessions(pfov_tiles, uploaded, actual_tiles,
-                                         SessionConfig(cfg.budget_mbit))
-                qoe = np.mean([r.qoe for r in reports])
-            rows.append(TradeoffRow(
-                q=q, policy=name, pr_leak=float(np.mean(leak)),
-                mean_error_rad=float(np.mean(np.mean(errs, axis=1))),
-                mean_abs_noise_rad=float(np.mean(np.mean(np.abs(noises), axis=1))),
-                qoe=float(qoe), pspr=pspr(np.mean(leak, axis=1), q),
-            ))
+                measured = measure(tiles_of(app.predicted) if cfg.compute_qoe else None,
+                                   app.errors, app.noises, app.uploaded, app.per_gop_leakage)
+            elif isinstance(policy, BpeaPolicy):
+                measured = measure(clean_tiles, errors, *upload_errors(errors, policy, cfg.eps))
+            else:   # no noise: "none", or a baseline at scale 0, which perturbs nothing
+                if clean is None:
+                    clean = measure(clean_tiles, errors, *upload_errors(errors, policy, cfg.eps))
+                measured = clean
+            *values, per_trace_leak = measured
+            rows.append(TradeoffRow(q, name, *values, pspr(per_trace_leak, q)))
 
     result = ExperimentResult(
         rows=rows,

@@ -115,6 +115,43 @@ def tangent_frame(origin) -> tuple[np.ndarray, np.ndarray]:
     return t1, cross(o, t1)
 
 
+def step_walk(walk: np.ndarray, cos_a, sin_a, cos_b, sin_b) -> None:
+    """Fill ``walk[1:]`` in place from ``walk[0]``: walk[t] is walk[t - 1]
+    moved by arc a[t - 1] along tangent-frame bearing b[t - 1].
+
+    ``walk`` is component-major, (steps + 1, 3, n), so each step acts on
+    all n walks at once; the step angles' and bearings' cosines and sines
+    are time-major, (steps, n). Each point is bit-equal to
+    ``cos a * o + sin a * (cos b * t1 + sin b * t2)`` over its ``norm``,
+    with (t1, t2) = ``tangent_frame(o)`` and every sum in that order. The
+    +z frame is written out here; a step with a row near the poles takes
+    the general ``tangent_frame``.
+    """
+    n = walk.shape[2]
+    o, t1 = np.empty((2, 5, n))   # rows 3 and 4 repeat rows 0 and 1: a cross product is 3 calls
+    t2, x, y = np.empty((3, 3, n))
+    mag = np.empty(n)
+    o3, o14, o25, t3, t14, t25 = o[:3], o[1:4], o[2:5], t1[:3], t1[1:4], t1[2:5]
+    o3[:], o[3:] = walk[0], walk[0, :2]
+    for point, ca, sa, cb, sb in zip(walk[1:], cos_a, sin_a, cos_b, sin_b):
+        if np.maximum.reduce(np.abs(o[2], mag)) > 1.0 - UNIT_TOLERANCE:
+            f1, f2 = tangent_frame(o3.T)
+            t3[:], t2[:] = f1.T, f2.T
+        else:   # t1 = z - (z . o) o, with z . o = o_z, over its norm; t2 = o x t1
+            np.multiply(o3, o[2], t3)
+            np.subtract(_FRAME_AXIS[:, None], t3, t3)
+            np.multiply(t3, t3, x)
+            np.divide(t3, np.sqrt(np.add.reduce(x, 0, None, mag), mag), t3)
+            t1[3:] = t1[:2]
+            np.subtract(np.multiply(o14, t25, x), np.multiply(o25, t14, y), t2)
+        np.add(np.multiply(cb, t3, x), np.multiply(sb, t2, y), x)
+        np.add(np.multiply(ca, o3, y), np.multiply(sa, x, x), y)
+        np.multiply(y, y, x)
+        np.divide(y, np.sqrt(np.add.reduce(x, 0, None, mag), mag), o3)   # sums rows 0, 1, 2 in order
+        o[3:] = o[:2]
+        point[:] = o3
+
+
 def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarray) -> np.ndarray:
     """Unit rows at arc distance ``distance`` from ``origin``, one per tangent-frame bearing."""
     b = np.asarray(bearings, dtype=float)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphere import TWO_PI, norm, random_point, tangent_frame, unit_rows
+from .sphere import TWO_PI, norm, random_point, step_walk, unit_rows
 
 # Tuned so that two-GoP-ahead persistence errors spread across both sides of
 # a 0.1*pi precision radius.
@@ -74,7 +74,7 @@ def generate_synthetic_traces(
     """Bounded-random-walk head traces, one per (user_id, video_id) key.
 
     Trace i draws from ``rngs[i]`` alone: its start point, then its step
-    angles, then its step bearings. One loop over GoPs then steps every
+    angles, then its step bearings. ``sphere.step_walk`` then steps every
     trace at once, so a trace does not depend on the rest of the batch.
     """
     if gops < MIN_GOPS:
@@ -82,23 +82,25 @@ def generate_synthetic_traces(
     check_concentration(concentration)
     if not keys or len(keys) != len(rngs):
         raise ValueError(f"need one RNG per trace key, got {len(keys)} keys, {len(rngs)} RNGs")
-    rows = np.empty((len(keys), gops, 3))
-    angles, bearings = np.empty((2, len(keys), gops - 1, 1))
+    walk = np.empty((gops, 3, len(keys)))
+    angles, bearings = np.empty((2, gops - 1, len(keys)))
     walking = not math.isinf(concentration)   # infinite concentration stays at the start
     for i, rng in enumerate(rngs):
-        rows[i] = random_point(rng).as_array()
+        walk[0, :, i] = random_point(rng).as_array()
         if walking:
             u = 1.0 - rng.random(gops - 1)   # in (0, 1], for the vMF cosine's inverse CDF
             w = 1.0 + np.log(u + (1.0 - u) * math.exp(-2.0 * concentration)) / concentration
-            angles[i, :, 0] = np.arccos(np.clip(w, -1.0, 1.0))
-            bearings[i, :, 0] = rng.uniform(0.0, TWO_PI, gops - 1)
-    for t in range(1, gops if walking else 1):
-        current = rows[:, t - 1]
-        t1, t2 = tangent_frame(current)
-        a, b = angles[:, t - 1], bearings[:, t - 1]
-        step = np.cos(a) * current + np.sin(a) * (np.cos(b) * t1 + np.sin(b) * t2)
-        rows[:, t] = step / norm(step)[:, None]
-    return [SessionTrace(user, video, walk) for (user, video), walk in zip(keys, rows)]
+            angles[:, i] = np.arccos(np.clip(w, -1.0, 1.0))
+            bearings[:, i] = rng.uniform(0.0, TWO_PI, gops - 1)
+    if walking:   # each sine overwrites its table, after the cosine has read it
+        step_walk(walk, np.cos(angles), np.sin(angles, out=angles),
+                  np.cos(bearings), np.sin(bearings, out=bearings))
+    else:
+        walk[1:] = walk[0]
+    del angles, bearings   # freed before the traces' copies
+    # A contiguous copy of each trace first: normalising its strided view is slower.
+    return [SessionTrace(user, video, np.ascontiguousarray(walk[:, :, i]))
+            for i, (user, video) in enumerate(keys)]
 
 
 def generate_synthetic_trace(

@@ -183,6 +183,15 @@ def test_calibrate_and_gen_traces_reject_non_finite_arguments(tmp_path, capsys):
     assert "concentration must be positive" in capsys.readouterr().err
 
 
+def test_gen_traces_rejects_a_zero_count(tmp_path, capsys):
+    # A zero count once reached the walk and failed there, on its RNG count.
+    path = tmp_path / "t.csv"
+    for counts in (["--users", "0", "--videos", "1"], ["--users", "2", "--videos", "0"]):
+        assert cli.main(["gen-traces", *counts, "--gops", "5", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == "error: need at least one user and one video\n"
+        assert not path.exists()
+
+
 def test_seeds_outside_32_bits_exit_2(tmp_path, capsys):
     # Seeds 0 and 2^32 once gave byte-identical runs: only [0, 2^32) is taken.
     small = ["--users", "2", "--gops", "10"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,34 @@ def test_stacked_rows_match_the_per_trace_pipeline():
                            SessionConfig(cfg.budget_mbit))[0].qoe
             for t, a in zip(evaluation, apps)
         ])
+
+
+def test_a_scale_0_row_builds_no_evaluation_rng(monkeypatch):
+    # A baseline calibrated to scale 0 perturbs nothing, so its row is the
+    # clean upload's, made without drawing per-trace evaluation noise.
+    cfg = ExperimentConfig(**dict(SMALL, policies=("none", "gaussian", "laplace")))
+    built, rng = [], harness._rng
+
+    def spy(*parts):
+        built.append(parts)
+        return rng(*parts)
+
+    monkeypatch.setattr(harness, "_rng", spy)
+    result = run_tradeoff_experiment(cfg)
+    evaluation = [parts[2:4] for parts in built if parts[1] == 3]   # (q key, policy id)
+    scales = {key: c.scale.value for key, c in result.calibrations.items()}
+    assert 0.0 in scales.values() and any(scales.values())
+    clean = {row.q: row for row in result.rows if row.policy == "none"}
+    for row in result.rows:
+        if row.policy == "none":
+            continue
+        built_here = evaluation.count((round(row.q * 1_000_000),
+                                       harness.POLICY_NAMES.index(row.policy)))
+        if scales[(row.policy, row.q)] == 0.0:
+            assert built_here == 0
+            assert row == dataclasses.replace(clean[row.q], policy=row.policy)
+        else:
+            assert built_here == cfg.num_users * cfg.num_videos
 
 
 def test_policy_instances_read_calibration():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from viewpriv.harness import ExperimentConfig, generate_trace_set
-from viewpriv.sphere import random_point, unit_rows
+from viewpriv.sphere import norm, random_point, tangent_frame, unit_rows
 from viewpriv.traces import (
+    MIN_GOPS,
     TRACE_HEADER,
     TRACE_PRED_COLUMNS,
     SessionTrace,
@@ -130,6 +131,46 @@ def test_lockstep_walk_matches_per_step_reference():
     for i in (0, 3, count - 1):
         one = generate_synthetic_trace(*keys[i], gops, one_rngs[i], concentration)
         assert np.max(np.abs(one.actual - batch[i].actual)) <= 1e-15
+
+
+def _lockstep_reference(keys, gops, rngs, concentration):
+    # The walk as one loop over GoPs on (traces, GoPs, 3) rows, with
+    # ``tangent_frame`` and the step trig taken afresh at every step.
+    rows = np.empty((len(keys), gops, 3))
+    angles, bearings = np.empty((2, len(keys), gops - 1, 1))
+    walking = not math.isinf(concentration)
+    for i, rng in enumerate(rngs):
+        rows[i] = random_point(rng).as_array()
+        if walking:
+            u = 1.0 - rng.random(gops - 1)
+            w = 1.0 + np.log(u + (1.0 - u) * math.exp(-2.0 * concentration)) / concentration
+            angles[i, :, 0] = np.arccos(np.clip(w, -1.0, 1.0))
+            bearings[i, :, 0] = rng.uniform(0.0, 2.0 * math.pi, gops - 1)
+    for t in range(1, gops if walking else 1):
+        current = rows[:, t - 1]
+        t1, t2 = tangent_frame(current)
+        a, b = angles[:, t - 1], bearings[:, t - 1]
+        step = np.cos(a) * current + np.sin(a) * (np.cos(b) * t1 + np.sin(b) * t2)
+        rows[:, t] = step / norm(step)[:, None]
+    return [SessionTrace(user, video, walk) for (user, video), walk in zip(keys, rows)]
+
+
+@pytest.mark.parametrize("concentration", [32.0, 0.5, math.inf])
+@pytest.mark.parametrize("gops", [MIN_GOPS, 2_000])
+@pytest.mark.parametrize("count", [1, 16])
+def test_walk_matches_the_lockstep_reference_bit_for_bit(count, gops, concentration):
+    def rngs():   # trace 3 (the lone trace when count is 1) starts at the pole
+        return [_PoleFirst(200 + i) if i == 3 % count else np.random.default_rng(200 + i)
+                for i in range(count)]
+
+    keys = [(i // 4, i % 4) for i in range(count)]
+    batch_rngs, reference_rngs = rngs(), rngs()
+    batch = generate_synthetic_traces(keys, gops, batch_rngs, concentration)
+    reference = _lockstep_reference(keys, gops, reference_rngs, concentration)
+    assert [(t.user_id, t.video_id) for t in batch] == keys
+    assert np.array_equal(np.stack([t.actual for t in batch]),
+                          np.stack([t.actual for t in reference]))
+    assert [rng.random() for rng in batch_rngs] == [rng.random() for rng in reference_rngs]
 
 
 def test_persistence_predictor_basics():
