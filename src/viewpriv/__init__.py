@@ -8,7 +8,7 @@ Subpackages:
 * ``bpea``       -- noisy-error mechanism and minimal-noise solver
 * ``oracle``     -- Monte-Carlo / grid-search attacker for verification
 * ``baselines``  -- Gaussian/Laplace viewpoint noise policies and calibration
-* ``policies``   -- obfuscation policy descriptors
+* ``policies``   -- obfuscation policies and the upload pipeline
 * ``streaming``  -- tile-based proactive streaming simulator
 * ``traces``     -- trace synthesis, persistence predictor, CSV IO
 * ``harness``    -- tradeoff experiments and results CSV

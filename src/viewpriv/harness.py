@@ -21,10 +21,8 @@ from . import baselines
 from .baselines import NoiseScale, calibrate_noise_scales, perturb_rows, pspr
 from .bpea import DEFAULT_MARGIN, check_margin
 from .leakage import check_precision, check_requirement
-from .policies import BpeaPolicy, NoObfuscation
-from .streaming import (
-    DEFAULT_BUDGET_MBIT, SessionConfig, apply_policy, score_sessions, tiles_of, upload_errors,
-)
+from .policies import BpeaPolicy, NoObfuscation, apply_policy, upload_errors
+from .streaming import DEFAULT_BUDGET_MBIT, SessionConfig, score_sessions, tiles_of
 from .traces import (
     DEFAULT_CONCENTRATION,
     MIN_GOPS,
@@ -222,11 +220,11 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     # Rows without viewpoint noise upload the clean persistence errors of all traces at once.
     actual = np.stack([t.actual for t in evaluation])
-    predicted = persistence_predict(actual)
-    errors = prediction_errors(predicted, actual)
+    clean_app = apply_policy(actual, NoObfuscation(), cfg.eps, None)
+    errors = clean_app.errors
     actual_tiles = clean_tiles = None
     if cfg.compute_qoe:
-        actual_tiles, clean_tiles = tiles_of(actual), tiles_of(predicted)
+        actual_tiles, clean_tiles = tiles_of(actual), tiles_of(clean_app.predicted)
 
     def measure(pfov_tiles, errs, noises, uploaded, leak):
         """An upload's (pr_leak, mean_error_rad, mean_abs_noise_rad, qoe, per-trace leakage)."""
@@ -246,14 +244,15 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 # One RNG per trace, seeded by (q, policy, user, video).
                 rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
                         for t in evaluation]
-                app = apply_policy(evaluation, policy, cfg.eps, rngs)
+                app = apply_policy(actual, policy, cfg.eps, rngs)
                 measured = measure(tiles_of(app.predicted) if cfg.compute_qoe else None,
                                    app.errors, app.noises, app.uploaded, app.per_gop_leakage)
             elif isinstance(policy, BpeaPolicy):
                 measured = measure(clean_tiles, errors, *upload_errors(errors, policy, cfg.eps))
             else:   # no noise: "none", or a baseline at scale 0, which perturbs nothing
                 if clean is None:
-                    clean = measure(clean_tiles, errors, *upload_errors(errors, policy, cfg.eps))
+                    clean = measure(clean_tiles, errors, clean_app.noises, clean_app.uploaded,
+                                    clean_app.per_gop_leakage)
                 measured = clean
             *values, per_trace_leak = measured
             rows.append(TradeoffRow(q, name, *values, pspr(per_trace_leak, q)))

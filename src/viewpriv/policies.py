@@ -1,20 +1,24 @@
-"""Obfuscation policy descriptors.
+"""Obfuscation policies, and the upload pipeline that applies them.
 
 A policy selects which side of the upload is perturbed: a baseline policy
 (a ``baselines.NoiseScale``) adds coordinate noise to the viewpoints fed to
-the predictor, while the noisy-error policy perturbs only the uploaded
-prediction error. The required inference precision is a property of the
-session, not the policy, and is passed alongside it.
+the predictor; the noisy-error policy perturbs only the uploaded error.
+``apply_policy`` runs one trace or a ``(traces, GoPs, 3)`` stack through
+the pipeline, with the session's inference precision passed alongside.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import math
+from dataclasses import dataclass, field
+from typing import Sequence, Union
 
-from .baselines import NoiseScale
-from .bpea import DEFAULT_MARGIN, check_margin
-from .leakage import check_requirement
+import numpy as np
+
+from .baselines import NoiseScale, perturb_traces
+from .bpea import DEFAULT_MARGIN, check_margin, conditional_leakage_noisy, optimal_noise_batch
+from .leakage import check_precision, check_requirement, conditional_leakage
+from .traces import DEFAULT_HORIZON, SessionTrace, persistence_predict, prediction_errors
 
 
 @dataclass(frozen=True)
@@ -35,3 +39,70 @@ class BpeaPolicy:
 
 
 ObfuscationPolicy = Union[NoObfuscation, BpeaPolicy, NoiseScale]
+
+
+@dataclass(frozen=True)
+class PolicyApplication:
+    """Per-GoP upload pipeline outputs of one session, or (traces, GoPs) arrays of a stack."""
+
+    predicted: np.ndarray = field(repr=False)
+    errors: np.ndarray = field(repr=False)
+    noises: np.ndarray = field(repr=False)
+    uploaded: np.ndarray = field(repr=False)
+    per_gop_leakage: np.ndarray = field(repr=False)
+
+    @property
+    def mean_error_rad(self) -> float:
+        return float(np.mean(self.errors))
+
+    @property
+    def mean_abs_noise_rad(self) -> float:
+        return float(np.mean(np.abs(self.noises)))
+
+
+def apply_policy(
+    trace: SessionTrace | np.ndarray,
+    policy: ObfuscationPolicy,
+    eps: float,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    horizon: int = DEFAULT_HORIZON,
+) -> PolicyApplication:
+    """Run the upload pipeline for one session under a policy.
+
+    Baseline policies perturb the viewpoint history the predictor sees and
+    upload the measured (effective) error unchanged; the noisy-error policy
+    predicts from clean history and perturbs only the uploaded error.
+    Per-GoP leakage is the conditional leakage at the attacker-observed
+    upload. A trace's supplied predictions are used when present. A
+    (traces, GoPs, 3) stack of actual viewpoints with one RNG per trace gives
+    (traces, GoPs) outputs, row i equal to the one-trace call with ``rng[i]``.
+    """
+    eps = check_precision(eps)
+    single = isinstance(trace, SessionTrace)
+    actual, rngs = (trace.actual[None], [rng]) if single else (trace, rng)
+    if not (isinstance(actual, np.ndarray) and actual.ndim == 3 and actual.shape[2] == 3
+            and actual.dtype.kind == "f"):
+        got = f"{actual.dtype} {actual.shape}" if isinstance(actual, np.ndarray) else type(actual)
+        raise ValueError(f"need a SessionTrace or a (traces, GoPs, 3) float array, got {got}")
+
+    if isinstance(policy, NoiseScale):
+        predicted = persistence_predict(perturb_traces(actual, policy.kind, policy.value, rngs),
+                                        horizon)
+    elif single and trace.predicted is not None:
+        predicted = trace.predicted[None]
+    else:
+        predicted = persistence_predict(actual, horizon)
+
+    errors = prediction_errors(predicted, actual)
+    outputs = (predicted, errors, *upload_errors(errors, policy, eps))
+    return PolicyApplication(*([x[0] for x in outputs] if single else outputs))
+
+
+def upload_errors(errors: np.ndarray, policy: ObfuscationPolicy, eps: float):
+    """(noises, uploaded errors, per-GoP leakage) for measured prediction
+    errors of any shape. Only the noisy-error policy adds noise."""
+    if isinstance(policy, BpeaPolicy):
+        noises = optimal_noise_batch(errors, eps, policy.q, policy.margin)
+        uploaded = np.clip(errors + noises, 0.0, math.pi)
+        return noises, uploaded, conditional_leakage_noisy(errors, noises, eps)
+    return np.zeros_like(errors), errors, np.asarray(conditional_leakage(errors, eps))

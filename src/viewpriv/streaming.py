@@ -25,17 +25,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .leakage import check_errors, check_precision, conditional_leakage
-from .baselines import NoiseScale, perturb_traces
-from .policies import BpeaPolicy, ObfuscationPolicy
-from .traces import DEFAULT_HORIZON, SessionTrace, persistence_predict, prediction_errors
-from . import bpea
+from .leakage import check_errors
+from .policies import ObfuscationPolicy, PolicyApplication, apply_policy
+from .traces import SessionTrace
 
 TILE_ROWS = 4
 TILE_COLS = 8
@@ -275,74 +272,6 @@ def score_sessions(pfov_tiles, uploaded, actual_tiles, cfg: SessionConfig) -> li
     center tiles (``tiles_of``) and of uploaded errors."""
     key = (pfov_tiles, zone_indices(uploaded), actual_tiles)
     return _qoe_reports(*(table[key] for table in _qoe_tables(cfg)))
-
-
-@dataclass(frozen=True)
-class PolicyApplication:
-    """Per-GoP upload pipeline outputs of one session, or (traces, GoPs) arrays of a batch."""
-
-    predicted: np.ndarray = field(repr=False)
-    errors: np.ndarray = field(repr=False)
-    noises: np.ndarray = field(repr=False)
-    uploaded: np.ndarray = field(repr=False)
-    per_gop_leakage: np.ndarray = field(repr=False)
-
-    @property
-    def mean_error_rad(self) -> float:
-        return float(np.mean(self.errors))
-
-    @property
-    def mean_abs_noise_rad(self) -> float:
-        return float(np.mean(np.abs(self.noises)))
-
-
-def _stack(arrays: list) -> np.ndarray:
-    """``np.stack``, but a view of a lone array: a one-trace call copies no rows."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def apply_policy(
-    trace: SessionTrace | Sequence[SessionTrace],
-    policy: ObfuscationPolicy,
-    eps: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    horizon: int = DEFAULT_HORIZON,
-) -> PolicyApplication:
-    """Run the upload pipeline for one session under a policy.
-
-    Baseline policies perturb the viewpoint history the predictor sees and
-    upload the measured (effective) error unchanged; the noisy-error policy
-    predicts from clean history and perturbs only the uploaded error.
-    Per-GoP leakage is the conditional leakage at the attacker-observed
-    upload. A sequence of equal-length traces with one RNG each gives
-    outputs with a leading traces axis, and trace i's rows equal its
-    one-trace call with ``rng[i]``.
-    """
-    eps = check_precision(eps)
-    single = isinstance(trace, SessionTrace)
-    traces, rngs = ([trace], [rng]) if single else (trace, rng)
-    actual = _stack([t.actual for t in traces])
-
-    if isinstance(policy, NoiseScale):
-        predicted = persistence_predict(perturb_traces(actual, policy.kind, policy.value, rngs),
-                                        horizon)
-    else:
-        predicted = _stack([persistence_predict(t.actual, horizon) if t.predicted is None
-                            else t.predicted for t in traces])
-
-    errors = prediction_errors(predicted, actual)
-    outputs = (predicted, errors, *upload_errors(errors, policy, eps))
-    return PolicyApplication(*([x[0] for x in outputs] if single else outputs))
-
-
-def upload_errors(errors: np.ndarray, policy: ObfuscationPolicy, eps: float):
-    """(noises, uploaded errors, per-GoP leakage) for measured prediction
-    errors of any shape. Only the noisy-error policy adds noise."""
-    if isinstance(policy, BpeaPolicy):
-        noises = bpea.optimal_noise_batch(errors, eps, policy.q, policy.margin)
-        uploaded = np.clip(errors + noises, 0.0, math.pi)
-        return noises, uploaded, bpea.conditional_leakage_noisy(errors, noises, eps)
-    return np.zeros_like(errors), errors, np.asarray(conditional_leakage(errors, eps))
 
 
 def simulate_session(

@@ -9,7 +9,7 @@ import ast
 import importlib
 from pathlib import Path
 
-from viewpriv import harness, streaming
+from viewpriv import harness, policies, streaming
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,5 +36,6 @@ def test_every_traced_name_exists():
 
 def test_harness_binds_apply_policy():
     # The tracer wraps a function wherever a module binds it; the tradeoff
-    # workload reaches the upload pipeline through this binding.
-    assert harness.apply_policy is streaming.apply_policy
+    # workload reaches the upload pipeline through this binding, and the
+    # tracer finds it under the name ``streaming`` binds.
+    assert policies.apply_policy is streaming.apply_policy is harness.apply_policy

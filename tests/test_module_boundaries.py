@@ -70,3 +70,23 @@ def test_the_check_sees_every_form_of_reach():
         "self._cache",
     ):
         assert private_reaches(source) == [], source
+
+
+def imported_siblings(source):
+    """The sibling modules that ``source`` imports from, or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            sibling = _sibling(node.module, node.level)
+            if sibling is not None:
+                found |= {sibling} if sibling else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {s for alias in node.names if (s := _sibling(alias.name, 0))}
+    return found
+
+
+def test_streaming_leaves_the_upload_pipeline_to_policies():
+    # The tile simulator scores uploads; which noise a policy adds is decided in ``policies``.
+    imported = imported_siblings((PACKAGE / "streaming.py").read_text(encoding="utf-8"))
+    assert "policies" in imported
+    assert imported.isdisjoint({"baselines", "bpea"})
