@@ -74,11 +74,17 @@ def effective_precision(noise, eps: float):
 
 
 def _mid_leakage(noise, eps: float, cos_eps: float, denom):
-    """The middle-regime leakage formula on checked inputs. The caller
-    computes cos(eps) and denom = max(pi * sin e, 1e-300), which keeps the
-    formula safe at sin(e) = 0, once per call. eff is never negative, and
-    eff = 0 gives +0.0."""
+    """The middle-regime leakage formula on checked inputs, with cos(eps) and
+    denom = max(pi * sin e, 1e-300), safe at sin(e) = 0, computed once by the
+    caller per error set. eff is never negative, and eff = 0 gives +0.0."""
     return np.minimum(_effective(noise, eps, cos_eps) / denom, 1.0)
+
+
+def _cell_leakage(n, left, right, low, high, eps: float, cos_eps: float, denom):
+    """The leakage table for noise n, given the checked terms its errors share."""
+    left, right = n <= left, n >= right
+    ones = (low & left) | (high & right)
+    return np.where(ones, 1.0, np.where(left | right, 0.0, _mid_leakage(n, eps, cos_eps, denom)))
 
 
 def conditional_leakage_noisy(error, noise, eps: float):
@@ -93,15 +99,8 @@ def conditional_leakage_noisy(error, noise, eps: float):
     n = np.asarray(noise, dtype=float)
     if not np.all(np.isfinite(n)) or np.any(n < -e) or np.any(n > math.pi - e):
         raise ValueError("noise must lie in [-e, pi - e]")
-
-    low = e <= eps
-    high = e >= math.pi - eps
-    left = n <= eps - e
-    right = n >= math.pi - e - eps
-    ones = (low & left) | (high & right)
-    zeros = (~ones) & (left | right)
-    mid = _mid_leakage(n, eps, math.cos(eps), np.maximum(math.pi * np.sin(e), 1e-300))
-    out = np.where(ones, 1.0, np.where(zeros, 0.0, mid))
+    out = _cell_leakage(n, eps - e, math.pi - e - eps, e <= eps, e >= math.pi - eps, eps,
+                        math.cos(eps), np.maximum(math.pi * np.sin(e), 1e-300))
     return float(out) if np.ndim(error) == 0 and np.ndim(noise) == 0 else out
 
 
@@ -113,87 +112,88 @@ def optimal_noise(error: float, eps: float, q: float, margin: float = DEFAULT_MA
 
 
 def optimal_noise_batch(errors, eps: float, q: float, margin: float = DEFAULT_MARGIN) -> np.ndarray:
-    """Signed noise of minimal magnitude with leakage at most q, for each of
-    an array of errors.
+    """Minimal-|noise| meeting q for each of an array of errors: one ``noise_solver`` step."""
+    return noise_solver(errors, eps, margin)(q)[0]
 
-    A feasible noise always exists: every error regime has a zero-leakage
-    noise cell. Ties between a positive and a negative candidate of equal
-    magnitude resolve to the positive one, which enlarges the streamed zone
-    rather than shrinking it.
 
-    Where q is reachable inside the middle regime, the noise sits at the
-    crossing magnitude where mid(e, n) = q. Its analytic inversion can land
-    a hair on the wrong side of the requirement (roundoff through an
-    ill-conditioned arccos), so geometric step escalation nudges each short
-    crossing up until its evaluated leakage meets q, within ~1e-13 of the
-    true crossing. A pass evaluates the next k = max(1, REFINE_BLOCK_EVALS //
-    short count) candidates of each short error at once and keeps the first
-    that meets q; a candidate is the same sum of doubling steps for any k.
-    Raises ArithmeticError if none of the first ``REFINE_STEPS`` meets q.
+def noise_solver(errors, eps: float, margin: float = DEFAULT_MARGIN):
+    """``solve(q) -> (noises, leakage)`` on one error set, whose checks and
+    q-independent terms run once: the signed minimal-|noise| meeting q, and
+    its leakage by ``conditional_leakage_noisy``'s table (once the noise's
+    work arrays are freed, for a lower peak), both shaped like ``errors``.
+
+    Every regime has a zero-leakage cell, so q is always met; a tie between
+    a positive and a negative noise goes to the positive one, which enlarges
+    the streamed zone. Inside the middle regime the noise is the crossing
+    where mid(e, n) = q. Its arccos inversion can land a hair short of q, so
+    a short crossing moves up by doubling steps, up to REFINE_BLOCK_EVALS
+    candidates at a time over all short errors, to the first that meets q
+    (within ~1e-13); ``solve`` raises ArithmeticError after ``REFINE_STEPS``.
     """
     eps = check_precision(eps)
-    q = check_requirement(q)
     margin = check_margin(margin)
+    shape = np.shape(errors)
     e = check_errors(errors).ravel()
-    if q >= 1.0:
-        return np.zeros(np.shape(errors))
-
     cos_eps = math.cos(eps)
-    denom = np.maximum(math.pi * np.sin(e), 1e-300)
-    left = eps - e
-    right = math.pi - e - eps
+    sin_e = np.sin(e)
+    denom = np.maximum(math.pi * sin_e, 1e-300)
+    left, right = eps - e, math.pi - e - eps
+    low, high = e <= eps, e >= math.pi - eps
     m_left = _mid_leakage(left, eps, cos_eps, denom)
     m_right = _mid_leakage(right, eps, cos_eps, denom)
     m_zero = np.minimum(eps / denom, 1.0)  # mid(e, 0): eff is eps exactly at n = 0
+    m_own = np.where(low, m_left, np.where(high, m_right, m_zero))
 
-    # Magnitude solving mid-regime leakage == q; clamp keeps arccos in
-    # domain where the value is masked out as unused.
-    target = q * math.pi * np.sin(e)
-    crossing = np.arccos(np.minimum(cos_eps / np.cos(np.minimum(target, eps)), 1.0))
-    # Zero target means |n| must reach the saturation point eps exactly;
-    # keep the arccos round-trip from landing an ulp short of it.
-    crossing = np.where(target <= 0.0, np.maximum(crossing, eps), crossing)
-    # Refine only where the crossing is used, because the regime's own bound
-    # leaks more than q, and only what is short. Each such use needs |n| > 0,
-    # where mid can lie above mid(0), so a crossing of 0 is short there.
-    low = e <= eps
-    high = e >= math.pi - eps
-    short = np.flatnonzero(np.where(low, m_left, np.where(high, m_right, m_zero)) > q)
-    c = crossing[short]
-    short = short[(c == 0.0) | (_mid_leakage(c, eps, cos_eps, denom[short]) > q)]
-    step = np.maximum(np.spacing(crossing[short]), 1e-18)
-    tried = 1
-    while short.size:
-        block = min(max(REFINE_BLOCK_EVALS // short.size, 1), REFINE_STEPS - tried)
-        if block <= 0:
-            raise ArithmeticError(
-                f"crossing refinement did not converge at e={float(e[short[0]])!r}, q={q!r}"
-            )
-        # Candidates c + s, c + s + 2s, ...: the sequential additions of a
-        # step that doubles after each one (doubling is exact).
-        candidates = np.ldexp(step[:, None], np.arange(block))
-        candidates[:, 0] += crossing[short]
-        candidates = np.add.accumulate(candidates, axis=1)
-        meets = _mid_leakage(candidates, eps, cos_eps, denom[short, None]) <= q
-        first = meets.argmax(axis=1)
-        rows = np.arange(short.size)
-        done = meets[rows, first]
-        # An error still short keeps its last candidate; its next step is past it.
-        crossing[short] = candidates[rows, np.where(done, first, block - 1)]
-        short, step = short[~done], np.ldexp(step[~done], block)
-        tried += block
+    def noise_for(q: float) -> np.ndarray:
+        # Magnitude solving mid-regime leakage == q; clamp keeps arccos in
+        # domain where the value is masked out as unused.
+        target = q * math.pi * sin_e
+        crossing = np.arccos(np.minimum(cos_eps / np.cos(np.minimum(target, eps)), 1.0))
+        # Zero target means |n| must reach the saturation point eps exactly;
+        # keep the arccos round-trip from landing an ulp short of it.
+        crossing = np.where(target <= 0.0, np.maximum(crossing, eps), crossing)
+        # Refine only where the crossing is used, because the regime's own bound
+        # leaks more than q, and only what is short. Each such use needs |n| > 0,
+        # where mid can lie above mid(0), so a crossing of 0 is short there.
+        short = np.flatnonzero(m_own > q)
+        c = crossing[short]
+        short = short[(c == 0.0) | (_mid_leakage(c, eps, cos_eps, denom[short]) > q)]
+        step = np.maximum(np.spacing(crossing[short]), 1e-18)
+        tried = 1
+        while short.size:
+            block = min(max(REFINE_BLOCK_EVALS // short.size, 1), REFINE_STEPS - tried)
+            if block <= 0:
+                raise ArithmeticError("crossing refinement did not converge at "
+                                      f"e={float(e[short[0]])!r}, q={q!r}")
+            # Candidates c + s, c + s + 2s, ...: the sequential additions of a
+            # step that doubles after each one (doubling is exact).
+            candidates = np.ldexp(step[:, None], np.arange(block))
+            candidates[:, 0] += crossing[short]
+            candidates = np.add.accumulate(candidates, axis=1)
+            meets = _mid_leakage(candidates, eps, cos_eps, denom[short, None]) <= q
+            first = meets.argmax(axis=1)
+            rows = np.arange(short.size)
+            done = meets[rows, first]
+            # An error still short keeps its last candidate; its next step is past it.
+            crossing[short] = candidates[rows, np.where(done, first, block - 1)]
+            short, step = short[~done], np.ldexp(step[~done], block)
+            tried += block
+        low_val = np.where(m_left <= q, left + margin, np.where(m_right <= q, crossing, right))
+        high_val = np.where(m_right <= q, right - margin, np.where(m_left <= q, -crossing, left))
+        # The nearer bound is -left or right, and mid is even in n. Where even the far
+        # bound leaks more than q, mid not rising with |n| > 0 puts the crossing past both.
+        bound_val = np.where(-left <= right, left, right)
+        with_crossing = np.where(crossing < np.minimum(-left, right), crossing, bound_val)
+        mid_val = np.where(m_zero <= q, 0.0, with_crossing)
+        return np.where(low, low_val, np.where(high, high_val, mid_val))
 
-    low_val = np.where(m_left <= q, left + margin, np.where(m_right <= q, crossing, right))
-    high_val = np.where(m_right <= q, right - margin, np.where(m_left <= q, -crossing, left))
+    def solve(q: float) -> tuple[np.ndarray, np.ndarray]:
+        q = check_requirement(q)
+        noise = noise_for(q) if q < 1.0 else np.zeros_like(e)   # q = 1 needs no noise
+        leakage = _cell_leakage(noise, left, right, low, high, eps, cos_eps, denom)
+        return noise.reshape(shape), leakage.reshape(shape)
 
-    # The nearer bound is -left or right, and mid is even in n. Where even the far
-    # bound leaks more than q, mid not rising with |n| > 0 puts the crossing past both.
-    bound_val = np.where(-left <= right, left, right)
-    bound_mag = np.minimum(-left, right)
-    with_crossing = np.where(crossing < bound_mag, crossing, bound_val)
-    mid_val = np.where(m_zero <= q, 0.0, with_crossing)
-
-    return np.where(low, low_val, np.where(high, high_val, mid_val)).reshape(np.shape(errors))
+    return solve
 
 
 def obfuscate_error(error: float, eps: float, q: float, margin: float = DEFAULT_MARGIN) -> float:

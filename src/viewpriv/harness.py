@@ -18,10 +18,10 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import baselines
-from .baselines import NoiseScale, calibrate_noise_scales, perturb_rows, pspr
+from .baselines import calibrate_noise_scales, perturb_rows, pspr
 from .bpea import DEFAULT_MARGIN, check_margin
 from .leakage import check_precision, check_requirement
-from .policies import BpeaPolicy, NoObfuscation, apply_policy, upload_errors
+from .policies import NoObfuscation, apply_policy, bpea_uploads
 from .streaming import DEFAULT_BUDGET_MBIT, SessionConfig, score_sessions, tiles_of
 from .traces import (
     DEFAULT_CONCENTRATION,
@@ -148,7 +148,8 @@ class ExperimentResult:
 
 
 def _rng(*parts: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(p) for p in parts]))
+    # Key words lie in [0, 2^32); numpy raises on a Python int outside that range.
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(parts, np.uint32))))
 
 
 def synthesize_traces(seed: int, users: int, videos: int, gops: int,
@@ -205,14 +206,6 @@ def calibrate_baselines(cfg: ExperimentConfig, train: list[SessionTrace]) -> dic
     return calibrations
 
 
-def _policy_instance(name: str, q: float, cfg: ExperimentConfig, calibrations: dict):
-    if name == "none":
-        return NoObfuscation()
-    if name == "bpea":
-        return BpeaPolicy(q=q, margin=cfg.margin)
-    return calibrations[(name, q)].scale
-
-
 def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Calibrate, simulate, and aggregate one row per (q, policy)."""
     train, evaluation = generate_trace_set(cfg)
@@ -236,19 +229,22 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return (float(np.mean(leak)), float(np.mean(np.mean(errs, axis=1))),
                 float(np.mean(np.mean(np.abs(noises), axis=1))), float(qoe), np.mean(leak, axis=1))
 
+    # Every bpea row first, from one solver that is freed before the baseline rows.
+    bpea_rows = {q: measure(clean_tiles, errors, *upload) for q, upload in zip(
+        cfg.q_grid, bpea_uploads(errors, cfg.eps, cfg.margin, cfg.q_grid))
+    } if "bpea" in cfg.policies else {}
     rows, clean = [], None
     for q in cfg.q_grid:
         for name in cfg.policies:
-            policy = _policy_instance(name, q, cfg, calibrations)
-            if isinstance(policy, NoiseScale) and policy.value > 0.0:
+            if name == "bpea":
+                measured = bpea_rows[q]
+            elif name != "none" and (scale := calibrations[(name, q)].scale).value > 0.0:
                 # One RNG per trace, seeded by (q, policy, user, video).
                 rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
                         for t in evaluation]
-                app = apply_policy(actual, policy, cfg.eps, rngs)
+                app = apply_policy(actual, scale, cfg.eps, rngs)
                 measured = measure(tiles_of(app.predicted) if cfg.compute_qoe else None,
                                    app.errors, app.noises, app.uploaded, app.per_gop_leakage)
-            elif isinstance(policy, BpeaPolicy):
-                measured = measure(clean_tiles, errors, *upload_errors(errors, policy, cfg.eps))
             else:   # no noise: "none", or a baseline at scale 0, which perturbs nothing
                 if clean is None:
                     clean = measure(clean_tiles, errors, clean_app.noises, clean_app.uploaded,

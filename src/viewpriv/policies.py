@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .baselines import NoiseScale, perturb_traces
-from .bpea import DEFAULT_MARGIN, check_margin, conditional_leakage_noisy, optimal_noise_batch
+from .bpea import DEFAULT_MARGIN, check_margin, noise_solver
 from .leakage import check_precision, check_requirement, conditional_leakage
 from .traces import DEFAULT_HORIZON, SessionTrace, persistence_predict, prediction_errors
 
@@ -102,7 +102,11 @@ def upload_errors(errors: np.ndarray, policy: ObfuscationPolicy, eps: float):
     """(noises, uploaded errors, per-GoP leakage) for measured prediction
     errors of any shape. Only the noisy-error policy adds noise."""
     if isinstance(policy, BpeaPolicy):
-        noises = optimal_noise_batch(errors, eps, policy.q, policy.margin)
-        uploaded = np.clip(errors + noises, 0.0, math.pi)
-        return noises, uploaded, conditional_leakage_noisy(errors, noises, eps)
+        return next(bpea_uploads(errors, eps, policy.margin, (policy.q,)))
     return np.zeros_like(errors), errors, np.asarray(conditional_leakage(errors, eps))
+
+
+def bpea_uploads(errors: np.ndarray, eps: float, margin: float, qs):
+    """``upload_errors`` of the noisy-error policy at each q of ``qs``, from one solver."""
+    for noises, leakage in map(noise_solver(errors, eps, margin), qs):
+        yield noises, np.clip(errors + noises, 0.0, math.pi), leakage

@@ -400,6 +400,40 @@ def test_per_row_solves_match_the_stacked_solve(monkeypatch):
             assert min(doublings) >= 8, (q, doublings)
 
 
+def test_the_split_solver_gives_each_one_q_solve_and_its_leakage():
+    # One solver per error set serves every q: each step is bit for bit a
+    # fresh one-q solve, its leakage is conditional_leakage_noisy's on the
+    # returned noise, and the order of the steps does not matter. Errors
+    # within 1e-9 of eps and pi - eps put solves at the regime edges.
+    rng = np.random.default_rng(19)
+    qs = (0.0, 1e-9, 0.05, 0.2, 0.5, 1.0)
+    for eps in (0.01, 0.1 * math.pi, 0.7, 1.2):
+        near = rng.uniform(-1e-9, 1e-9, (2, 500))
+        es = np.concatenate([rng.uniform(0.0, math.pi, 4_000), eps + near[0],
+                             math.pi - eps + near[1]])
+        solve = bpea.noise_solver(es, eps, TAU)
+        forward = [solve(q) for q in qs]
+        backward = [solve(q) for q in reversed(qs)][::-1]
+        for q, (noise, leak), (noise_back, leak_back) in zip(qs, forward, backward):
+            assert np.array_equal(noise, optimal_noise_batch(es, eps, q, TAU)), (eps, q)
+            assert np.array_equal(leak, conditional_leakage_noisy(es, noise, eps)), (eps, q)
+            assert np.array_equal(noise_back, noise) and np.array_equal(leak_back, leak), (eps, q)
+            assert np.all(leak <= q), (eps, q)
+
+
+def test_the_split_solver_keeps_the_error_shape_and_checks_q():
+    es = np.random.default_rng(20).uniform(0.0, math.pi, (3, 7))
+    solve = bpea.noise_solver(es, EPS)
+    noise, leak = solve(0.1)
+    assert noise.shape == leak.shape == es.shape
+    assert np.array_equal(noise, optimal_noise_batch(es, EPS, 0.1))
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            solve(bad)
+    with pytest.raises(ValueError):
+        bpea.noise_solver([1.0, 4.0], EPS)
+
+
 def test_obfuscate_error_examples():
     assert obfuscate_error(0.5 * math.pi, EPS, 1.0, TAU) == 0.5 * math.pi
     assert obfuscate_error(0.05 * math.pi, EPS, 0.0, TAU) == pytest.approx(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from viewpriv import baselines, harness
+from viewpriv import baselines, harness, policies
 from viewpriv.baselines import NoiseScale
 from viewpriv.harness import (
     ExperimentConfig,
@@ -14,7 +14,7 @@ from viewpriv.harness import (
     run_tradeoff_experiment,
     write_results,
 )
-from viewpriv.policies import BpeaPolicy, NoObfuscation
+from viewpriv.policies import BpeaPolicy, NoObfuscation, upload_errors
 from viewpriv.streaming import (
     ZONE_SHAPES, SessionConfig, apply_policy, score_sessions, tiles_of,
 )
@@ -262,6 +262,52 @@ def test_a_scale_0_row_builds_no_evaluation_rng(monkeypatch):
             assert row == dataclasses.replace(clean[row.q], policy=row.policy)
         else:
             assert built_here == cfg.num_users * cfg.num_videos
+
+
+def test_bpea_rows_are_per_q_uploads_of_the_clean_errors_whatever_else_runs():
+    alone = run_tradeoff_experiment(ExperimentConfig(**dict(SMALL, policies=("bpea",))))
+    mixed = run_tradeoff_experiment(ExperimentConfig(
+        **dict(SMALL, policies=("laplace", "none", "bpea", "gaussian"))))
+    assert alone.rows == [row for row in mixed.rows if row.policy == "bpea"]
+    cfg = ExperimentConfig(**SMALL)
+    _, evaluation = generate_trace_set(cfg)
+    actual = np.stack([t.actual for t in evaluation])
+    predicted = persistence_predict(actual)
+    errors = prediction_errors(predicted, actual)
+    for row in alone.rows:
+        noises, uploaded, leak = upload_errors(errors, BpeaPolicy(row.q, cfg.margin), cfg.eps)
+        reports = score_sessions(tiles_of(predicted), uploaded, tiles_of(actual),
+                                 SessionConfig(cfg.budget_mbit))
+        assert row.pr_leak == float(np.mean(leak))
+        assert row.mean_error_rad == float(np.mean(np.mean(errors, axis=1)))
+        assert row.mean_abs_noise_rad == float(np.mean(np.mean(np.abs(noises), axis=1)))
+        assert row.qoe == float(np.mean([r.qoe for r in reports]))
+        assert row.pspr == baselines.pspr(np.mean(leak, axis=1), row.q)
+
+
+def test_one_noise_solver_serves_the_q_grid_and_none_is_built_without_bpea(monkeypatch):
+    built, solver = [], policies.noise_solver
+
+    def spy(*args):
+        built.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(policies, "noise_solver", spy)
+    run_tradeoff_experiment(ExperimentConfig(**dict(SMALL, policies=("none", "gaussian"))))
+    assert built == []
+    run_tradeoff_experiment(ExperimentConfig(**dict(SMALL, policies=("bpea", "laplace"))))
+    assert len(built) == 1
+
+
+def test_rng_keys_seed_as_the_seed_sequence_of_their_words():
+    for key in [(0,), (1,), (10 ** 6,), (2 ** 32 - 1,), (0, 1, 10 ** 6, 2 ** 32 - 1),
+                (2 ** 32 - 1, 3, 0, 1, 10 ** 6, 0)]:
+        want = np.random.default_rng(np.random.SeedSequence([int(p) for p in key]))
+        assert harness._rng(*key).bit_generator.state == want.bit_generator.state, key
+    # A word outside [0, 2^32) raises rather than wrapping onto another key.
+    for key in [(-1,), (2 ** 32,), (0, 3, -1), (5, 2 ** 32 + 5)]:
+        with pytest.raises(OverflowError):
+            harness._rng(*key)
 
 
 def test_policy_instances_read_calibration():
