@@ -213,45 +213,43 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     # Rows without viewpoint noise upload the clean persistence errors of all traces at once.
     actual = np.stack([t.actual for t in evaluation])
-    clean_app = apply_policy(actual, NoObfuscation(), cfg.eps, None)
-    errors = clean_app.errors
-    actual_tiles = clean_tiles = None
+    clean = apply_policy(actual, NoObfuscation(), cfg.eps, None)
     if cfg.compute_qoe:
-        actual_tiles, clean_tiles = tiles_of(actual), tiles_of(clean_app.predicted)
+        actual_tiles, clean_tiles = tiles_of(actual), tiles_of(clean.predicted)
 
-    def measure(pfov_tiles, errs, noises, uploaded, leak):
+    def measure(app):
         """An upload's (pr_leak, mean_error_rad, mean_abs_noise_rad, qoe, per-trace leakage)."""
         qoe = math.nan
         if cfg.compute_qoe:
-            reports = score_sessions(pfov_tiles, uploaded, actual_tiles,
+            pfov = clean_tiles if app.predicted is clean.predicted else tiles_of(app.predicted)
+            reports = score_sessions(pfov, app.uploaded, actual_tiles,
                                      SessionConfig(cfg.budget_mbit))
             qoe = np.mean([r.qoe for r in reports])
+        errs, noises, leak = app.errors, app.noises, app.per_gop_leakage
         return (float(np.mean(leak)), float(np.mean(np.mean(errs, axis=1))),
                 float(np.mean(np.mean(np.abs(noises), axis=1))), float(qoe), np.mean(leak, axis=1))
 
-    # Every bpea row first, from one solver that is freed before the baseline rows.
-    bpea_rows = {q: measure(clean_tiles, errors, *upload) for q, upload in zip(
-        cfg.q_grid, bpea_uploads(errors, cfg.eps, cfg.margin, cfg.q_grid))
-    } if "bpea" in cfg.policies else {}
-    rows, clean = [], None
-    for q in cfg.q_grid:
-        for name in cfg.policies:
-            if name == "bpea":
-                measured = bpea_rows[q]
-            elif name != "none" and (scale := calibrations[(name, q)].scale).value > 0.0:
+    def measured_uploads(name):
+        """Yield the measured upload of policy ``name`` at each q of the grid."""
+        if name == "bpea":   # one solver on the clean errors, freed when this generator ends
+            yield from map(measure, bpea_uploads(clean.predicted, clean.errors, cfg.eps,
+                                                 cfg.margin, cfg.q_grid))
+            return
+        for q in cfg.q_grid:
+            if name != "none" and (scale := calibrations[(name, q)].scale).value > 0.0:
                 # One RNG per trace, seeded by (q, policy, user, video).
                 rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
                         for t in evaluation]
-                app = apply_policy(actual, scale, cfg.eps, rngs)
-                measured = measure(tiles_of(app.predicted) if cfg.compute_qoe else None,
-                                   app.errors, app.noises, app.uploaded, app.per_gop_leakage)
+                yield measure(apply_policy(actual, scale, cfg.eps, rngs))
             else:   # no noise: "none", or a baseline at scale 0, which perturbs nothing
-                if clean is None:
-                    clean = measure(clean_tiles, errors, clean_app.noises, clean_app.uploaded,
-                                    clean_app.per_gop_leakage)
-                measured = clean
-            *values, per_trace_leak = measured
-            rows.append(TradeoffRow(q, name, *values, pspr(per_trace_leak, q)))
+                yield clean_measured
+
+    clean_measured = measure(clean)
+    # Each policy's rows are measured in turn, then interleaved q-major.
+    columns = [list(measured_uploads(name)) for name in cfg.policies]
+    rows = [TradeoffRow(q, name, *values, pspr(per_trace_leak, q))
+            for q, *measured in zip(cfg.q_grid, *columns)
+            for name, (*values, per_trace_leak) in zip(cfg.policies, measured)]
 
     result = ExperimentResult(
         rows=rows,

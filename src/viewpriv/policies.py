@@ -10,7 +10,7 @@ the pipeline, with the session's inference precision passed alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -94,19 +94,16 @@ def apply_policy(
         predicted = persistence_predict(actual, horizon)
 
     errors = prediction_errors(predicted, actual)
-    outputs = (predicted, errors, *upload_errors(errors, policy, eps))
-    return PolicyApplication(*([x[0] for x in outputs] if single else outputs))
-
-
-def upload_errors(errors: np.ndarray, policy: ObfuscationPolicy, eps: float):
-    """(noises, uploaded errors, per-GoP leakage) for measured prediction
-    errors of any shape. Only the noisy-error policy adds noise."""
     if isinstance(policy, BpeaPolicy):
-        return next(bpea_uploads(errors, eps, policy.margin, (policy.q,)))
-    return np.zeros_like(errors), errors, np.asarray(conditional_leakage(errors, eps))
+        app = next(bpea_uploads(predicted, errors, eps, policy.margin, (policy.q,)))
+    else:   # only the noisy-error policy adds noise to the uploaded error
+        app = PolicyApplication(predicted, errors, np.zeros_like(errors), errors,
+                                np.asarray(conditional_leakage(errors, eps)))
+    return PolicyApplication(*(getattr(app, f.name)[0] for f in fields(app))) if single else app
 
 
-def bpea_uploads(errors: np.ndarray, eps: float, margin: float, qs):
-    """``upload_errors`` of the noisy-error policy at each q of ``qs``, from one solver."""
+def bpea_uploads(predicted: np.ndarray, errors: np.ndarray, eps: float, margin: float, qs):
+    """The noisy-error policy's upload at each q of ``qs``, from one solver on ``errors``."""
     for noises, leakage in map(noise_solver(errors, eps, margin), qs):
-        yield noises, np.clip(errors + noises, 0.0, math.pi), leakage
+        yield PolicyApplication(predicted, errors, noises, np.clip(errors + noises, 0.0, math.pi),
+                                leakage)

@@ -14,7 +14,7 @@ from viewpriv.harness import (
     run_tradeoff_experiment,
     write_results,
 )
-from viewpriv.policies import BpeaPolicy, NoObfuscation, upload_errors
+from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.streaming import (
     ZONE_SHAPES, SessionConfig, apply_policy, score_sessions, tiles_of,
 )
@@ -269,13 +269,24 @@ def test_bpea_rows_are_per_q_uploads_of_the_clean_errors_whatever_else_runs():
     mixed = run_tradeoff_experiment(ExperimentConfig(
         **dict(SMALL, policies=("laplace", "none", "bpea", "gaussian"))))
     assert alone.rows == [row for row in mixed.rows if row.policy == "bpea"]
+    # Rows are listed q-major in the configured policy order, and no row
+    # depends on that order.
+    assert [(row.q, row.policy) for row in mixed.rows] == [
+        (q, name) for q in SMALL["q_grid"] for name in ("laplace", "none", "bpea", "gaussian")]
+    reordered = run_tradeoff_experiment(ExperimentConfig(
+        **dict(SMALL, policies=("none", "bpea", "gaussian", "laplace"))))
+    by_key = {(row.q, row.policy): row for row in reordered.rows}
+    assert len(by_key) == len(mixed.rows)
+    for row in mixed.rows:
+        assert row == by_key[(row.q, row.policy)]
     cfg = ExperimentConfig(**SMALL)
     _, evaluation = generate_trace_set(cfg)
     actual = np.stack([t.actual for t in evaluation])
     predicted = persistence_predict(actual)
     errors = prediction_errors(predicted, actual)
     for row in alone.rows:
-        noises, uploaded, leak = upload_errors(errors, BpeaPolicy(row.q, cfg.margin), cfg.eps)
+        app = apply_policy(actual, BpeaPolicy(row.q, cfg.margin), cfg.eps, None)
+        noises, uploaded, leak = app.noises, app.uploaded, app.per_gop_leakage
         reports = score_sessions(tiles_of(predicted), uploaded, tiles_of(actual),
                                  SessionConfig(cfg.budget_mbit))
         assert row.pr_leak == float(np.mean(leak))
@@ -283,6 +294,26 @@ def test_bpea_rows_are_per_q_uploads_of_the_clean_errors_whatever_else_runs():
         assert row.mean_abs_noise_rad == float(np.mean(np.mean(np.abs(noises), axis=1)))
         assert row.qoe == float(np.mean([r.qoe for r in reports]))
         assert row.pspr == baselines.pspr(np.mean(leak, axis=1), row.q)
+
+
+def test_qoe_scores_the_clean_upload_once_and_each_noisy_upload_once(monkeypatch):
+    # `none` and the scale-0 baseline rows share one scoring of the clean
+    # upload; each bpea q and each baseline row at nonzero scale is scored once.
+    calls, score = [], harness.score_sessions
+
+    def spy(*args):
+        calls.append(args)
+        return score(*args)
+
+    monkeypatch.setattr(harness, "score_sessions", spy)
+    cfg = ExperimentConfig(**dict(SMALL, policies=("none", "bpea", "gaussian")))
+    result = run_tradeoff_experiment(cfg)
+    scales = [c.scale.value for c in result.calibrations.values()]
+    assert 0.0 in scales and any(scales)
+    assert len(calls) == 1 + len(cfg.q_grid) + sum(scale > 0.0 for scale in scales)
+    calls.clear()
+    run_tradeoff_experiment(dataclasses.replace(cfg, compute_qoe=False))
+    assert calls == []
 
 
 def test_one_noise_solver_serves_the_q_grid_and_none_is_built_without_bpea(monkeypatch):
