@@ -71,32 +71,52 @@ class CalibrationResult:
     feasible: bool
 
 
-def perturb_traces(points: np.ndarray, kind: str, value: float, rngs: Sequence) -> np.ndarray:
+def perturb_traces(points: np.ndarray, kind: str, value, rngs: Sequence) -> np.ndarray:
     """Add per-coordinate noise to (traces, n, 3) unit rows and renormalize.
-    Trace i draws from ``rngs[i]`` alone: its (n, 3) noise, then redraws of any
-    rows perturbed to (numerically) zero, an event of probability zero."""
-    NoiseScale(kind, value)
+    ``value`` is one scale, or one per trace. Trace i draws from ``rngs[i]``
+    alone, at its own scale: its (n, 3) noise, then redraws of any rows
+    perturbed to (numerically) zero, an event of probability zero. A trace at
+    scale 0 comes back unchanged."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3 or pts.shape[2] != 3 or len(rngs) != len(pts):
-        raise ValueError(f"need (traces, n, 3) rows and one RNG per trace, got {pts.shape}")
-    if value == 0.0:
-        return pts.copy()
+    values = np.asarray(value, dtype=float)
+    if (pts.ndim != 3 or pts.shape[2] != 3 or not len(pts) or len(rngs) != len(pts)
+            or values.ndim > 1 or values.size not in (1, len(pts))):
+        raise ValueError(f"need (traces, n, 3) rows, one RNG per trace and one scale or one "
+                         f"per trace, got {pts.shape}, {len(rngs)} RNGs, {values.size} scales")
+    values = np.broadcast_to(values, len(pts))
+    for extreme in (values.min(), values.max()):   # checks every scale: a NaN is both
+        NoiseScale(kind, float(extreme))
+    live = np.flatnonzero(values)
+    if len(live) < len(pts):   # traces at scale 0 take no draw
+        out = pts.copy()
+        if len(live):
+            out[live] = perturb_traces(pts[live], kind, values[live], [rngs[i] for i in live])
+        return out
+    scales = values.tolist()
     draws = [rng.normal if kind == GAUSSIAN_KIND else rng.laplace for rng in rngs]
-    noisy = (np.stack([draw(0.0, value, size=pts.shape[1:]) for draw in draws]) if len(draws) > 1
-             else draws[0](0.0, value, size=pts.shape[1:])[None])   # a lone trace needs no copy
-    noisy += pts
+    if len(pts) == 1:   # a lone trace adds its rows to its draw, with no second buffer
+        noisy = draws[0](0.0, scales[0], size=pts.shape[1:])[None]
+        noisy += pts
+    else:   # each draw is added into its slab of the block, so no draw is copied
+        noisy = np.empty(pts.shape)
+        for draw, scale, slab, rows in zip(draws, scales, noisy, pts):
+            np.add(draw(0.0, scale, size=pts.shape[1:]), rows, out=slab)
     norms = norm(noisy)
     bad = norms < 1e-12
     for i in np.flatnonzero(bad.any(axis=-1)):
         while np.any(bad[i]):
-            noisy[i, bad[i]] = pts[i, bad[i]] + draws[i](0.0, value, size=(int(np.sum(bad[i])), 3))
+            redraw = draws[i](0.0, scales[i], size=(int(np.sum(bad[i])), 3))
+            noisy[i, bad[i]] = pts[i, bad[i]] + redraw
             norms[i] = norm(noisy[i])
             bad[i] = norms[i] < 1e-12
-    if not np.all(np.isfinite(norms)):   # a non-finite coordinate gives a non-finite norm
-        if np.all(np.isfinite(pts)):
-            raise ValueError(f"noise scale {value!r} is too large: squared row norms overflow")
+    finite = np.isfinite(norms).all(axis=-1)   # a non-finite coordinate gives a non-finite norm
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        if np.all(np.isfinite(pts[i])):
+            raise ValueError(f"noise scale {scales[i]!r} is too large: squared row norms overflow")
         raise ValueError("rows must be finite and nonzero")
-    return noisy / norms[..., None]
+    noisy /= norms[..., None]
+    return noisy
 
 
 def perturb_rows(points: np.ndarray, kind: str, value: float, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import astuple, dataclass, field, fields
@@ -18,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import baselines
-from .baselines import calibrate_noise_scales, perturb_rows, pspr
+from .baselines import calibrate_noise_scales, perturb_traces, pspr
 from .bpea import DEFAULT_MARGIN, check_margin
 from .leakage import check_precision, check_requirement
 from .policies import NoObfuscation, apply_policy, bpea_uploads
@@ -34,6 +35,9 @@ from .traces import (
 )
 
 DEFAULT_PRECISION = 0.1 * math.pi
+# Calibration scale keys seeded per pass: a scan at the default step (at most
+# 141 scales) takes one pass, and a fine step seeds no scale its scan never reaches.
+SCALE_KEYS_PER_PASS = 256
 
 # A policy's index here, and a baseline kind's in ``SEARCH_MAX``, key its RNG streams.
 POLICY_NAMES = ("none", "bpea", *baselines.SEARCH_MAX)
@@ -49,12 +53,12 @@ def _is_int(value) -> bool:
 
 
 def _q_id(q: float) -> int:
-    """A requirement's word of ``_rng``'s key: q in millionths."""
+    """A requirement's word of its baseline rows' RNG keys: q in millionths."""
     return int(round(q * 1_000_000))
 
 
 def check_seed(seed) -> int:
-    """An experiment seed: an integer in [0, 2^32), one word of ``_rng``'s key."""
+    """An experiment seed: an integer in [0, 2^32), the first word of every RNG key."""
     if not (_is_int(seed) and 0 <= seed < 2 ** 32):
         raise ValueError(f"seed must be an integer in [0, 2^32), got {seed!r}")
     return int(seed)
@@ -147,9 +151,91 @@ class ExperimentResult:
         return any(not c.feasible for c in self.calibrations.values())
 
 
-def _rng(*parts: int) -> np.random.Generator:
-    # Key words lie in [0, 2^32); numpy raises on a Python int outside that range.
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(parts, np.uint32))))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), for ``_seed_words``.
+_POOL_SIZE, _XSHIFT = 4, np.uint32(16)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(count, 1) uint32: init, then each times ``mult`` again, mod 2^32."""
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _seed_words(*parts) -> np.ndarray:
+    """PCG64 seed words of every key that the integer arrays ``parts``
+    broadcast to: for the key (w_1, ..., w_L) at each element of the
+    broadcast, ``SeedSequence([w_1, ..., w_L]).generate_state(4, np.uint64)``,
+    as a (..., 4) array. It runs SeedSequence's hash over all keys at once, so
+    a batch pays numpy's per-call cost once. Every word must be an integer in
+    [0, 2^32), where SeedSequence takes it as one 32-bit word."""
+    words = []
+    for part in map(np.asarray, parts):
+        if part.dtype.kind not in "iu" or part.size and not (part.min() >= 0
+                                                             and part.max() < 2 ** 32):
+            raise OverflowError(f"key words must be integers in [0, 2^32), got {part!r}")
+        words.append(part.astype(np.uint32))
+    words = np.stack(np.broadcast_arrays(*words))
+    shape, words = words.shape[1:], words.reshape(len(parts), -1)   # one column per key
+    # Each hashmix XORs the value with one constant and multiplies by the next.
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + 1
+                             + _POOL_SIZE * max(len(parts) - _POOL_SIZE, 0))
+
+    def hashmix(value, start, count):
+        value = value ^ consts[start:start + count]
+        value *= consts[start + 1:start + count + 1]
+        value ^= value >> _XSHIFT
+        return value
+
+    def mix(x, y):
+        x *= _MIX_MULT_L
+        x -= y * _MIX_MULT_R
+        x ^= x >> _XSHIFT
+        return x
+
+    pool = np.zeros((_POOL_SIZE, words.shape[1]), np.uint32)   # a short key hashes zeros after it
+    pool[:len(parts)] = words[:_POOL_SIZE]
+    pool, used = hashmix(pool, 0, _POOL_SIZE), _POOL_SIZE
+    for src in range(_POOL_SIZE):   # every pool word into every other, in order
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], used, _POOL_SIZE - 1))
+        used += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, len(parts)):   # then each further key word into the pool
+        pool = mix(pool, hashmix(words[src], used, _POOL_SIZE))
+        used += _POOL_SIZE
+    out_consts = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+    state = np.concatenate((pool, pool)) ^ out_consts[:-1]   # 8 words, cycling the pool
+    state *= out_consts[1:]
+    state ^= state >> _XSHIFT
+    # Pairs of little-endian 32-bit words make each 64-bit word, as in generate_state.
+    return (np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+            .reshape(shape + (4,)))
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A numpy ``ISeedSequence`` that holds only the four words PCG64 asks
+    for. It is made on first use, so importing the harness does not import
+    ``numpy.random``, which costs every command's start-up time and memory."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise NotImplementedError("only PCG64's request, 4 uint64 words, is kept")
+            return self.words
+
+    return SeedWords
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """``Generator(PCG64(SeedSequence(key)))`` from the key's ``_seed_words``."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 def synthesize_traces(seed: int, users: int, videos: int, gops: int,
@@ -161,7 +247,8 @@ def synthesize_traces(seed: int, users: int, videos: int, gops: int,
     if min(users, videos) < 1:
         raise ValueError("need at least one user and one video")
     keys = [(user, video) for user in range(users) for video in range(videos)]
-    rngs = [_rng(seed, 1, user, video) for user, video in keys]
+    words = _seed_words(seed, 1, np.arange(users)[:, None], np.arange(videos))
+    rngs = [_generator(w) for w in words.reshape(-1, 4)]
     return generate_synthetic_traces(keys, gops, rngs, concentration)
 
 
@@ -176,18 +263,26 @@ def generate_trace_set(cfg: ExperimentConfig) -> tuple[list[SessionTrace], list[
 def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionTrace]):
     """Scales -> (scales, errors) prediction errors over the stacked training
     traces, with one RNG per (kind, scale), per the seed discipline for
-    calibration. Training traces must share a GoP count (synthetic sets do).
+    calibration: scale keys are seeded ``SCALE_KEYS_PER_PASS`` at a time, as
+    the scan reaches them, and a block of scales builds its own RNGs and is
+    perturbed in one call. Training traces must share a GoP count (synthetic
+    sets do).
     """
     stacked = np.stack([t.actual for t in train])
     rows = stacked.reshape(-1, 3)
-    kind_id = tuple(baselines.SEARCH_MAX).index(kind)
+    kind_id, step = tuple(baselines.SEARCH_MAX).index(kind), cfg.calibration_step
+    words = np.empty((0, 4), np.uint64)   # seed words of scale indices 0, 1, ...
 
     def pipeline(scales: np.ndarray) -> np.ndarray:
-        noisy = np.stack([
-            perturb_rows(rows, kind, scale,
-                         _rng(cfg.seed, 2, kind_id, int(round(scale / cfg.calibration_step))))
-            for scale in scales.tolist()
-        ]).reshape((len(scales),) + stacked.shape)
+        nonlocal words
+        indices = [int(round(scale / step)) for scale in scales.tolist()]
+        while max(indices) >= len(words):
+            start = len(words)
+            words = np.concatenate((words, _seed_words(
+                cfg.seed, 2, kind_id, np.arange(start, start + SCALE_KEYS_PER_PASS))))
+        rngs = [_generator(words[i]) for i in indices]
+        noisy = perturb_traces(np.broadcast_to(rows, (len(scales),) + rows.shape), kind, scales,
+                               rngs).reshape((len(scales),) + stacked.shape)
         return prediction_errors(persistence_predict(noisy), stacked).reshape(len(scales), -1)
 
     return pipeline
@@ -235,11 +330,13 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             yield from map(measure, bpea_uploads(clean.predicted, clean.errors, cfg.eps,
                                                  cfg.margin, cfg.q_grid))
             return
-        for q in cfg.q_grid:
+        if name != "none":   # one RNG per trace per q, keyed by (q, policy, user, video)
+            words = _seed_words(cfg.seed, 3, np.array([_q_id(q) for q in cfg.q_grid])[:, None],
+                                _POLICY_IDS[name], [t.user_id for t in evaluation],
+                                [t.video_id for t in evaluation])
+        for i, q in enumerate(cfg.q_grid):
             if name != "none" and (scale := calibrations[(name, q)].scale).value > 0.0:
-                # One RNG per trace, seeded by (q, policy, user, video).
-                rngs = [_rng(cfg.seed, 3, _q_id(q), _POLICY_IDS[name], t.user_id, t.video_id)
-                        for t in evaluation]
+                rngs = [_generator(w) for w in words[i]]
                 yield measure(apply_policy(actual, scale, cfg.eps, rngs))
             else:   # no noise: "none", or a baseline at scale 0, which perturbs nothing
                 yield clean_measured

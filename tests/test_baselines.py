@@ -114,7 +114,8 @@ def reference_perturb(points, kind, value, rng):
 
 def two_norm_perturb_traces(points, kind, value, rngs):
     """``perturb_traces`` as it computed the row norms twice, once for the
-    zero-row check and again in ``unit_rows``: the bit-for-bit reference."""
+    zero-row check and again in ``unit_rows``, at one scale for every trace:
+    the bit-for-bit reference."""
     draws = [rng.normal if kind == GAUSSIAN_KIND else rng.laplace for rng in rngs]
     noisy = np.stack([draw(0.0, value, size=points.shape[1:]) for draw in draws])
     noisy += points
@@ -125,6 +126,14 @@ def two_norm_perturb_traces(points, kind, value, rngs):
                                                              size=(int(np.sum(bad[i])), 3))
             bad[i] = np.linalg.norm(noisy[i], axis=-1) < 1e-12
     return unit_rows(noisy.reshape(-1, 3)).reshape(noisy.shape)
+
+
+def per_slab_reference(points, kind, values, rngs):
+    """A block of traces at one scale each, one trace at a time: unchanged at
+    scale 0, else ``two_norm_perturb_traces`` of that trace alone."""
+    return np.stack([p.copy() if value == 0.0 else
+                     two_norm_perturb_traces(p[None], kind, value, [rng])[0]
+                     for p, value, rng in zip(points, values, rngs)])
 
 
 def test_zero_norm_rows_are_redrawn_from_their_own_trace_rng():
@@ -150,10 +159,27 @@ def test_zero_norm_rows_are_redrawn_from_their_own_trace_rng():
         lone = perturb_traces(points[2:], kind, 0.7, rngs()[2:])
         assert np.array_equal(lone, two_norm_perturb_traces(points[2:], kind, 0.7, rngs()[2:]))
         assert np.allclose(np.linalg.norm(stacked, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        # One scale per trace: trace 1 at scale 0 draws nothing and comes back
+        # unchanged; traces 0 and 2 redraw at their own scales.
+        values = [0.7, 0.0, 1.9]
+        block_rngs = rngs()
+        block = perturb_traces(points, kind, values, block_rngs)
+        assert [r.sizes for r in block_rngs] == [sizes[0], [], sizes[2]]
+        assert np.array_equal(block[1], points[1])
+        assert np.array_equal(block, [perturb_rows(p, kind, value, r)
+                                      for p, value, r in zip(points, values, rngs())])
+        assert np.array_equal(block, per_slab_reference(points, kind, values, rngs()))
+        assert np.array_equal(perturb_traces(points, kind, [0.0] * 3, rngs()), points)
     with pytest.raises(ValueError, match="one RNG per trace"):
         perturb_traces(points, GAUSSIAN_KIND, 0.7, rngs()[:1])
     with pytest.raises(ValueError, match="one RNG per trace"):
         perturb_rows(points, GAUSSIAN_KIND, 0.7, rngs()[0])
+    for values in ([0.7, 0.7], [[0.7, 0.7, 0.7]]):
+        with pytest.raises(ValueError, match="one scale or one per trace"):
+            perturb_traces(points, GAUSSIAN_KIND, values, rngs())
+    for bad in (-0.5, math.nan, math.inf):   # any trace's bad scale is named
+        with pytest.raises(ValueError, match="noise scale must be non-negative"):
+            perturb_traces(points, GAUSSIAN_KIND, [0.7, bad, 0.0], rngs())
 
 
 def test_perturbation_matches_the_two_norm_reference():
@@ -167,6 +193,22 @@ def test_perturbation_matches_the_two_norm_reference():
                                      [np.random.default_rng(s) for s in seeds])
                 assert np.array_equal(out, two_norm_perturb_traces(
                     points, kind, value, [np.random.default_rng(s) for s in seeds]))
+    # A block with one scale per trace, one of them 0, is bit-equal to each
+    # trace perturbed alone at its scale.
+    points = unit_rows(rng.normal(size=(4 * 50, 3))).reshape(4, 50, 3)
+    for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+        values = [1e-3, 0.0, 0.4, SEARCH_MAX[kind]]
+        out = perturb_traces(points, kind, np.array(values),
+                             [np.random.default_rng(s) for s in range(4)])
+        assert np.array_equal(out, per_slab_reference(
+            points, kind, values, [np.random.default_rng(s) for s in range(4)]))
+        assert np.array_equal(out, [perturb_rows(p, kind, value, np.random.default_rng(s))
+                                    for s, (p, value) in enumerate(zip(points, values))])
+        # The training rows of a calibration block, broadcast, not copied.
+        shared = np.broadcast_to(points[0], points.shape)
+        out = perturb_traces(shared, kind, values, [np.random.default_rng(s) for s in range(4)])
+        assert np.array_equal(out, [perturb_rows(points[0], kind, value, np.random.default_rng(s))
+                                    for s, value in enumerate(values)])
     # A non-finite coordinate gives a non-finite norm, and is rejected.
     for bad in (math.nan, math.inf):
         points = np.array([[[1.0, 0.0, 0.0], [0.0, bad, 0.0]]])
@@ -186,6 +228,11 @@ def test_overflowing_scale_is_named_apart_from_bad_rows():
         # A large scale whose squares stay finite still perturbs.
         out = perturb_rows(np.array([[1.0, 0.0, 0.0]]), kind, 1e150, np.random.default_rng(0))
         assert np.allclose(np.linalg.norm(out, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        # In a block only the second trace overflows, and the error names its scale.
+        block = np.broadcast_to([[1.0, 0.0, 0.0]], (4, 1, 3))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"scale 1e\+200 is too"):
+            perturb_traces(block, kind, [0.3, 1e200, 1e150, 0.0],
+                           [np.random.default_rng(s) for s in range(4)])
 
 
 class RecordingPipeline:

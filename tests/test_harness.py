@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viewpriv import baselines, harness, policies
 from viewpriv.baselines import NoiseScale
@@ -240,23 +241,26 @@ def test_a_scale_0_row_builds_no_evaluation_rng(monkeypatch):
     # A baseline calibrated to scale 0 perturbs nothing, so its row is the
     # clean upload's, made without drawing per-trace evaluation noise.
     cfg = ExperimentConfig(**dict(SMALL, policies=("none", "gaussian", "laplace")))
-    built, rng = [], harness._rng
+    built, generator = [], harness._generator
 
-    def spy(*parts):
-        built.append(parts)
-        return rng(*parts)
+    def spy(words):
+        built.append(tuple(words.tolist()))
+        return generator(words)
 
-    monkeypatch.setattr(harness, "_rng", spy)
+    monkeypatch.setattr(harness, "_generator", spy)
     result = run_tradeoff_experiment(cfg)
-    evaluation = [parts[2:4] for parts in built if parts[1] == 3]   # (q key, policy id)
+    _, evaluation = generate_trace_set(cfg)
     scales = {key: c.scale.value for key, c in result.calibrations.items()}
     assert 0.0 in scales.values() and any(scales.values())
     clean = {row.q: row for row in result.rows if row.policy == "none"}
     for row in result.rows:
         if row.policy == "none":
             continue
-        built_here = evaluation.count((round(row.q * 1_000_000),
-                                       harness.POLICY_NAMES.index(row.policy)))
+        # The seed words of this row's keys, (seed, 3, q key, policy id, user, video).
+        row_words = {tuple(np.random.SeedSequence([
+            cfg.seed, 3, round(row.q * 1_000_000), harness.POLICY_NAMES.index(row.policy),
+            t.user_id, t.video_id]).generate_state(4, np.uint64).tolist()) for t in evaluation}
+        built_here = sum(words in row_words for words in built)
         if scales[(row.policy, row.q)] == 0.0:
             assert built_here == 0
             assert row == dataclasses.replace(clean[row.q], policy=row.policy)
@@ -331,14 +335,70 @@ def test_one_noise_solver_serves_the_q_grid_and_none_is_built_without_bpea(monke
 
 
 def test_rng_keys_seed_as_the_seed_sequence_of_their_words():
-    for key in [(0,), (1,), (10 ** 6,), (2 ** 32 - 1,), (0, 1, 10 ** 6, 2 ** 32 - 1),
-                (2 ** 32 - 1, 3, 0, 1, 10 ** 6, 0)]:
+    keys = [(0,), (1,), (10 ** 6,), (2 ** 32 - 1,), (0, 1, 10 ** 6, 2 ** 32 - 1),
+            (2 ** 32 - 1, 3, 0, 1, 10 ** 6, 0), (np.int64(7), np.uint64(2 ** 32 - 1))]
+    for key in keys:
         want = np.random.default_rng(np.random.SeedSequence([int(p) for p in key]))
-        assert harness._rng(*key).bit_generator.state == want.bit_generator.state, key
-    # A word outside [0, 2^32) raises rather than wrapping onto another key.
-    for key in [(-1,), (2 ** 32,), (0, 3, -1), (5, 2 ** 32 + 5)]:
+        got = harness._generator(harness._seed_words(*key))
+        assert got.bit_generator.state == want.bit_generator.state, key
+    # One call seeds a batch: the keys of the words' broadcast, each as if alone.
+    words = harness._seed_words(2 ** 32 - 1, [[0], [3]], 1, [0, 10 ** 6, 5])
+    for i, j in np.ndindex(2, 3):
+        key = [2 ** 32 - 1, (0, 3)[i], 1, (0, 10 ** 6, 5)[j]]
+        assert np.array_equal(words[i, j],
+                              np.random.SeedSequence(key).generate_state(4, np.uint64)), key
+    # A word outside [0, 2^32) raises rather than wrapping onto another key,
+    # whether it is a Python int or a numpy integer.
+    for key in [(-1,), (2 ** 32,), (0, 3, -1), (5, 2 ** 32 + 5), (0, np.int64(-1)),
+                (5, np.uint64(2 ** 32)), (0, [1, -1]), (2 ** 64, 1)]:
         with pytest.raises(OverflowError):
-            harness._rng(*key)
+            harness._seed_words(*key)
+    # The words serve PCG64's one request, and no other.
+    seed_words = harness._seed_words_type()(harness._seed_words(0, 1))
+    for request in ((4,), (8, np.uint32), (2, np.uint64)):
+        with pytest.raises(NotImplementedError):
+            seed_words.generate_state(*request)
+
+
+KEY_WORDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1))
+
+
+def assert_seeded_as_numpy(keys, words):
+    """Each key's seed words, and the generator built from them, are numpy's own."""
+    for key, key_words in zip(keys, words):
+        seed_sequence = np.random.SeedSequence([int(w) for w in key])
+        assert np.array_equal(key_words, seed_sequence.generate_state(4, np.uint64)), key
+        want = np.random.Generator(np.random.PCG64(seed_sequence))
+        assert harness._generator(key_words).bit_generator.state == want.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda length: st.lists(st.lists(KEY_WORDS, min_size=length, max_size=length),
+                            min_size=1, max_size=5)))
+def test_seed_kernel_matches_numpy_at_every_key_length(keys):
+    columns = np.array(keys, dtype=np.uint64).T
+    assert_seeded_as_numpy(keys, harness._seed_words(*columns))
+
+
+@settings(max_examples=30, deadline=None)
+@given(KEY_WORDS, st.integers(1, 4), st.integers(1, 3), st.lists(KEY_WORDS, min_size=1,
+                                                                  max_size=4))
+def test_seed_kernel_matches_numpy_on_the_harness_keys(seed, users, videos, q_ids):
+    # Trace synthesis: (seed, 1, user, video), user-major.
+    words = harness._seed_words(seed, 1, np.arange(users)[:, None], np.arange(videos))
+    assert_seeded_as_numpy([(seed, 1, u, v) for u in range(users) for v in range(videos)],
+                           words.reshape(-1, 4))
+    # Calibration: (seed, 2, kind id, scale index) for every scale of the scan.
+    scales = np.arange(users * videos)
+    assert_seeded_as_numpy([(seed, 2, 1, i) for i in scales],
+                           harness._seed_words(seed, 2, 1, scales))
+    # Evaluation rows: (seed, 3, q key, policy id, user, video), q-major.
+    traces = [(u, v) for u in range(users) for v in range(videos)]
+    words = harness._seed_words(seed, 3, np.array(q_ids)[:, None], 3, [u for u, _ in traces],
+                                [v for _, v in traces])
+    assert_seeded_as_numpy([(seed, 3, q, 3, u, v) for q in q_ids for u, v in traces],
+                           words.reshape(-1, 4))
 
 
 def test_policy_instances_read_calibration():
@@ -354,17 +414,17 @@ def test_policy_instances_read_calibration():
 
 def test_calibration_evaluates_each_perturbed_scale_once(monkeypatch):
     perturbed, evaluations = [], []
-    perturb_rows, conditional_leakage = harness.perturb_rows, baselines.conditional_leakage
+    perturb_traces, conditional_leakage = harness.perturb_traces, baselines.conditional_leakage
 
-    def counting_perturb(points, kind, value, rng):
-        perturbed.append((kind, value))
-        return perturb_rows(points, kind, value, rng)
+    def counting_perturb(points, kind, value, rngs):
+        perturbed.extend((kind, scale) for scale in np.broadcast_to(value, len(rngs)).tolist())
+        return perturb_traces(points, kind, value, rngs)
 
     def counting_leakage(errors, eps):
         evaluations.extend([eps] * len(errors))   # one row of errors per scale
         return conditional_leakage(errors, eps)
 
-    monkeypatch.setattr(harness, "perturb_rows", counting_perturb)
+    monkeypatch.setattr(harness, "perturb_traces", counting_perturb)
     monkeypatch.setattr(baselines, "conditional_leakage", counting_leakage)
     result = run_tradeoff_experiment(ExperimentConfig(**SMALL))
     assert len(evaluations) == len(set(perturbed)) == len(perturbed)
@@ -406,13 +466,13 @@ def per_scale_calibration(cfg, kind, train):
 
 def test_blocked_calibration_matches_the_per_scale_scan(monkeypatch):
     perturbed = []
-    perturb_rows = harness.perturb_rows
+    perturb_traces = harness.perturb_traces
 
-    def recording_perturb(points, kind, value, rng):
-        perturbed.append((kind, value))
-        return perturb_rows(points, kind, value, rng)
+    def recording_perturb(points, kind, value, rngs):
+        perturbed.extend((kind, scale) for scale in np.broadcast_to(value, len(rngs)).tolist())
+        return perturb_traces(points, kind, value, rngs)
 
-    monkeypatch.setattr(harness, "perturb_rows", recording_perturb)
+    monkeypatch.setattr(harness, "perturb_traces", recording_perturb)
     # 2,400 training errors: below the floor, a full scan of 13 or 15 scales
     # takes several blocks of several scales each.
     base = dict(num_users=4, num_videos=1, num_train_videos=5, gops_per_video=120, seed=9,
@@ -433,6 +493,34 @@ def test_blocked_calibration_matches_the_per_scale_scan(monkeypatch):
                 assert len(visited) == int(baselines.SEARCH_MAX[kind] / 0.5) + 1
         assert perturbed == expected_visits
     assert all(c.feasible for c in calibrations.values()) and len(visited) < 13   # stops early
+
+
+def test_scale_keys_are_seeded_as_the_scan_reaches_them(monkeypatch):
+    passes, seed_words = [], harness._seed_words
+
+    def spy(*parts):
+        if parts[1] == 2:   # a calibration key: (seed, 2, kind id, scale index)
+            passes.append((parts[2], int(np.min(parts[3])), np.size(parts[3])))
+        return seed_words(*parts)
+
+    monkeypatch.setattr(harness, "_seed_words", spy)
+    per_pass = harness.SCALE_KEYS_PER_PASS
+    # A fine step and a q that scale 0 meets: one pass per kind, not the
+    # 7,000,001 scales the Gaussian scan could reach.
+    cfg = ExperimentConfig(**dict(SMALL, q_grid=(1.0,), calibration_step=1e-6))
+    harness.calibrate_baselines(cfg, generate_trace_set(cfg)[0])
+    assert passes == [(0, 0, per_pass), (1, 0, per_pass)]
+    # A full scan past one pass: the 281 Gaussian scales take two passes, the
+    # 241 Laplace scales one, and the results are the per-scale scan's.
+    passes.clear()
+    cfg = ExperimentConfig(**dict(SMALL, q_grid=(0.0, 1.0), calibration_step=0.025))
+    train, _ = generate_trace_set(cfg)
+    calibrations = harness.calibrate_baselines(cfg, train)
+    assert passes == [(0, 0, per_pass), (0, per_pass, per_pass), (1, 0, per_pass)]
+    for kind in baselines.SEARCH_MAX:
+        expected, visited = per_scale_calibration(cfg, kind, train)
+        assert [calibrations[(kind, q)] for q in cfg.q_grid] == expected
+        assert len(visited) == {"gaussian": 281, "laplace": 241}[kind]
 
 
 def test_write_results_formats_rows(tmp_path):

@@ -59,7 +59,7 @@ def test_the_check_sees_every_form_of_reach():
         "from . import bpea\nbpea._mid_leakage(1.0)",
         "from viewpriv import bpea as b\ny = b._mid_leakage",
         "import viewpriv.bpea as b\nb._mid_leakage(1.0)",
-        "def f():\n    from . import harness\n    return harness._rng(0)",
+        "def f():\n    from . import harness\n    return harness._seed_words(0)",
     ):
         assert len(private_reaches(source)) == 1, source
     for source in (
