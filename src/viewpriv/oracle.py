@@ -24,7 +24,8 @@ from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_at_bearings, u
 # The predicted viewpoint is fixed here; leakage is rotation invariant.
 REFERENCE_POINT = SpherePoint(0.0, 0.0, 1.0)
 
-_CANDIDATE_CHUNK = 64
+# 16 rows by 20k draws is a 2.5 MB product, which stays in cache.
+_CANDIDATE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ class OracleConfig:
         for name, value, least in (("trials", self.trials, 1_000), ("seed", self.seed, 0)):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 < self.grid_resolution <= 0.1:
             raise ValueError(
                 f"grid resolution must lie in (0, 0.1], got {self.grid_resolution!r}"
@@ -85,7 +87,7 @@ def empirical_conditional_leakage(
     lo, hi = noise_bounds(error)
     noise = check_angle(noise, lo, hi, "noise")
 
-    viewer, attacker = _bearings(int(cfg.seed), int(cfg.trials))
+    viewer, attacker = _bearings(cfg.seed, cfg.trials)
     actual = points_at_bearings(REFERENCE_POINT, error, *viewer)
 
     reported = error + noise
@@ -97,8 +99,8 @@ def empirical_conditional_leakage(
         guesses = points_at_bearings(REFERENCE_POINT, reported, *attacker)
 
     # d(V, Vhat) <= eps is equivalent to dot(V, Vhat) >= cos(eps).
-    leaked = dot(actual, guesses) >= math.cos(eps)
-    p = float(np.mean(leaked))
+    # An exact integer count over one division: bit-equal to np.mean of the mask.
+    p = int(np.count_nonzero(dot(actual, guesses) >= math.cos(eps))) / cfg.trials
     half_width = 4.0 * math.sqrt(p * (1.0 - p) / cfg.trials)
     return LeakageEstimate(p, cfg.trials, half_width)
 
@@ -136,7 +138,7 @@ def grid_attacker_best(error: float, eps: float, cfg: OracleConfig) -> tuple[Sph
         raise ValueError("grid search applies to mid-range errors only")
 
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
-    viewer, _ = _bearings(int(cfg.seed), int(cfg.trials))
+    viewer, _ = _bearings(cfg.seed, cfg.trials)
     actual = points_at_bearings(REFERENCE_POINT, error, *viewer)
 
     # Triangle inequality, not a leakage formula: a candidate at polar angle
@@ -155,8 +157,10 @@ def grid_attacker_best(error: float, eps: float, cfg: OracleConfig) -> tuple[Sph
         lo, hi = int(live[0]), int(live[-1]) + 1
         lo, hi = max(min(lo, hi - 2), 0), max(hi, 2)
         edges = [*range(lo, hi - 1, _CANDIDATE_CHUNK), hi]
-        for rows in map(slice, edges, edges[1:]):
-            counts[rows] = np.count_nonzero(candidates[rows] @ actual.T >= cos_eps, axis=1)
+        for start, stop in zip(edges, edges[1:]):
+            # count_nonzero per row, not with axis=1, which is ~10x slower here.
+            hits = candidates[start:stop] @ actual.T >= cos_eps
+            counts[start:stop] = [np.count_nonzero(row) for row in hits]
 
     best = int(np.argmax(counts))
     return SpherePoint.from_array(candidates[best]), float(counts[best] / cfg.trials)

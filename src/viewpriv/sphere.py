@@ -159,14 +159,25 @@ def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarra
 
 
 def points_at_bearings(origin: SpherePoint, distance: float, cos_b, sin_b) -> np.ndarray:
-    """``points_at_distance`` on precomputed cosines and sines of the bearings."""
+    """``points_at_distance`` on precomputed cosines and sines of the bearings.
+
+    Returns an (n, 3) view of component-major (3, n) storage. Each row is
+    bit-equal to ``unit_rows`` of ``c * o + s * (cos b * t1 + sin b * t2)``.
+    """
     distance = check_angle(distance, 0.0, math.pi, "distance")
     t1, t2 = tangent_frame(origin)
     c, s, o = math.cos(distance), math.sin(distance), origin.as_array()
-    rows = np.empty((len(cos_b), 3))
-    for k in range(3):
-        rows[:, k] = c * o[k] + s * (cos_b * t1[k] + sin_b * t2[k])
-    return unit_rows(rows)
+    comps = np.empty((3, len(cos_b)))
+    for k, row in enumerate(comps):
+        np.multiply(cos_b, t1[k], row)
+        row += sin_b * t2[k]
+        row *= s
+        row += c * o[k]
+    norms = norm(comps.T)
+    if not np.all(np.isfinite(comps)) or np.any(norms == 0.0):
+        raise ValueError("rows must be finite and nonzero")
+    comps /= norms
+    return comps.T
 
 
 def random_point(rng: np.random.Generator) -> SpherePoint:

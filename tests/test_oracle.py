@@ -8,6 +8,7 @@ from viewpriv.oracle import (
     LeakageEstimate,
     OracleConfig,
     REFERENCE_POINT,
+    _CANDIDATE_CHUNK,
     _bearings,
     _lattice_size,
     _streams,
@@ -15,7 +16,14 @@ from viewpriv.oracle import (
     fibonacci_sphere,
     grid_attacker_best,
 )
-from viewpriv.sphere import SpherePoint, TWO_PI, dot, points_at_distance, spherical_distance
+from viewpriv.sphere import (
+    SpherePoint,
+    TWO_PI,
+    dot,
+    points_at_bearings,
+    points_at_distance,
+    spherical_distance,
+)
 
 EPS = 0.1 * math.pi
 
@@ -32,7 +40,10 @@ def test_config_validation():
                 {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}):
         with pytest.raises(ValueError):
             OracleConfig(**bad)
-    assert OracleConfig(trials=np.int64(1_000), seed=np.uint32(7)).seed == 7
+    # Numpy integers are stored as Python ints.
+    cfg = OracleConfig(trials=np.int64(1_000), seed=np.uint32(7))
+    assert (cfg.trials, cfg.seed) == (1_000, 7)
+    assert type(cfg.trials) is int and type(cfg.seed) is int
 
 
 def test_noise_bounds_enforced():
@@ -123,12 +134,15 @@ def test_mid_cell_formula_bias_is_bounded_on_grid():
 
 
 def test_estimate_metadata():
-    cfg = OracleConfig(trials=5_000, seed=9)
-    est = empirical_conditional_leakage(0.5 * math.pi, 0.0, EPS, cfg)
-    assert est.trials == 5_000
-    assert est.half_width == pytest.approx(
-        4.0 * math.sqrt(est.value * (1.0 - est.value) / 5_000), abs=1e-15
-    )
+    for trials in (5_000, np.int64(5_000)):
+        cfg = OracleConfig(trials=trials, seed=9)
+        est = empirical_conditional_leakage(0.5 * math.pi, 0.0, EPS, cfg)
+        assert est.trials == 5_000
+        assert type(est.value) is float and type(est.trials) is int
+        assert type(est.half_width) is float
+        assert est.half_width == pytest.approx(
+            4.0 * math.sqrt(est.value * (1.0 - est.value) / 5_000), abs=1e-15
+        )
 
 
 def test_seeded_determinism():
@@ -215,8 +229,8 @@ def live_rows(error, eps, cfg):
 
 def test_pruned_grid_attacker_matches_brute_force():
     # The cases reach every path: no live row (eps = 1e-5), one live row
-    # (eps = 0.01, next to a pole), and a live range whose 64-row chunks
-    # leave a 1-row tail.
+    # (eps = 0.01, next to a pole), and a live range whose chunks leave a
+    # 1-row tail.
     rng = np.random.default_rng(8)
     seen = set()
     for eps in (EPS, 0.01, 1e-5):
@@ -227,10 +241,43 @@ def test_pruned_grid_attacker_matches_brute_force():
                           *rng.uniform(eps, math.pi - eps, 2)):
                     rows = live_rows(e, eps, cfg)
                     seen.add("none" if rows == 0 else "lone" if rows == 1
-                             else "tail" if rows % 64 == 1 else "other")
+                             else "tail" if rows % _CANDIDATE_CHUNK == 1 else "other")
                     got = grid_attacker_best(e, eps, cfg)
                     assert got == brute_force_grid_attacker(e, eps, cfg), (eps, seed, res, e)
     assert seen >= {"none", "lone", "tail"}, seen
+
+
+@pytest.mark.parametrize("trials", [20_000, 100_000])
+def test_lattice_products_do_not_depend_on_layout_or_chunk(trials):
+    # The attacker's counts match any chunking of the lattice only if BLAS
+    # gives every product the same bits whatever the operands' memory layout
+    # and the chunk's row count. Rows: 529 of the live range, so each chunk
+    # size ends on a 17-row chunk that holds a joined 1-row tail.
+    cfg = OracleConfig(trials=trials, grid_resolution=0.1, seed=7)
+    error = 0.4 * math.pi
+    candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
+    actual = points_at_bearings(REFERENCE_POINT, error, *_bearings(cfg.seed, cfg.trials)[0])
+    assert actual.T.flags.c_contiguous
+    packed = np.ascontiguousarray(actual)
+    lo = int(np.flatnonzero(~beyond_reach(candidates, error, EPS))[0])
+    hi = lo + 529
+
+    def chunks(size, start=lo, stop=hi):
+        edges = [*range(start, stop - 1, size), stop]
+        return list(zip(edges, edges[1:]))
+
+    compared = 0
+    for start, stop in chunks(256):
+        whole = candidates[start:stop] @ actual.T
+        for size in (_CANDIDATE_CHUNK, 64):
+            for a, b in chunks(size, start, stop):
+                got = candidates[a:b] @ actual.T
+                assert np.array_equal(got, whole[a - start : b - start]), (size, a, b)
+                if size == _CANDIDATE_CHUNK:
+                    assert np.array_equal(got, candidates[a:b] @ packed.T), (a, b)
+                    compared += b - a
+        del whole   # one 256-row product at a time: 205 MB at 1e5 draws
+    assert compared == 529
 
 
 def per_call_draw_leakage(error, noise, eps, cfg):
