@@ -18,9 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .leakage import (
-    check_precision, check_requirement, conditional_leakage, optimal_error_distribution,
-)
+from .leakage import check_precision, check_requirement, conditional_leakage
 from .sphere import norm
 
 GAUSSIAN_KIND = "gaussian"
@@ -29,8 +27,8 @@ LAPLACE_KIND = "laplace"
 # Largest scale the one-dimensional calibration search scans, per kind.
 SEARCH_MAX = {GAUSSIAN_KIND: 7.0, LAPLACE_KIND: 6.0}
 DEFAULT_SEARCH_STEP = 0.05
-# Errors one pipeline call of a scan below the leakage floor evaluates at most.
-# Small sets pay numpy's per-call cost once per block of scales, not per scale.
+# Errors one pipeline call of a scan evaluates at most, after scale 0. Small
+# sets pay numpy's per-call cost once per block of scales, not per scale.
 SCAN_BLOCK_ERRORS = 16_384
 
 
@@ -125,7 +123,7 @@ def perturb_rows(points: np.ndarray, kind: str, value: float, rng: np.random.Gen
 
 
 def calibrate_noise_scales(
-    error_pipeline: Callable[[np.ndarray], np.ndarray],
+    error_pipeline: Callable[[np.ndarray, np.ndarray], np.ndarray],
     eps: float,
     q_grid,
     kind: str,
@@ -134,19 +132,19 @@ def calibrate_noise_scales(
     """One forward scan over noise scales that calibrates every requirement
     in ``q_grid``; returns one result per q, in grid order.
 
-    ``error_pipeline`` maps a 1-D array of k scale values to a (k, n) array:
-    row i holds the prediction errors measured on the calibration traces
-    after obfuscation at scale i. It must be deterministic per scale
-    (callers derive its randomness from the scale, not from the block).
-    Scales 0, step, ... are visited once each and the scan stops at the
-    first one meeting ``min(q_grid)``. Scale 0 is evaluated alone. When
-    ``min(q_grid)`` lies below the eps/pi floor, which no error
-    distribution reaches, the scan visits every scale, so it evaluates the
-    rest in blocks of at most ``SCAN_BLOCK_ERRORS`` errors; otherwise one
-    scale per call. A forward scan is used instead of bisection because the
-    achieved leakage need not be monotone in the scale near the floor.
-    ``search_evals`` counts the scales a scan for that q alone would have
-    visited.
+    ``error_pipeline(indices, scales)`` maps a block of k scales, given by
+    their indices in the scan (scale i is ``min(i * step, SEARCH_MAX[kind])``)
+    and their values, to a (k, n) array: row j holds the prediction errors
+    measured on the calibration traces after obfuscation at scale j. It must
+    be deterministic per scale (callers key its randomness by the index, not
+    by the block). Scale 0 is evaluated alone; then blocks of at most
+    ``SCAN_BLOCK_ERRORS`` errors (at least one scale) are evaluated in order
+    until a block holds a scale meeting ``min(q_grid)`` or the scales run
+    out. Each q reads its result from the first scale meeting it, so scales
+    evaluated past that one in its block change nothing. A forward scan is
+    used instead of bisection because the achieved leakage need not be
+    monotone in the scale near the eps/pi floor. ``search_evals`` counts the
+    scales a one-scale-per-call scan for that q alone would have visited.
     """
     check_precision(eps)
     qs = [check_requirement(q) for q in q_grid]
@@ -156,29 +154,24 @@ def calibrate_noise_scales(
     search_max = SEARCH_MAX[kind]
 
     target = min(qs)   # an empty grid raises ValueError here, before any scan
-    scales = np.minimum(np.arange(int(math.floor(search_max / step + 1e-9)) + 1) * step,
-                        search_max)
-
-    # Below the eps/pi floor no scale meets the target and the scan visits
-    # them all. The margin sits far above the rounding of a mean of values
-    # >= the floor.
-    below_floor = target < optimal_error_distribution(eps)[1] * (1.0 - 1e-9)
-    leaks, per_call = [], 1   # scale 0 alone; its error count sizes the blocks
-    while len(leaks) < len(scales) and not (leaks and leaks[-1] <= target):
-        block = scales[len(leaks):len(leaks) + per_call]
-        errors = np.asarray(error_pipeline(block), dtype=float)
-        if errors.ndim != 2 or len(errors) != len(block) or errors.size == 0:
+    n_scales = int(math.floor(search_max / step + 1e-9)) + 1   # scales are made as reached
+    leaks, block, per_call = [], [], 1   # scale 0 alone; its error count sizes the blocks
+    while len(leaks) < n_scales and not any(leak <= target for leak in block):
+        indices = np.arange(len(leaks), min(len(leaks) + per_call, n_scales))
+        errors = np.asarray(error_pipeline(indices, np.minimum(indices * step, search_max)),
+                            dtype=float)
+        if errors.ndim != 2 or len(errors) != len(indices) or errors.size == 0:
             raise ValueError(f"error pipeline must give one non-empty row of errors per scale, "
-                             f"got shape {errors.shape} for {len(block)} scales")
-        leaks += conditional_leakage(errors, eps).mean(axis=-1).tolist()
-        if below_floor:
-            per_call = max(1, SCAN_BLOCK_ERRORS // errors.shape[1])
+                             f"got shape {errors.shape} for {len(indices)} scales")
+        block = conditional_leakage(errors, eps).mean(axis=-1).tolist()
+        leaks += block
+        per_call = max(1, SCAN_BLOCK_ERRORS // errors.shape[1])
 
     results = []
     for q in qs:
         meeting = [i for i, leak in enumerate(leaks) if leak <= q]
         i = meeting[0] if meeting else leaks.index(min(leaks))   # else the first lowest
-        scale = NoiseScale(kind, float(scales[i]))
+        scale = NoiseScale(kind, float(min(i * step, search_max)))
         evals = i + 1 if meeting else len(leaks)
         results.append(CalibrationResult(scale, leaks[i], evals, bool(meeting)))
     return results

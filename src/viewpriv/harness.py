@@ -2,10 +2,13 @@
 training split, tradeoff rows over a privacy-requirement grid, and the
 results CSV.
 
-Every random draw is seeded from integers derived from the experiment seed
-plus the grid point (requirement, policy, user, video), so results do not
-depend on evaluation order and identical configurations produce
-byte-identical output files.
+Every random draw has its own RNG, keyed by the experiment seed, a word
+naming the stage and the draw's place in it: ``(seed, 1, user, video)``
+synthesizes a trace, ``(seed, 2, kind id, scale index)`` perturbs the
+training traces at one calibration scale, and ``(seed, 3, q in millionths,
+policy id, user, video)`` perturbs one evaluation trace of a baseline row.
+So results do not depend on evaluation order, and identical configurations
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -65,8 +68,10 @@ def check_seed(seed) -> int:
 
 
 def check_out_path(path) -> None:
-    """Fail before any work when ``path`` names a directory, or the directory
-    it would be written in is missing."""
+    """Fail before any work when ``path`` is empty or names a directory, or
+    the directory it would be written in is missing."""
+    if not os.fspath(path):
+        raise ValueError("output path must not be empty")
     if os.path.isdir(path):
         raise IsADirectoryError(f"output path {path!r} is a directory")
     directory = os.path.dirname(path) or "."
@@ -260,27 +265,24 @@ def generate_trace_set(cfg: ExperimentConfig) -> tuple[list[SessionTrace], list[
     return train, [t for t in traces if t.video_id >= cfg.num_train_videos]
 
 
-def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionTrace]):
-    """Scales -> (scales, errors) prediction errors over the stacked training
-    traces, with one RNG per (kind, scale), per the seed discipline for
-    calibration: scale keys are seeded ``SCALE_KEYS_PER_PASS`` at a time, as
-    the scan reaches them, and a block of scales builds its own RNGs and is
-    perturbed in one call. Training traces must share a GoP count (synthetic
-    sets do).
+def _calibration_pipeline(cfg: ExperimentConfig, kind: str, stacked: np.ndarray):
+    """(scale indices, scales) -> prediction errors over the stacked (traces,
+    GoPs, 3) training viewpoints, with one RNG per (kind, scale index), per
+    the seed discipline for calibration: scale keys are seeded
+    ``SCALE_KEYS_PER_PASS`` at a time, as the scan reaches them, and a block
+    of scales builds its own RNGs and is perturbed in one call.
     """
-    stacked = np.stack([t.actual for t in train])
     rows = stacked.reshape(-1, 3)
-    kind_id, step = tuple(baselines.SEARCH_MAX).index(kind), cfg.calibration_step
+    kind_id = tuple(baselines.SEARCH_MAX).index(kind)
     words = np.empty((0, 4), np.uint64)   # seed words of scale indices 0, 1, ...
 
-    def pipeline(scales: np.ndarray) -> np.ndarray:
+    def pipeline(indices: np.ndarray, scales: np.ndarray) -> np.ndarray:
         nonlocal words
-        indices = [int(round(scale / step)) for scale in scales.tolist()]
-        while max(indices) >= len(words):
+        while indices.max() >= len(words):
             start = len(words)
             words = np.concatenate((words, _seed_words(
                 cfg.seed, 2, kind_id, np.arange(start, start + SCALE_KEYS_PER_PASS))))
-        rngs = [_generator(words[i]) for i in indices]
+        rngs = [_generator(w) for w in words[indices]]
         noisy = perturb_traces(np.broadcast_to(rows, (len(scales),) + rows.shape), kind, scales,
                                rngs).reshape((len(scales),) + stacked.shape)
         return prediction_errors(persistence_predict(noisy), stacked).reshape(len(scales), -1)
@@ -290,14 +292,15 @@ def _calibration_pipeline(cfg: ExperimentConfig, kind: str, train: list[SessionT
 
 def calibrate_baselines(cfg: ExperimentConfig, train: list[SessionTrace]) -> dict:
     """{(policy, q): CalibrationResult} for every baseline policy of ``cfg``
-    and every q of its grid, from one forward scan per policy on ``train``."""
+    and every q of its grid, from one forward scan per policy on ``train``.
+    Training traces must share a GoP count (synthetic sets do)."""
     calibrations: dict = {}
-    for kind in cfg.policies:
-        if kind in baselines.SEARCH_MAX:
-            pipeline = _calibration_pipeline(cfg, kind, train)
-            results = calibrate_noise_scales(pipeline, cfg.eps, cfg.q_grid, kind,
-                                             step=cfg.calibration_step)
-            calibrations.update(((kind, q), r) for q, r in zip(cfg.q_grid, results))
+    kinds = [kind for kind in cfg.policies if kind in baselines.SEARCH_MAX]
+    stacked = np.stack([t.actual for t in train]) if kinds else None
+    for kind in kinds:
+        results = calibrate_noise_scales(_calibration_pipeline(cfg, kind, stacked), cfg.eps,
+                                         cfg.q_grid, kind, step=cfg.calibration_step)
+        calibrations.update(((kind, q), r) for q, r in zip(cfg.q_grid, results))
     return calibrations
 
 

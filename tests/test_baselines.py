@@ -238,16 +238,18 @@ def test_overflowing_scale_is_named_apart_from_bad_rows():
 class RecordingPipeline:
     """Deterministic synthetic error pipeline: noise scale shifts the error
     distribution toward the half-turn leakage floor. ``calls`` lists every
-    scale evaluated, ``blocks`` the number of scales per call."""
+    scale evaluated, ``indices`` their scan indices, ``blocks`` the number of
+    scales per call."""
 
     def __init__(self, seed=0, floor=0.5 * math.pi, start=0.1):
         rng = np.random.default_rng(seed)
         self.base = rng.uniform(0.05, start, 4_000)
         self.floor = floor
-        self.calls, self.blocks = [], []
+        self.calls, self.indices, self.blocks = [], [], []
 
-    def __call__(self, scales):
+    def __call__(self, indices, scales):
         self.calls += scales.tolist()
+        self.indices += indices.tolist()
         self.blocks.append(len(scales))
         return np.stack([self.errors(scale) for scale in scales.tolist()])
 
@@ -302,13 +304,13 @@ def test_calibration_validates_arguments():
         calibrate_noise_scales(pipeline, EPS, (0.5, 1.5), GAUSSIAN_KIND)
     assert pipeline.calls == []
     with pytest.raises(ValueError, match="one non-empty row of errors per scale"):
-        calibrate_noise_scale(lambda s: np.empty((len(s), 0)), EPS, 0.5, GAUSSIAN_KIND)
+        calibrate_noise_scale(lambda i, s: np.empty((len(s), 0)), EPS, 0.5, GAUSSIAN_KIND)
     # One row of errors per scale, for the first call and for every block.
-    for bad in (lambda s: np.full(5, 1.0), lambda s: np.full((len(s) + 1, 5), 1.0)):
+    for bad in (lambda i, s: np.full(5, 1.0), lambda i, s: np.full((len(s) + 1, 5), 1.0)):
         with pytest.raises(ValueError, match="one non-empty row of errors per scale"):
             calibrate_noise_scale(bad, EPS, 0.5, GAUSSIAN_KIND)
     with pytest.raises(ValueError, match="one non-empty row of errors per scale"):
-        calibrate_noise_scale(lambda s: np.full((1, 5), 1.0), EPS, 0.0, GAUSSIAN_KIND)
+        calibrate_noise_scale(lambda i, s: np.full((1, 5), 1.0), EPS, 0.0, GAUSSIAN_KIND)
     with pytest.raises(ValueError, match="unknown noise kind"):
         calibrate_noise_scale(pipeline, EPS, 0.5, "bogus")
 
@@ -336,10 +338,11 @@ class ProfilePipeline:
 
     def __init__(self, profile):
         self.profile = profile
-        self.calls, self.blocks = [], []
+        self.calls, self.indices, self.blocks = [], [], []
 
-    def __call__(self, scales):
+    def __call__(self, indices, scales):
         self.calls += scales.tolist()
+        self.indices += indices.tolist()
         self.blocks.append(len(scales))
         return np.stack([self.errors(scale) for scale in scales.tolist()])
 
@@ -363,46 +366,56 @@ GRIDS = (
 )
 
 
+def blocked_visits(stop, per_call, n_scales):
+    """Scales a blocked scan evaluates when a scan of one scale per call
+    would stop after ``stop``: scale 0 alone, then whole blocks of
+    ``per_call`` up to the one holding scale ``stop - 1``, cut at the grid's end."""
+    return min(1 + -(-(stop - 1) // per_call) * per_call, n_scales)
+
+
 def test_one_scan_matches_a_scan_per_requirement():
-    ties = 0
+    ties = past = 0
     for make in [RecordingPipeline] + [lambda p=p: ProfilePipeline(p) for p in PROFILES.values()]:
         for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
             for step in (0.05, 0.3, 2.0, 7.0):
+                n_scales = int(math.floor(SEARCH_MAX[kind] / step + 1e-9)) + 1
                 for grid in GRIDS:
                     pipeline = make()
                     results = calibrate_noise_scales(pipeline, EPS, grid, kind, step)
                     assert results == [reference_scan(make(), EPS, q, kind, step) for q in grid]
-                    # One visit per scale, in order, stopping where min(grid) is met.
+                    # Scale 0 alone, then blocks of the same size for every grid, in
+                    # order, each scale once, ending with the block that holds the
+                    # first scale meeting min(grid).
                     stop = reference_scan(make(), EPS, min(grid), kind, step).search_evals
-                    assert pipeline.calls == [min(i * step, SEARCH_MAX[kind]) for i in range(stop)]
-                    assert len(set(pipeline.calls)) == len(pipeline.calls)
-                    # Scale 0 alone, then blocks below the floor, else one scale per call.
-                    per_call = (SCAN_BLOCK_ERRORS // len(pipeline.errors(0.0))
-                                if min(grid) < FLOOR else 1)
-                    assert pipeline.blocks == [1] + [min(per_call, stop - i)
-                                                     for i in range(1, stop, per_call)]
+                    per_call = max(1, SCAN_BLOCK_ERRORS // len(pipeline.errors(0.0)))
+                    end = blocked_visits(stop, per_call, n_scales)
+                    assert pipeline.indices == list(range(end))
+                    assert pipeline.calls == [min(i * step, SEARCH_MAX[kind]) for i in range(end)]
+                    assert pipeline.blocks == [1] + [min(per_call, end - i)
+                                                     for i in range(1, end, per_call)]
                     leaks = [leakage_sample_mean(make().errors(s), EPS)
-                             for s in pipeline.calls]
+                             for s in pipeline.calls[:stop]]
                     ties += leaks.count(min(leaks)) > 1
+                    past += end > stop
     assert ties   # the first-argmin fallback was exercised
+    assert past   # and scales past the stopping one, in its block
     infeasible = calibrate_noise_scales(ProfilePipeline(PROFILES["tied_minimum"]), EPS,
                                         (0.0,), GAUSSIAN_KIND, 0.05)[0]
     assert not infeasible.feasible and infeasible.scale.value == pytest.approx(2.15)
 
 
-def test_block_scan_starts_just_below_the_floor():
-    # The scan blocks only when no scale can meet min(q): a requirement at
-    # the eps/pi floor still scans one scale per call, one a hair below it
-    # (beyond the margin for rounding of a mean) scans in blocks.
+def test_block_scan_is_the_same_at_and_below_the_floor():
+    # The eps/pi floor does not choose the scan: a requirement at the floor
+    # and one a hair below it both scan scale 0 alone, then blocks.
     n = len(RecordingPipeline().base)
-    for q, per_call in ((FLOOR, 1), (FLOOR * (1.0 - 1e-8), SCAN_BLOCK_ERRORS // n)):
+    for q in (FLOOR, FLOOR * (1.0 - 1e-8)):
         pipeline = RecordingPipeline()
         result = calibrate_noise_scale(pipeline, EPS, q, GAUSSIAN_KIND)
         assert result == reference_scan(RecordingPipeline(), EPS, q, GAUSSIAN_KIND,
                                         DEFAULT_SEARCH_STEP)
         assert not result.feasible and len(pipeline.calls) == result.search_evals == 141
-        assert pipeline.blocks[:3] == [1, per_call, per_call]
-    # Sets larger than the budget still go one scale per call.
+        assert pipeline.blocks == [1] + [SCAN_BLOCK_ERRORS // n] * 35
+    # Sets larger than the budget go one scale per call.
     pipeline = RecordingPipeline()
     pipeline.base = np.tile(pipeline.base, SCAN_BLOCK_ERRORS // n + 1)
     calibrate_noise_scale(pipeline, EPS, 0.0, LAPLACE_KIND)

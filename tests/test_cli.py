@@ -239,15 +239,17 @@ def test_parser_defaults_are_the_config_defaults():
 
 
 def test_a_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
-    # An --out that names a directory once failed only on writing, after
-    # synthesis (and, for tradeoff, calibration and evaluation).
+    # An --out that names a directory, or is empty (its directory read as
+    # "."), once failed only on writing, after synthesis (and, for tradeoff,
+    # calibration and evaluation).
     def no_work(*args):
         raise AssertionError("the command ran before checking its output path")
 
     monkeypatch.setattr(harness, "synthesize_traces", no_work)
     monkeypatch.setattr(harness, "run_tradeoff_experiment", no_work)
     missing = tmp_path / "missing" / "out.csv"
-    for out, message in ((missing, "does not exist"), (tmp_path, "is a directory")):
+    for out, message in ((missing, "does not exist"), (tmp_path, "is a directory"),
+                         ("", "must not be empty")):
         small = ["--users", "2", "--videos", "1", "--gops", "10", "--out", str(out)]
         for command in (["tradeoff", "--train-videos", "1", "--q-grid", "1.0", *small],
                         ["gen-traces", *small]):

@@ -110,6 +110,8 @@ def test_config_rejects_a_bad_concentration_and_a_missing_output_directory(tmp_p
         ExperimentConfig(out_path=str(missing))
     with pytest.raises(IsADirectoryError, match="output path .* is a directory"):
         ExperimentConfig(out_path=str(tmp_path))
+    with pytest.raises(ValueError, match="output path must not be empty"):
+        ExperimentConfig(out_path="")
     for path in (str(tmp_path / "rows.csv"), "rows.csv"):   # a bare name is written in cwd
         assert ExperimentConfig(out_path=path).out_path == path
 
@@ -473,11 +475,12 @@ def test_blocked_calibration_matches_the_per_scale_scan(monkeypatch):
         return perturb_traces(points, kind, value, rngs)
 
     monkeypatch.setattr(harness, "perturb_traces", recording_perturb)
-    # 2,400 training errors: below the floor, a full scan of 13 or 15 scales
-    # takes several blocks of several scales each.
+    # 2,400 training errors: a full scan of 13 or 15 scales takes scale 0,
+    # then several blocks of several scales each.
     base = dict(num_users=4, num_videos=1, num_train_videos=5, gops_per_video=120, seed=9,
                 calibration_step=0.5)
-    assert 1 < baselines.SCAN_BLOCK_ERRORS // (4 * 5 * 120) < 12
+    per_call = baselines.SCAN_BLOCK_ERRORS // (4 * 5 * 120)
+    assert 1 < per_call < 12
     floor = optimal_error_distribution(harness.DEFAULT_PRECISION)[1]
     for q_grid in ((0.0, 0.3, 1.0), (floor, 0.2, 0.6), (0.2, 0.25)):
         cfg = ExperimentConfig(q_grid=q_grid, **base)
@@ -488,11 +491,17 @@ def test_blocked_calibration_matches_the_per_scale_scan(monkeypatch):
         for kind in (baselines.GAUSSIAN_KIND, baselines.LAPLACE_KIND):
             expected, visited = per_scale_calibration(cfg, kind, train)
             assert [calibrations[(kind, q)] for q in q_grid] == expected
-            expected_visits += [(kind, scale) for scale in visited]
+            # The per-scale visits, then the rest of the block that stopped the scan.
+            search_max = baselines.SEARCH_MAX[kind]
+            n_scales = int(search_max / 0.5) + 1
+            end = min(1 + -(-(len(visited) - 1) // per_call) * per_call, n_scales)
+            expected_visits += [(kind, min(i * 0.5, search_max)) for i in range(end)]
             if min(q_grid) < floor:
-                assert len(visited) == int(baselines.SEARCH_MAX[kind] / 0.5) + 1
+                assert len(visited) == n_scales
         assert perturbed == expected_visits
-    assert all(c.feasible for c in calibrations.values()) and len(visited) < 13   # stops early
+    # The last grid stops inside the first block and evaluates the rest of it.
+    assert all(c.feasible for c in calibrations.values()) and len(visited) < 1 + per_call
+    assert len(perturbed) == 2 * (1 + per_call)
 
 
 def test_scale_keys_are_seeded_as_the_scan_reaches_them(monkeypatch):
