@@ -11,6 +11,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import baselines, bpea, harness, leakage, oracle
 from .harness import DEFAULT_PRECISION, ExperimentConfig
 from .sphere import spherical_distance
@@ -145,13 +147,13 @@ def _cmd_calibrate(args) -> int:
         gops_per_video=args.gops, seed=args.seed, concentration=args.concentration,
         calibration_step=args.step,
     )
-    train = harness.synthesize_traces(cfg.seed, cfg.num_users, cfg.num_train_videos,
-                                      cfg.gops_per_video, cfg.concentration)
+    train = np.stack([t.actual for t in harness.synthesize_traces(
+        cfg.seed, cfg.num_users, cfg.num_train_videos, cfg.gops_per_video, cfg.concentration)])
     result = harness.calibrate_baselines(cfg, train)[(args.kind, args.q)]
     if result.feasible:
         print(f"feasible: scale {result.scale.value:.4g} achieves leakage "
               f"{result.achieved_leakage:.6f} <= q={args.q:.6g} "
-              f"({result.search_evals} scales scanned)")
+              f"(first met at scan step {result.search_evals})")
         return EXIT_OK
     print(f"infeasible: best leakage {result.achieved_leakage:.6f} at scale "
           f"{result.scale.value:.4g} exceeds q={args.q:.6g} "

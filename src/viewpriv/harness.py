@@ -148,8 +148,6 @@ RESULTS_HEADER = [f.name for f in fields(TradeoffRow)]
 class ExperimentResult:
     rows: list
     calibrations: dict
-    calibration_trace_keys: frozenset
-    evaluation_trace_keys: frozenset
 
     @property
     def any_infeasible(self) -> bool:
@@ -257,12 +255,17 @@ def synthesize_traces(seed: int, users: int, videos: int, gops: int,
     return generate_synthetic_traces(keys, gops, rngs, concentration)
 
 
-def generate_trace_set(cfg: ExperimentConfig) -> tuple[list[SessionTrace], list[SessionTrace]]:
-    """Synthesize the (training, evaluation) trace split."""
+def generate_trace_set(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesize the (training, evaluation) split as C-contiguous, user-major
+    (traces, GoPs, 3) stacks: each user's first ``num_train_videos`` videos,
+    then the rest."""
     traces = synthesize_traces(cfg.seed, cfg.num_users, cfg.num_train_videos + cfg.num_videos,
                                cfg.gops_per_video, cfg.concentration)
-    train = [t for t in traces if t.video_id < cfg.num_train_videos]
-    return train, [t for t in traces if t.video_id >= cfg.num_train_videos]
+    gops, split = cfg.gops_per_video, cfg.num_train_videos
+    stacked = np.stack([t.actual for t in traces]).reshape(cfg.num_users, -1, gops, 3)
+    del traces   # no per-trace object outlives the split
+    # Each reshape copies its slice into a C-contiguous stack (or views a contiguous one).
+    return stacked[:, :split].reshape(-1, gops, 3), stacked[:, split:].reshape(-1, gops, 3)
 
 
 def _calibration_pipeline(cfg: ExperimentConfig, kind: str, stacked: np.ndarray):
@@ -290,15 +293,13 @@ def _calibration_pipeline(cfg: ExperimentConfig, kind: str, stacked: np.ndarray)
     return pipeline
 
 
-def calibrate_baselines(cfg: ExperimentConfig, train: list[SessionTrace]) -> dict:
+def calibrate_baselines(cfg: ExperimentConfig, train: np.ndarray) -> dict:
     """{(policy, q): CalibrationResult} for every baseline policy of ``cfg``
-    and every q of its grid, from one forward scan per policy on ``train``.
-    Training traces must share a GoP count (synthetic sets do)."""
+    and every q of its grid, from one forward scan per policy on the
+    (traces, GoPs, 3) training stack ``train``."""
     calibrations: dict = {}
-    kinds = [kind for kind in cfg.policies if kind in baselines.SEARCH_MAX]
-    stacked = np.stack([t.actual for t in train]) if kinds else None
-    for kind in kinds:
-        results = calibrate_noise_scales(_calibration_pipeline(cfg, kind, stacked), cfg.eps,
+    for kind in [name for name in cfg.policies if name in baselines.SEARCH_MAX]:
+        results = calibrate_noise_scales(_calibration_pipeline(cfg, kind, train), cfg.eps,
                                          cfg.q_grid, kind, step=cfg.calibration_step)
         calibrations.update(((kind, q), r) for q, r in zip(cfg.q_grid, results))
     return calibrations
@@ -306,11 +307,11 @@ def calibrate_baselines(cfg: ExperimentConfig, train: list[SessionTrace]) -> dic
 
 def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Calibrate, simulate, and aggregate one row per (q, policy)."""
-    train, evaluation = generate_trace_set(cfg)
+    train, actual = generate_trace_set(cfg)
     calibrations = calibrate_baselines(cfg, train)
+    del train   # calibration is its only reader
 
     # Rows without viewpoint noise upload the clean persistence errors of all traces at once.
-    actual = np.stack([t.actual for t in evaluation])
     clean = apply_policy(actual, NoObfuscation(), cfg.eps, None)
     if cfg.compute_qoe:
         actual_tiles, clean_tiles = tiles_of(actual), tiles_of(clean.predicted)
@@ -334,12 +335,13 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                                  cfg.margin, cfg.q_grid))
             return
         if name != "none":   # one RNG per trace per q, keyed by (q, policy, user, video)
-            words = _seed_words(cfg.seed, 3, np.array([_q_id(q) for q in cfg.q_grid])[:, None],
-                                _POLICY_IDS[name], [t.user_id for t in evaluation],
-                                [t.video_id for t in evaluation])
+            q_ids = np.array([_q_id(q) for q in cfg.q_grid])[:, None, None]
+            words = _seed_words(cfg.seed, 3, q_ids, _POLICY_IDS[name],
+                                np.arange(cfg.num_users)[:, None],
+                                cfg.num_train_videos + np.arange(cfg.num_videos))
         for i, q in enumerate(cfg.q_grid):
             if name != "none" and (scale := calibrations[(name, q)].scale).value > 0.0:
-                rngs = [_generator(w) for w in words[i]]
+                rngs = [_generator(w) for w in words[i].reshape(-1, 4)]
                 yield measure(apply_policy(actual, scale, cfg.eps, rngs))
             else:   # no noise: "none", or a baseline at scale 0, which perturbs nothing
                 yield clean_measured
@@ -351,16 +353,9 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             for q, *measured in zip(cfg.q_grid, *columns)
             for name, (*values, per_trace_leak) in zip(cfg.policies, measured)]
 
-    result = ExperimentResult(
-        rows=rows,
-        calibrations=calibrations,
-        # Calibration reads every training trace, and only baselines calibrate.
-        calibration_trace_keys=frozenset((t.user_id, t.video_id) for t in train if calibrations),
-        evaluation_trace_keys=frozenset((t.user_id, t.video_id) for t in evaluation),
-    )
     if cfg.out_path is not None:
         write_results(rows, cfg.out_path)
-    return result
+    return ExperimentResult(rows, calibrations)
 
 
 def write_results(rows: list, path) -> None:

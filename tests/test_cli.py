@@ -65,8 +65,9 @@ def test_calibrate_feasible_exits_0(capsys):
     base = ["calibrate", "--kind", "laplace", "--users", "2", "--videos", "1", "--gops", "12"]
     # Pinned byte for byte: the smallest scanned scale meeting q.
     for q, out in (
-        ("1.0", "feasible: scale 0 achieves leakage 0.613164 <= q=1 (1 scales scanned)\n"),
-        ("0.2", "feasible: scale 0.35 achieves leakage 0.190332 <= q=0.2 (8 scales scanned)\n"),
+        ("1.0", "feasible: scale 0 achieves leakage 0.613164 <= q=1 (first met at scan step 1)\n"),
+        ("0.2", "feasible: scale 0.35 achieves leakage 0.190332 <= q=0.2 "
+                "(first met at scan step 8)\n"),
     ):
         assert cli.main(base + ["--q", q]) == 0
         assert capsys.readouterr().out == out
@@ -113,7 +114,8 @@ def test_gen_traces_matches_the_experiment_trace_set(tmp_path, capsys):
     train, evaluation = generate_trace_set(ExperimentConfig(
         num_users=2, num_train_videos=1, num_videos=2, gops_per_video=40, seed=4,
     ))
-    expected = {(t.user_id, t.video_id): t.actual for t in train + evaluation}
+    by_user = np.concatenate((train.reshape(2, 1, 40, 3), evaluation.reshape(2, 2, 40, 3)), axis=1)
+    expected = {(user, video): by_user[user, video] for user in range(2) for video in range(3)}
     loaded = load_traces(path)
     assert [(t.user_id, t.video_id) for t in loaded] == sorted(expected)
     # SessionTrace normalises each loaded row once, which can move a coordinate

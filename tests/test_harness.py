@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -149,17 +151,69 @@ def test_trace_set_split_sizes():
     cfg = ExperimentConfig(**SMALL)
     train, evaluation = generate_trace_set(cfg)
     assert len(train) == 3 * 2 and len(evaluation) == 3 * 2
-    assert {t.video_id for t in train} == {0, 1}
-    assert {t.video_id for t in evaluation} == {2, 3}
+    every = np.stack([t.actual for t in harness.synthesize_traces(cfg.seed, 3, 4, 12)])
+    every = every.reshape(3, 4, 12, 3)
+    assert np.array_equal(train.reshape(3, 2, 12, 3), every[:, :2])        # videos 0 and 1
+    assert np.array_equal(evaluation.reshape(3, 2, 12, 3), every[:, 2:])   # videos 2 and 3
 
 
-def test_experiment_rows_and_split_audit():
+def test_the_split_is_the_synthesized_traces_stacked_by_video():
+    # Users, training videos and evaluation videos all differ, so a
+    # transposed or video-major split cannot match.
+    cfg = ExperimentConfig(**dict(SMALL, num_users=3, num_train_videos=2, num_videos=3))
+    traces = harness.synthesize_traces(cfg.seed, 3, 5, cfg.gops_per_video, cfg.concentration)
+    train, evaluation = generate_trace_set(cfg)
+    for stack, videos in ((train, range(2)), (evaluation, range(2, 5))):
+        want = np.stack([t.actual for t in traces if t.video_id in videos])   # user-major
+        assert stack.dtype == np.float64 and stack.flags.c_contiguous
+        assert stack.shape == want.shape == (3 * len(videos), cfg.gops_per_video, 3)
+        assert stack.tobytes() == want.tobytes()
+
+
+def test_no_per_trace_object_outlives_the_split(monkeypatch):
+    made, alive = [], []
+    synthesize, calibrate = harness.synthesize_traces, harness.calibrate_baselines
+
+    def synthesize_spy(*args):
+        traces = synthesize(*args)
+        made.extend(weakref.ref(t) for t in traces)
+        return traces
+
+    def calibrate_spy(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        return calibrate(*args)
+
+    monkeypatch.setattr(harness, "synthesize_traces", synthesize_spy)
+    monkeypatch.setattr(harness, "calibrate_baselines", calibrate_spy)
+    run_tradeoff_experiment(ExperimentConfig(**SMALL))
+    assert len(made) == 3 * 4 and alive == [0]
+
+
+def test_experiment_rows_and_split_audit(monkeypatch):
     cfg = ExperimentConfig(**SMALL)
+    calibrated, uploaded = [], []
+    calibrate, apply = harness.calibrate_baselines, harness.apply_policy
+
+    def calibrate_spy(cfg, train):
+        calibrated.append(train)
+        return calibrate(cfg, train)
+
+    def apply_spy(actual, *args):
+        uploaded.append(actual)
+        return apply(actual, *args)
+
+    monkeypatch.setattr(harness, "calibrate_baselines", calibrate_spy)
+    monkeypatch.setattr(harness, "apply_policy", apply_spy)
     result = run_tradeoff_experiment(cfg)
     assert len(result.rows) == len(cfg.q_grid) * len(cfg.policies)
-    assert result.calibration_trace_keys
-    assert result.evaluation_trace_keys
-    assert result.calibration_trace_keys.isdisjoint(result.evaluation_trace_keys)
+    # Calibration reads the training stack alone, and every upload the evaluation stack.
+    train, evaluation = generate_trace_set(cfg)
+    assert len(calibrated) == 1 and len(train) and np.array_equal(calibrated[0], train)
+    assert uploaded and len(evaluation)
+    assert all(np.array_equal(actual, evaluation) for actual in uploaded)
+    # No trace is in both splits.
+    assert not np.any(np.all(train[:, None] == evaluation[None], axis=(2, 3)))
 
 
 def test_experiment_csv_deterministic(tmp_path):
@@ -214,9 +268,18 @@ def _per_trace_policy(name, q, calibrations):
     return calibrations[(name, q)].scale
 
 
+def one_trace_upload(actual, policy, eps, rng):
+    """``apply_policy``'s one-trace upload of a (GoPs, 3) row of a stack."""
+    app = apply_policy(actual[None], policy, eps, [rng])
+    return policies.PolicyApplication(*(getattr(app, f.name)[0]
+                                        for f in dataclasses.fields(app)))
+
+
 def test_stacked_rows_match_the_per_trace_pipeline():
     cfg = ExperimentConfig(**dict(SMALL, policies=("none", "bpea", "gaussian", "laplace")))
     _, evaluation = generate_trace_set(cfg)
+    keys = [(user, cfg.num_train_videos + video)
+            for user in range(cfg.num_users) for video in range(cfg.num_videos)]
     result = run_tradeoff_experiment(cfg)
     assert {c.scale.value for c in result.calibrations.values() if c.feasible} > {0.0}
     for row in result.rows:
@@ -224,16 +287,17 @@ def test_stacked_rows_match_the_per_trace_pipeline():
         assert isinstance(policy, NoiseScale) == (row.policy in baselines.SEARCH_MAX)
         # The harness's seed discipline: (seed, 3, q in millionths, policy, user, video).
         seeds = [[cfg.seed, 3, round(row.q * 1_000_000), harness.POLICY_NAMES.index(row.policy),
-                  t.user_id, t.video_id] for t in evaluation]
-        apps = [apply_policy(t, policy, cfg.eps, np.random.default_rng(np.random.SeedSequence(s)))
-                for t, s in zip(evaluation, seeds)]
+                  user, video] for user, video in keys]
+        apps = [one_trace_upload(t, policy, cfg.eps,
+                                 np.random.default_rng(np.random.SeedSequence(s)))
+                for t, s in zip(evaluation, seeds, strict=True)]
         leaks = [a.per_gop_leakage for a in apps]
         assert row.pr_leak == np.mean(np.concatenate(leaks))
         assert row.mean_error_rad == np.mean([a.mean_error_rad for a in apps])
         assert row.mean_abs_noise_rad == np.mean([a.mean_abs_noise_rad for a in apps])
         assert row.pspr == np.mean([np.mean(leak) <= row.q for leak in leaks])
         assert row.qoe == np.mean([
-            score_sessions(tiles_of(a.predicted)[None], a.uploaded[None], tiles_of(t.actual)[None],
+            score_sessions(tiles_of(a.predicted)[None], a.uploaded[None], tiles_of(t)[None],
                            SessionConfig(cfg.budget_mbit))[0].qoe
             for t, a in zip(evaluation, apps)
         ])
@@ -251,7 +315,6 @@ def test_a_scale_0_row_builds_no_evaluation_rng(monkeypatch):
 
     monkeypatch.setattr(harness, "_generator", spy)
     result = run_tradeoff_experiment(cfg)
-    _, evaluation = generate_trace_set(cfg)
     scales = {key: c.scale.value for key, c in result.calibrations.items()}
     assert 0.0 in scales.values() and any(scales.values())
     clean = {row.q: row for row in result.rows if row.policy == "none"}
@@ -261,7 +324,9 @@ def test_a_scale_0_row_builds_no_evaluation_rng(monkeypatch):
         # The seed words of this row's keys, (seed, 3, q key, policy id, user, video).
         row_words = {tuple(np.random.SeedSequence([
             cfg.seed, 3, round(row.q * 1_000_000), harness.POLICY_NAMES.index(row.policy),
-            t.user_id, t.video_id]).generate_state(4, np.uint64).tolist()) for t in evaluation}
+            user, video]).generate_state(4, np.uint64).tolist())
+            for user in range(cfg.num_users)
+            for video in range(cfg.num_train_videos, cfg.num_train_videos + cfg.num_videos)}
         built_here = sum(words in row_words for words in built)
         if scales[(row.policy, row.q)] == 0.0:
             assert built_here == 0
@@ -286,8 +351,7 @@ def test_bpea_rows_are_per_q_uploads_of_the_clean_errors_whatever_else_runs():
     for row in mixed.rows:
         assert row == by_key[(row.q, row.policy)]
     cfg = ExperimentConfig(**SMALL)
-    _, evaluation = generate_trace_set(cfg)
-    actual = np.stack([t.actual for t in evaluation])
+    _, actual = generate_trace_set(cfg)
     predicted = persistence_predict(actual)
     errors = prediction_errors(predicted, actual)
     for row in alone.rows:
@@ -442,17 +506,16 @@ def per_scale_calibration(cfg, kind, train):
     """The calibration scan as it ran with one scale per pipeline call, RNG
     and error kernel written out: the reference for the blocked scan.
     Returns one CalibrationResult per q and the scales visited, in order."""
-    stacked = np.stack([t.actual for t in train])
     kind_id = 0 if kind == baselines.GAUSSIAN_KIND else 1
     search_max, step, target = baselines.SEARCH_MAX[kind], cfg.calibration_step, min(cfg.q_grid)
     scales, leaks = [], []
     for i in range(int(math.floor(search_max / step + 1e-9)) + 1):
         scales.append(min(i * step, search_max))
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, kind_id, i]))
-        noisy = baselines.perturb_rows(stacked.reshape(-1, 3), kind, scales[-1], rng)
-        predicted = persistence_predict(noisy.reshape(stacked.shape))
-        errors = np.arctan2(np.linalg.norm(np.cross(predicted, stacked), axis=-1),
-                            np.sum(predicted * stacked, axis=-1)).ravel()
+        noisy = baselines.perturb_rows(train.reshape(-1, 3), kind, scales[-1], rng)
+        predicted = persistence_predict(noisy.reshape(train.shape))
+        errors = np.arctan2(np.linalg.norm(np.cross(predicted, train), axis=-1),
+                            np.sum(predicted * train, axis=-1)).ravel()
         leaks.append(leakage_sample_mean(errors, cfg.eps))
         if leaks[-1] <= target:
             break
@@ -556,8 +619,7 @@ def test_a_constant_upload_beats_the_clean_errors():
     # higher mean QoE than uploading the clean persistence errors, as `none`
     # does. Seed 0: 4.785 against 4.682 at 95.4 Mbit, 3.787 against 3.697 at 40.
     for seed in (0, 1):
-        _, evaluation = generate_trace_set(ExperimentConfig(seed=seed))
-        actual = np.stack([t.actual for t in evaluation])
+        _, actual = generate_trace_set(ExperimentConfig(seed=seed))
         predicted = persistence_predict(actual)
         errors = prediction_errors(predicted, actual)
         pfov_tiles, actual_tiles = tiles_of(predicted), tiles_of(actual)

@@ -87,8 +87,7 @@ def test_tiles_of_matches_scalar_formula_on_edges():
 
 
 def test_tiles_of_matches_scalar_formula_on_the_default_evaluation_set():
-    _, evaluation = generate_trace_set(ExperimentConfig())
-    actual = np.stack([t.actual for t in evaluation])
+    _, actual = generate_trace_set(ExperimentConfig())
     for points in (actual, persistence_predict(actual)):
         want = np.array([scalar_tile(p) for p in points.reshape(-1, 3)])
         assert np.array_equal(tiles_of(points), want.reshape(points.shape[:-1]))

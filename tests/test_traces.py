@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from viewpriv.harness import ExperimentConfig, generate_trace_set
+from viewpriv.harness import ExperimentConfig, generate_trace_set, synthesize_traces
 from viewpriv.sphere import norm, random_point, tangent_frame, unit_rows
 from viewpriv.traces import (
     MIN_GOPS,
@@ -370,13 +370,18 @@ def test_loaded_rows_are_normalised_once(tmp_path):
 
 
 def test_trace_set_round_trip_moves_coordinates_at_most_one_ulp(tmp_path):
-    train, evaluation = generate_trace_set(ExperimentConfig(
-        num_users=4, num_train_videos=1, num_videos=2, gops_per_video=200, seed=1))
+    # The experiment's split, written as gen-traces writes it: user-major, every video.
+    cfg = ExperimentConfig(num_users=4, num_train_videos=1, num_videos=2, gops_per_video=200,
+                           seed=1)
+    train, evaluation = generate_trace_set(cfg)
     path = tmp_path / "set.csv"
-    write_traces(train + evaluation, path)
-    for orig, back in zip(train + evaluation, load_traces(path)):
-        assert (back.user_id, back.video_id) == (orig.user_id, orig.video_id)
-        assert np.max(np.abs(back.actual - orig.actual)) <= np.spacing(1.0)
+    write_traces(synthesize_traces(cfg.seed, 4, 3, 200, cfg.concentration), path)
+    stacked = np.concatenate((train.reshape(4, 1, 200, 3), evaluation.reshape(4, 2, 200, 3)),
+                             axis=1)
+    keys = [(user, video) for user in range(4) for video in range(3)]
+    for key, orig, back in zip(keys, stacked.reshape(-1, 200, 3), load_traces(path), strict=True):
+        assert (back.user_id, back.video_id) == key
+        assert np.max(np.abs(back.actual - orig)) <= np.spacing(1.0)
 
 
 @pytest.mark.parametrize("row, got", [("0,0,1,0,1,0,9,9,9", 9), ("0,0,1,0,1", 5)])
