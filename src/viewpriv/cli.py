@@ -11,12 +11,10 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import baselines, bpea, harness, leakage, oracle
 from .harness import DEFAULT_PRECISION, ExperimentConfig
 from .sphere import spherical_distance
-from .traces import write_traces
+from .traces import SessionTrace, write_traces
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -147,8 +145,7 @@ def _cmd_calibrate(args) -> int:
         gops_per_video=args.gops, seed=args.seed, concentration=args.concentration,
         calibration_step=args.step,
     )
-    train = np.stack([t.actual for t in harness.synthesize_traces(
-        cfg.seed, cfg.num_users, cfg.num_train_videos, cfg.gops_per_video, cfg.concentration)])
+    train, _ = harness.generate_trace_set(cfg)
     result = harness.calibrate_baselines(cfg, train)[(args.kind, args.q)]
     if result.feasible:
         print(f"feasible: scale {result.scale.value:.4g} achieves leakage "
@@ -175,8 +172,8 @@ def _cmd_tradeoff(args) -> int:
     )
     result = harness.run_tradeoff_experiment(cfg)
     print(f"wrote {len(result.rows)} rows to {args.out}")
-    if result.any_infeasible:
-        infeasible = sorted(k for k, c in result.calibrations.items() if not c.feasible)
+    infeasible = sorted(k for k, c in result.calibrations.items() if not c.feasible)
+    if infeasible:
         print(f"warning: {len(infeasible)} calibration points infeasible "
               f"(fallback scales used): {infeasible[:6]}{'...' if len(infeasible) > 6 else ''}")
         return EXIT_INFEASIBLE
@@ -185,8 +182,10 @@ def _cmd_tradeoff(args) -> int:
 
 def _cmd_gen_traces(args) -> int:
     harness.check_out_path(args.out)
-    traces = harness.synthesize_traces(args.seed, args.users, args.videos, args.gops,
-                                       args.concentration)
+    walks = harness.synthesize_traces(args.seed, args.users, args.videos, args.gops,
+                                      args.concentration)
+    traces = [SessionTrace(user, video, walk) for user, videos in enumerate(walks)
+              for video, walk in enumerate(videos)]
     write_traces(traces, args.out)
     print(f"wrote {len(traces)} traces ({args.users} users x {args.videos} videos, "
           f"{args.gops} GoPs each) to {args.out}")

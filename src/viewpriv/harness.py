@@ -26,11 +26,11 @@ from .baselines import calibrate_noise_scales, perturb_traces, pspr
 from .bpea import DEFAULT_MARGIN, check_margin
 from .leakage import check_precision, check_requirement
 from .policies import NoObfuscation, apply_policy, bpea_uploads
+from .sphere import norm
 from .streaming import DEFAULT_BUDGET_MBIT, SessionConfig, score_sessions, tiles_of
 from .traces import (
     DEFAULT_CONCENTRATION,
     MIN_GOPS,
-    SessionTrace,
     check_concentration,
     generate_synthetic_traces,
     persistence_predict,
@@ -149,10 +149,6 @@ class ExperimentResult:
     rows: list
     calibrations: dict
 
-    @property
-    def any_infeasible(self) -> bool:
-        return any(not c.feasible for c in self.calibrations.values())
-
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), for ``_seed_words``.
 _POOL_SIZE, _XSHIFT = 4, np.uint32(16)
@@ -242,30 +238,32 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 
 def synthesize_traces(seed: int, users: int, videos: int, gops: int,
-                      concentration: float = DEFAULT_CONCENTRATION) -> list[SessionTrace]:
-    """Synthetic traces for every (user, video) pair, user-major. Each trace
+                      concentration: float = DEFAULT_CONCENTRATION) -> np.ndarray:
+    """The synthetic walk of every (user, video) pair, as a C-contiguous
+    (users, videos, GoPs, 3) stack of rows not yet renormalised. Each trace
     draws from its own RNG seeded by (seed, user, video), so the same pair
     gives the same trace in every command and split."""
     check_seed(seed)
     if min(users, videos) < 1:
         raise ValueError("need at least one user and one video")
-    keys = [(user, video) for user in range(users) for video in range(videos)]
     words = _seed_words(seed, 1, np.arange(users)[:, None], np.arange(videos))
     rngs = [_generator(w) for w in words.reshape(-1, 4)]
-    return generate_synthetic_traces(keys, gops, rngs, concentration)
+    return generate_synthetic_traces(gops, rngs, concentration).reshape(users, videos, gops, 3)
 
 
 def generate_trace_set(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the (training, evaluation) split as C-contiguous, user-major
     (traces, GoPs, 3) stacks: each user's first ``num_train_videos`` videos,
     then the rest."""
-    traces = synthesize_traces(cfg.seed, cfg.num_users, cfg.num_train_videos + cfg.num_videos,
-                               cfg.gops_per_video, cfg.concentration)
+    stack = synthesize_traces(cfg.seed, cfg.num_users, cfg.num_train_videos + cfg.num_videos,
+                              cfg.gops_per_video, cfg.concentration)
+    # Each row over its norm, as ``unit_rows`` gives it: in place and a user at a
+    # time, since the whole stack's temporaries would raise the peak memory.
+    for user in stack:
+        user /= norm(user)[..., None]
     gops, split = cfg.gops_per_video, cfg.num_train_videos
-    stacked = np.stack([t.actual for t in traces]).reshape(cfg.num_users, -1, gops, 3)
-    del traces   # no per-trace object outlives the split
     # Each reshape copies its slice into a C-contiguous stack (or views a contiguous one).
-    return stacked[:, :split].reshape(-1, gops, 3), stacked[:, split:].reshape(-1, gops, 3)
+    return stack[:, :split].reshape(-1, gops, 3), stack[:, split:].reshape(-1, gops, 3)
 
 
 def _calibration_pipeline(cfg: ExperimentConfig, kind: str, stacked: np.ndarray):

@@ -73,7 +73,8 @@ def apply_policy(
     upload the measured (effective) error unchanged; the noisy-error policy
     predicts from clean history and perturbs only the uploaded error.
     Per-GoP leakage is the conditional leakage at the attacker-observed
-    upload. A trace's supplied predictions are used when present. A
+    upload. ``NoObfuscation`` and ``BpeaPolicy`` use a trace's supplied
+    predictions when present; a baseline policy is refused on such a trace. A
     (traces, GoPs, 3) stack of actual viewpoints with one RNG per trace gives
     (traces, GoPs) outputs, row i equal to the one-trace call with ``rng[i]``.
     """
@@ -85,11 +86,14 @@ def apply_policy(
         got = f"{actual.dtype} {actual.shape}" if isinstance(actual, np.ndarray) else type(actual)
         raise ValueError(f"need a SessionTrace or a (traces, GoPs, 3) float array, got {got}")
 
-    if isinstance(policy, NoiseScale):
+    if single and trace.predicted is not None:
+        if isinstance(policy, NoiseScale):
+            raise ValueError(f"a baseline {policy.kind!r} NoiseScale predicts from perturbed "
+                             "history, so it cannot apply to a trace with supplied predictions")
+        predicted = trace.predicted[None]
+    elif isinstance(policy, NoiseScale):
         predicted = persistence_predict(perturb_traces(actual, policy.kind, policy.value, rngs),
                                         horizon)
-    elif single and trace.predicted is not None:
-        predicted = trace.predicted[None]
     else:
         predicted = persistence_predict(actual, horizon)
 

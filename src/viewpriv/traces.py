@@ -66,12 +66,12 @@ def check_concentration(concentration: float) -> None:
 
 
 def generate_synthetic_traces(
-    keys: list[tuple[int, int]],
     gops: int,
     rngs: list[np.random.Generator],
     concentration: float = DEFAULT_CONCENTRATION,
-) -> list[SessionTrace]:
-    """Bounded-random-walk head traces, one per (user_id, video_id) key.
+) -> np.ndarray:
+    """Bounded-random-walk head traces, one per RNG, as a C-contiguous
+    (traces, GoPs, 3) stack of the walk's rows, not renormalised.
 
     Trace i draws from ``rngs[i]`` alone: its start point, then its step
     angles, then its step bearings. ``sphere.step_walk`` then steps every
@@ -80,10 +80,8 @@ def generate_synthetic_traces(
     if gops < MIN_GOPS:
         raise ValueError(f"need at least {MIN_GOPS} GoPs, got {gops}")
     check_concentration(concentration)
-    if not keys or len(keys) != len(rngs):
-        raise ValueError(f"need one RNG per trace key, got {len(keys)} keys, {len(rngs)} RNGs")
-    walk = np.empty((gops, 3, len(keys)))
-    angles, bearings = np.empty((2, gops - 1, len(keys)))
+    walk = np.empty((gops, 3, len(rngs)))
+    angles, bearings = np.empty((2, gops - 1, len(rngs)))
     walking = not math.isinf(concentration)   # infinite concentration stays at the start
     for i, rng in enumerate(rngs):
         walk[0, :, i] = random_point(rng).as_array()
@@ -97,10 +95,8 @@ def generate_synthetic_traces(
                   np.cos(bearings), np.sin(bearings, out=bearings))
     else:
         walk[1:] = walk[0]
-    del angles, bearings   # freed before the traces' copies
-    # A contiguous copy of each trace first: normalising its strided view is slower.
-    return [SessionTrace(user, video, np.ascontiguousarray(walk[:, :, i]))
-            for i, (user, video) in enumerate(keys)]
+    del angles, bearings   # freed before the trace-major copy
+    return np.ascontiguousarray(walk.transpose(2, 0, 1))
 
 
 def generate_synthetic_trace(
@@ -111,7 +107,7 @@ def generate_synthetic_trace(
     concentration: float = DEFAULT_CONCENTRATION,
 ) -> SessionTrace:
     """Bounded-random-walk head trace with ``gops`` viewpoints."""
-    return generate_synthetic_traces([(user_id, video_id)], gops, [rng], concentration)[0]
+    return SessionTrace(user_id, video_id, generate_synthetic_traces(gops, [rng], concentration)[0])
 
 
 def persistence_predict(actual: np.ndarray, horizon: int = DEFAULT_HORIZON) -> np.ndarray:

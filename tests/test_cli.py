@@ -73,19 +73,22 @@ def test_calibrate_feasible_exits_0(capsys):
         assert capsys.readouterr().out == out
 
 
-def test_calibrate_synthesizes_only_its_training_videos(capsys, monkeypatch):
+def test_calibrate_runs_on_the_training_stack_of_the_trace_set(capsys, monkeypatch):
     calls = []
-    synthesize = harness.synthesize_traces
+    calibrate = harness.calibrate_baselines
 
-    def spy(seed, users, videos, gops, concentration):
-        calls.append((users, videos))
-        return synthesize(seed, users, videos, gops, concentration)
+    def spy(cfg, train):
+        calls.append((cfg, train))
+        return calibrate(cfg, train)
 
-    monkeypatch.setattr(harness, "synthesize_traces", spy)
+    monkeypatch.setattr(harness, "calibrate_baselines", spy)
     assert cli.main(["calibrate", "--kind", "laplace", "--q", "1.0", "--users", "2",
-                     "--videos", "3", "--gops", "12"]) == 0
-    assert calls == [(2, 3)]
+                     "--videos", "3", "--gops", "12", "--seed", "6"]) == 0
     assert capsys.readouterr().out.startswith("feasible: scale 0 ")
+    [(cfg, train)] = calls
+    assert (cfg.num_users, cfg.num_train_videos, cfg.gops_per_video, cfg.seed) == (2, 3, 12, 6)
+    want, _ = generate_trace_set(cfg)
+    assert train.shape == (2 * 3, 12, 3) and train.tobytes() == want.tobytes()
 
 
 def test_gen_traces_and_tradeoff_round_trip(tmp_path, capsys):

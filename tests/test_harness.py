@@ -1,13 +1,11 @@
 import dataclasses
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewpriv import baselines, harness, policies
+from viewpriv import baselines, cli, harness, policies
 from viewpriv.baselines import NoiseScale
 from viewpriv.harness import (
     ExperimentConfig,
@@ -22,7 +20,8 @@ from viewpriv.streaming import (
     ZONE_SHAPES, SessionConfig, apply_policy, score_sessions, tiles_of,
 )
 from viewpriv.leakage import leakage_sample_mean, optimal_error_distribution
-from viewpriv.traces import MIN_GOPS, persistence_predict, prediction_errors
+from viewpriv.sphere import unit_rows
+from viewpriv.traces import MIN_GOPS, SessionTrace, persistence_predict, prediction_errors
 
 SMALL = dict(
     num_users=3,
@@ -151,7 +150,7 @@ def test_trace_set_split_sizes():
     cfg = ExperimentConfig(**SMALL)
     train, evaluation = generate_trace_set(cfg)
     assert len(train) == 3 * 2 and len(evaluation) == 3 * 2
-    every = np.stack([t.actual for t in harness.synthesize_traces(cfg.seed, 3, 4, 12)])
+    every = unit_rows(harness.synthesize_traces(cfg.seed, 3, 4, 12).reshape(-1, 3))
     every = every.reshape(3, 4, 12, 3)
     assert np.array_equal(train.reshape(3, 2, 12, 3), every[:, :2])        # videos 0 and 1
     assert np.array_equal(evaluation.reshape(3, 2, 12, 3), every[:, 2:])   # videos 2 and 3
@@ -161,33 +160,36 @@ def test_the_split_is_the_synthesized_traces_stacked_by_video():
     # Users, training videos and evaluation videos all differ, so a
     # transposed or video-major split cannot match.
     cfg = ExperimentConfig(**dict(SMALL, num_users=3, num_train_videos=2, num_videos=3))
-    traces = harness.synthesize_traces(cfg.seed, 3, 5, cfg.gops_per_video, cfg.concentration)
+    walks = harness.synthesize_traces(cfg.seed, 3, 5, cfg.gops_per_video, cfg.concentration)
+    assert walks.shape == (3, 5, cfg.gops_per_video, 3) and walks.flags.c_contiguous
     train, evaluation = generate_trace_set(cfg)
     for stack, videos in ((train, range(2)), (evaluation, range(2, 5))):
-        want = np.stack([t.actual for t in traces if t.video_id in videos])   # user-major
+        # User-major, each trace's rows normalised as a SessionTrace normalises them.
+        want = np.stack([unit_rows(walk)
+                         for walk in walks[:, videos].reshape(-1, cfg.gops_per_video, 3)])
         assert stack.dtype == np.float64 and stack.flags.c_contiguous
         assert stack.shape == want.shape == (3 * len(videos), cfg.gops_per_video, 3)
         assert stack.tobytes() == want.tobytes()
 
 
-def test_no_per_trace_object_outlives_the_split(monkeypatch):
-    made, alive = [], []
-    synthesize, calibrate = harness.synthesize_traces, harness.calibrate_baselines
+def test_no_per_trace_object_outlives_the_split(monkeypatch, tmp_path, capsys):
+    # No SessionTrace is made between the walk and the experiment, nor in
+    # calibrate; gen-traces makes one per trace, so the spy is on the path.
+    made = []
+    post_init = SessionTrace.__post_init__
 
-    def synthesize_spy(*args):
-        traces = synthesize(*args)
-        made.extend(weakref.ref(t) for t in traces)
-        return traces
+    def post_init_spy(trace):
+        made.append((trace.user_id, trace.video_id))
+        post_init(trace)
 
-    def calibrate_spy(*args):
-        gc.collect()
-        alive.append(sum(ref() is not None for ref in made))
-        return calibrate(*args)
-
-    monkeypatch.setattr(harness, "synthesize_traces", synthesize_spy)
-    monkeypatch.setattr(harness, "calibrate_baselines", calibrate_spy)
+    monkeypatch.setattr(SessionTrace, "__post_init__", post_init_spy)
     run_tradeoff_experiment(ExperimentConfig(**SMALL))
-    assert len(made) == 3 * 4 and alive == [0]
+    assert cli.main(["calibrate", "--kind", "laplace", "--q", "1.0", "--users", "2",
+                     "--videos", "1", "--gops", "12"]) == 0
+    assert made == []
+    assert cli.main(["gen-traces", "--users", "2", "--videos", "1", "--gops", "12",
+                     "--out", str(tmp_path / "traces.csv")]) == 0
+    assert made == [(0, 0), (1, 0)]
 
 
 def test_experiment_rows_and_split_audit(monkeypatch):

@@ -118,26 +118,27 @@ def test_lockstep_walk_matches_per_step_reference():
                 for i in range(count)]
 
     batch_rngs, reference_rngs = rngs(), rngs()
-    keys = [(i // 4, i % 4) for i in range(count)]
-    batch = generate_synthetic_traces(keys, gops, batch_rngs, concentration)
-    assert batch[3].actual[0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-10)
-    for trace, key, rng, reference_rng in zip(batch, keys, batch_rngs, reference_rngs):
-        assert (trace.user_id, trace.video_id) == key
+    batch = generate_synthetic_traces(gops, batch_rngs, concentration)
+    assert batch.shape == (count, gops, 3) and batch.flags.c_contiguous
+    assert batch[3, 0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-10)
+    for walk, rng, reference_rng in zip(batch, batch_rngs, reference_rngs):
         reference = _reference_walk(reference_rng, gops, concentration)
-        assert np.max(np.abs(trace.actual - reference)) <= 1e-12
+        assert np.max(np.abs(walk - reference)) <= 1e-12
         assert rng.random() == reference_rng.random()
 
+    # The one-trace form wraps row 0 of a one-RNG stack, and the trace normalises it.
     one_rngs = rngs()
     for i in (0, 3, count - 1):
-        one = generate_synthetic_trace(*keys[i], gops, one_rngs[i], concentration)
-        assert np.max(np.abs(one.actual - batch[i].actual)) <= 1e-15
+        one = generate_synthetic_trace(i // 4, i % 4, gops, one_rngs[i], concentration)
+        assert (one.user_id, one.video_id) == (i // 4, i % 4)
+        assert np.array_equal(one.actual, unit_rows(batch[i]))
 
 
-def _lockstep_reference(keys, gops, rngs, concentration):
+def _lockstep_reference(gops, rngs, concentration):
     # The walk as one loop over GoPs on (traces, GoPs, 3) rows, with
     # ``tangent_frame`` and the step trig taken afresh at every step.
-    rows = np.empty((len(keys), gops, 3))
-    angles, bearings = np.empty((2, len(keys), gops - 1, 1))
+    rows = np.empty((len(rngs), gops, 3))
+    angles, bearings = np.empty((2, len(rngs), gops - 1, 1))
     walking = not math.isinf(concentration)
     for i, rng in enumerate(rngs):
         rows[i] = random_point(rng).as_array()
@@ -152,7 +153,7 @@ def _lockstep_reference(keys, gops, rngs, concentration):
         a, b = angles[:, t - 1], bearings[:, t - 1]
         step = np.cos(a) * current + np.sin(a) * (np.cos(b) * t1 + np.sin(b) * t2)
         rows[:, t] = step / norm(step)[:, None]
-    return [SessionTrace(user, video, walk) for (user, video), walk in zip(keys, rows)]
+    return rows
 
 
 @pytest.mark.parametrize("concentration", [32.0, 0.5, math.inf])
@@ -163,13 +164,12 @@ def test_walk_matches_the_lockstep_reference_bit_for_bit(count, gops, concentrat
         return [_PoleFirst(200 + i) if i == 3 % count else np.random.default_rng(200 + i)
                 for i in range(count)]
 
-    keys = [(i // 4, i % 4) for i in range(count)]
     batch_rngs, reference_rngs = rngs(), rngs()
-    batch = generate_synthetic_traces(keys, gops, batch_rngs, concentration)
-    reference = _lockstep_reference(keys, gops, reference_rngs, concentration)
-    assert [(t.user_id, t.video_id) for t in batch] == keys
-    assert np.array_equal(np.stack([t.actual for t in batch]),
-                          np.stack([t.actual for t in reference]))
+    batch = generate_synthetic_traces(gops, batch_rngs, concentration)
+    reference = _lockstep_reference(gops, reference_rngs, concentration)
+    assert batch.dtype == np.float64 and batch.flags.c_contiguous
+    assert batch.shape == reference.shape == (count, gops, 3)
+    assert np.array_equal(batch, reference)
     assert [rng.random() for rng in batch_rngs] == [rng.random() for rng in reference_rngs]
 
 
@@ -375,7 +375,9 @@ def test_trace_set_round_trip_moves_coordinates_at_most_one_ulp(tmp_path):
                            seed=1)
     train, evaluation = generate_trace_set(cfg)
     path = tmp_path / "set.csv"
-    write_traces(synthesize_traces(cfg.seed, 4, 3, 200, cfg.concentration), path)
+    walks = synthesize_traces(cfg.seed, 4, 3, 200, cfg.concentration)
+    write_traces([SessionTrace(user, video, walks[user, video])
+                  for user in range(4) for video in range(3)], path)
     stacked = np.concatenate((train.reshape(4, 1, 200, 3), evaluation.reshape(4, 2, 200, 3)),
                              axis=1)
     keys = [(user, video) for user in range(4) for video in range(3)]
