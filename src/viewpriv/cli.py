@@ -138,6 +138,12 @@ def _cmd_attack_sim(args) -> int:
     return EXIT_OK
 
 
+def _noise_limit(eps: float) -> str:
+    """The leakage baselines approach at large scale, for infeasible calibrations."""
+    limit = leakage.uniform_error_leakage(eps)
+    return f"coordinate noise tends to leakage {limit:.4f} as its scale grows"
+
+
 def _cmd_calibrate(args) -> int:
     cfg = ExperimentConfig(
         eps=args.eps, q_grid=(args.q,), policies=(args.kind,),
@@ -154,7 +160,7 @@ def _cmd_calibrate(args) -> int:
         return EXIT_OK
     print(f"infeasible: best leakage {result.achieved_leakage:.6f} at scale "
           f"{result.scale.value:.4g} exceeds q={args.q:.6g} "
-          f"({result.search_evals} scales scanned)")
+          f"({result.search_evals} scales scanned; {_noise_limit(args.eps)})")
     return EXIT_INFEASIBLE
 
 
@@ -175,7 +181,8 @@ def _cmd_tradeoff(args) -> int:
     infeasible = sorted(k for k, c in result.calibrations.items() if not c.feasible)
     if infeasible:
         print(f"warning: {len(infeasible)} calibration points infeasible "
-              f"(fallback scales used): {infeasible[:6]}{'...' if len(infeasible) > 6 else ''}")
+              f"(fallback scales used; {_noise_limit(args.eps)}): "
+              f"{infeasible[:6]}{'...' if len(infeasible) > 6 else ''}")
         return EXIT_INFEASIBLE
     return EXIT_OK
 

@@ -81,6 +81,16 @@ def optimal_error_distribution(eps: float) -> tuple[float, float]:
     return 0.5 * math.pi, eps / math.pi
 
 
+def uniform_error_leakage(eps: float) -> float:
+    """Expected leakage when the reported error is that of a uniformly random
+    prediction, with density sin(e)/2 on [0, pi]: (1 - cos eps), from the two
+    outer regimes, plus eps*(pi - 2*eps)/(2*pi) from the middle one.
+    Coordinate noise tends to it as its scale grows. It lies above the eps/pi
+    floor: 0.17461 against 0.1 at eps = 0.1*pi."""
+    eps = check_precision(eps)
+    return (1.0 - math.cos(eps)) + eps * (math.pi - 2.0 * eps) / (2.0 * math.pi)
+
+
 def min_leakage_grid_check(eps: float, bins: int) -> float:
     """Numeric check of the leakage floor on a uniform error grid.
 

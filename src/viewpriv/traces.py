@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +152,47 @@ def _coordinate_problem(columns, fields) -> str | None:
                     f"more than {_NORM_TOLERANCE} away from 1")
 
 
+def _trace_header(reader) -> list[str]:
+    if (header := next(reader, [])) not in (TRACE_HEADER, TRACE_HEADER + TRACE_PRED_COLUMNS):
+        raise ValueError(f"unexpected trace header: {header}")
+    return header
+
+
+def _checked_traces(ids, values, columns, lines=None, stop=None):
+    """The traces of parsed rows once grouping, gop_index order and every
+    point's norm pass. The first failing row raises its problem with its
+    file line from ``lines``, or returns None when no lines are given; then
+    a pending parse ``stop`` raises. ``values`` may stop short of ``ids``."""
+    starts = np.flatnonzero(np.r_[True, np.any(ids[1:, :2] != ids[:-1, :2], axis=1)])
+    ends = np.r_[starts[1:], len(ids)]
+    expected = np.arange(len(ids)) - np.repeat(starts, ends - starts)
+    seen, regrouped = set(), np.zeros(len(ids), dtype=bool)
+    for s in starts:
+        regrouped[s] = (key := tuple(ids[s, :2].tolist())) in seen
+        seen.add(key)
+    bad = regrouped | (ids[:, 2] != expected)
+    for j in range(0, len(columns), 3):   # a non-finite coordinate gives a NaN or inf norm
+        bad[:len(values)] |= ~(np.abs(norm(values[:, j:j + 3]) - 1.0) <= _NORM_TOLERANCE)
+    failing = np.flatnonzero(bad)
+    if failing.size:
+        if lines is None:
+            return None
+        r = failing[0]
+        key, gop = tuple(ids[r, :2].tolist()), ids[r, 2]
+        if regrouped[r]:
+            stop = f"trace {key} reappears after its block; rows must be grouped by trace"
+        elif gop != expected[r]:
+            stop = f"gop_index {gop} breaks the contiguous-from-0 order for trace {key}"
+        else:
+            stop = _coordinate_problem(columns, values[r])
+        raise ValueError(f"row {lines[r]}: {stop}")
+    if stop is not None:
+        raise ValueError(f"row {lines[-1]}: {stop}")
+    return [SessionTrace(int(ids[s, 0]), int(ids[s, 1]), values[s:e, :3],
+                         values[s:e, 3:] if len(columns) > 3 else None)
+            for s, e in zip(starts, ends)]
+
+
 def load_traces(path) -> list[SessionTrace]:
     """Read session traces from CSV, validating schema and geometry.
 
@@ -158,13 +200,28 @@ def load_traces(path) -> list[SessionTrace]:
     rows with gop_index contiguous from 0. Every row has the header's field
     count; blank lines are skipped. An error names the file line of the
     first failing row. ``SessionTrace`` normalises each row once.
+
+    ``np.loadtxt`` parses the body in one pass; a file it cannot parse
+    cleanly, or with a failing row, is read again row by row (``_load_rows``).
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        header = _trace_header(csv.reader(fh))
+        dtype = [("ids", np.int64, 3), ("values", np.float64, len(header) - 3)]
+        try:
+            with warnings.catch_warnings():   # e.g. "1.0" read as an id, or no rows
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            rows = ()
+    traces = _checked_traces(rows["ids"], rows["values"], header[3:]) if len(rows) else None
+    return _load_rows(path) if traces is None else traces
+
+
+def _load_rows(path) -> list[SessionTrace]:
+    """``load_traces`` one row at a time through ``csv.reader``."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        has_pred = header == TRACE_HEADER + TRACE_PRED_COLUMNS
-        if header != TRACE_HEADER and not has_pred:
-            raise ValueError(f"unexpected trace header: {header}")
+        header = _trace_header(reader)
         width = len(header) - 3
         # Flat columns, checked in bulk below. A row that fails to parse
         # ends the read, and its problem waits in ``stop`` for earlier rows'.
@@ -189,37 +246,14 @@ def load_traces(path) -> list[SessionTrace]:
 
     if not ints:
         raise ValueError(f"row {lines[-1]}: {stop}" if stop else f"{path}: no trace rows found")
-    ids = np.array(ints).reshape(-1, 3)
-    values = np.array(floats).reshape(-1, width)
-    starts = np.flatnonzero(np.r_[True, np.any(ids[1:, :2] != ids[:-1, :2], axis=1)])
-    ends = np.r_[starts[1:], len(ids)]
-    expected = np.arange(len(ids)) - np.repeat(starts, ends - starts)
-    seen, regrouped = set(), np.zeros(len(ids), dtype=bool)
-    for s in starts:
-        regrouped[s] = (key := tuple(ids[s, :2].tolist())) in seen
-        seen.add(key)
-    bad = regrouped | (ids[:, 2] != expected)
-    for j in range(0, width, 3):   # a non-finite coordinate gives a NaN or inf norm
-        bad[:len(values)] |= ~(np.abs(norm(values[:, j:j + 3]) - 1.0) <= _NORM_TOLERANCE)
-    failing = np.flatnonzero(bad)
-    if failing.size:
-        r = failing[0]
-        key, gop = tuple(ids[r, :2].tolist()), ids[r, 2]
-        if regrouped[r]:
-            stop = f"trace {key} reappears after its block; rows must be grouped by trace"
-        elif gop != expected[r]:
-            stop = f"gop_index {gop} breaks the contiguous-from-0 order for trace {key}"
-        else:
-            stop = _coordinate_problem(header[3:], values[r])
-        raise ValueError(f"row {lines[r]}: {stop}")
-    if stop is not None:
-        raise ValueError(f"row {lines[-1]}: {stop}")
-    return [SessionTrace(int(ids[s, 0]), int(ids[s, 1]), values[s:e, :3],
-                         values[s:e, 3:] if has_pred else None) for s, e in zip(starts, ends)]
+    return _checked_traces(np.array(ints).reshape(-1, 3), np.array(floats).reshape(-1, width),
+                           header[3:], lines, stop)
 
 
 def write_traces(traces: list[SessionTrace], path) -> None:
     """Write session traces in the CSV schema accepted by ``load_traces``."""
+    if not traces:
+        raise ValueError("no traces to write: a file without trace rows does not load")
     include_pred = any(t.predicted is not None for t in traces)
     if include_pred and not all(t.predicted is not None for t in traces):
         raise ValueError("either all traces carry predictions or none do")

@@ -57,7 +57,8 @@ def test_calibrate_infeasible_exits_3(capsys):
     assert code == 3
     # Pinned byte for byte: the lowest-leakage scale that is run in its place.
     assert capsys.readouterr().out == (
-        "infeasible: best leakage 0.127718 at scale 4 exceeds q=0.05 (4 scales scanned)\n"
+        "infeasible: best leakage 0.127718 at scale 4 exceeds q=0.05 (4 scales scanned; "
+        "coordinate noise tends to leakage 0.1746 as its scale grows)\n"
     )
 
 
@@ -136,6 +137,11 @@ def test_tradeoff_infeasible_still_writes(tmp_path, capsys):
         "--out", str(results_path),
     ])
     assert code == 3
+    assert capsys.readouterr().out == (
+        f"wrote 2 rows to {results_path}\n"
+        "warning: 1 calibration points infeasible (fallback scales used; coordinate noise "
+        "tends to leakage 0.1746 as its scale grows): [('gaussian', 0.05)]\n"
+    )
     assert results_path.exists()
     with open(results_path, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 2

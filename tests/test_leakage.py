@@ -9,6 +9,7 @@ from viewpriv.leakage import (
     leakage_sample_mean,
     min_leakage_grid_check,
     optimal_error_distribution,
+    uniform_error_leakage,
 )
 
 EPS = 0.1 * math.pi
@@ -113,3 +114,27 @@ def test_grid_check_monotone_on_nested_grids():
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert min_leakage_grid_check(EPS, 1025) == pytest.approx(0.1, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("eps", [0.05 * math.pi, 0.1 * math.pi, 0.2 * math.pi, 0.45 * math.pi])
+def test_uniform_error_leakage_against_quadrature_and_monte_carlo(eps):
+    # The error of a uniformly random prediction has density sin(e)/2 on [0, pi].
+    value = uniform_error_leakage(eps)
+    assert optimal_error_distribution(eps)[1] < value < 1.0
+    # Midpoint rule: each of the two jumps at eps and pi - eps costs at most one cell.
+    cells = 1_000_000
+    e = (np.arange(cells) + 0.5) * (math.pi / cells)
+    quadrature = math.pi * np.mean(conditional_leakage(e, eps) * 0.5 * np.sin(e))
+    assert value == pytest.approx(quadrature, abs=4.0 * math.pi / cells)
+    # Inverse-CDF draws: cos e is uniform on [-1, 1].
+    draws = conditional_leakage(np.arccos(np.random.default_rng(41).uniform(-1.0, 1.0, cells)), eps)
+    assert value == pytest.approx(draws.mean(), abs=5.0 * draws.std() / math.sqrt(cells))
+
+
+def test_uniform_error_leakage_value_and_domain():
+    assert uniform_error_leakage(EPS) == pytest.approx(0.17461, abs=5e-6)
+    assert uniform_error_leakage(0.05 * math.pi) == pytest.approx(0.08300, abs=5e-6)
+    assert uniform_error_leakage(0.2 * math.pi) == pytest.approx(0.37948, abs=5e-6)
+    for bad in (0.0, 0.5 * math.pi, math.nan):
+        with pytest.raises(ValueError, match="precision"):
+            uniform_error_leakage(bad)

@@ -1,10 +1,12 @@
 import csv
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from viewpriv import traces as trace_io
 from viewpriv.harness import ExperimentConfig, generate_trace_set, synthesize_traces
 from viewpriv.sphere import norm, random_point, tangent_frame, unit_rows
 from viewpriv.traces import (
@@ -434,3 +436,160 @@ def test_load_checks_the_actual_norm_before_a_bad_prediction(tmp_path):
                     "0,0,0,1,0,0,1,0,0\n0,0,1,0,0,3,x,0,1\n")
     with pytest.raises(ValueError, match="^row 3: columns actual_x..actual_z have norm 3"):
         load_traces(path)
+
+
+def test_write_traces_refuses_an_empty_list(tmp_path):
+    # A header-only file would not load back: "no trace rows found".
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="^no traces to write"):
+        write_traces([], path)
+    assert not path.exists()
+
+
+PRED_HEADER_LINE = ",".join(TRACE_HEADER + TRACE_PRED_COLUMNS)
+ROWS = ["0,0,0,1,0,0", "0,0,1,0,1,0", "0,0,2,0,0,1"]
+
+
+def _body(*rows, end="\n"):
+    return HEADER_LINE.rstrip("\n") + end + "".join(row + end for row in rows)
+
+
+def _with(field, value, row=1):
+    # ROWS with one field of one row replaced.
+    fields = ROWS[row].split(",")
+    fields[field] = value
+    return _body(*ROWS[:row], ",".join(fields), *ROWS[row + 1:])
+
+
+def _awkward_trace_file():
+    # Reprs of 17 significant digits, subnormals and -0.0, with predictions.
+    rng = np.random.default_rng(23)
+    actual, predicted = rng.normal(size=(2, 2, 50, 3))
+    actual /= norm(actual)[..., None]
+    predicted /= norm(predicted)[..., None]
+    actual[0, 7], predicted[1, 3] = [5e-324, -0.0, 1.0], [-0.0, 2.5e-310, -1.0]
+    return PRED_HEADER_LINE + "\r\n" + "".join(
+        f"{u},{7 - u},{g},{','.join(map(repr, a + p))}\r\n"
+        for u in range(2) for g, (a, p) in enumerate(zip(actual[u].tolist(),
+                                                         predicted[u].tolist())))
+
+
+LOAD_CORPUS = {
+    "valid": _body(*ROWS),
+    "crlf": _body(*ROWS, end="\r\n"),
+    "cr_only": _body(*ROWS, end="\r"),
+    "mixed_line_ends": HEADER_LINE + ROWS[0] + "\r\n" + ROWS[1] + "\r" + ROWS[2] + "\n",
+    "blank_lines": HEADER_LINE + "\n\r\n" + ROWS[0] + "\n\n\r" + "\n".join(ROWS[1:]) + "\n\n",
+    "whitespace_line": _body(ROWS[0], "   ", *ROWS[1:]),
+    "tab_line": _body(ROWS[0], "\t", *ROWS[1:]),
+    "quoted_fields": _body(ROWS[0], '"0",0,"1","0",1,"0"', ROWS[2]),
+    "quoted_header": ('"user_id",video_id,gop_index,"actual_x",actual_y,actual_z\n'
+                      + "\n".join(ROWS)),
+    "quoted_comma": _with(3, '"0,0"'),
+    "underscore_id": _body(*(row.replace("0,0,", "1_0,0,", 1) for row in ROWS)),
+    "underscore_coordinate": _with(4, "1_0"),
+    "underscore_unit_coordinate": _with(3, "1_0e-1", row=0),
+    "arabic_digit_id": _body(*(row.replace("0,0,", "0,\u0661,", 1) for row in ROWS)),
+    "arabic_digit_coordinate": _with(4, "\u0661"),
+    "plus_signs": _body(*(row.replace("1", "+1") for row in ROWS)),
+    "spaces_around_fields": _body(ROWS[0], " 0 ,0, 1,0 , 1 ,0\u00a0", ROWS[2]),
+    "signed_zeros": _body("-0,+0,0,1,-0.0,0.0", "+0,-0,1,-0.0,1.0,-0", "0,0,+2,0,-0,1"),
+    "id_past_int64": _body(*(f"{2**63},{row[2:]}" for row in ROWS)),
+    "id_below_int64": _body(*(f"{-2**63 - 1},{row[2:]}" for row in ROWS)),
+    "id_at_int64_max": _body(*(f"{2**63 - 1},{row[2:]}" for row in ROWS)),
+    "float_id": _with(2, "1.0"),
+    "exponent_id": _with(0, "0e0"),
+    "inf": _with(4, "inf"),
+    "nan": _with(4, "nan"),
+    "overflowing_coordinate": _with(4, "1e500"),
+    "hex_coordinate": _with(4, "0x1p0"),
+    "empty_coordinate": _with(4, ""),
+    "trailing_comma": _body(ROWS[0], ROWS[1] + ",", ROWS[2]),
+    "comment_line": _body(ROWS[0], "# a note", *ROWS[1:]),
+    "nul_in_field": _with(4, "1\x00"),
+    "header_only": HEADER_LINE,
+    "header_only_crlf_blank": HEADER_LINE.rstrip("\n") + "\r\n\r\n\n",
+    "empty_file": "",
+    "one_row_trace": _body(ROWS[0]),
+    "short_second_trace": _body(*ROWS, "1,0,0,1,0,0"),
+    "bom": "\ufeff" + _body(*ROWS),
+    "bom_in_body": _body(ROWS[0], "\ufeff" + ROWS[1], ROWS[2]),
+    "gop_gap": _with(2, "2"),
+    "interleaved": _body(*ROWS[:2], "1,0,0,1,0,0", "1,0,1,0,1,0", "1,0,2,0,0,1", ROWS[2]),
+    "bad_norm": _with(4, "0.5"),
+    "near_unit_norm": _with(4, "1.0000009"),
+    "wrong_field_count": _body(ROWS[0], "0,0,1,0,1", ROWS[2]),
+    "predictions": PRED_HEADER_LINE + "\n" + "".join(
+        f"{row},{pred}\n" for row, pred in zip(ROWS, ["0,1,0", "1,0,0", "0,0,-1"])),
+    "prediction_bad_norm": PRED_HEADER_LINE + "\n" + "".join(
+        f"{row},{row[6:] if g != 2 else '0,0,2'}\n" for g, row in enumerate(ROWS)),
+    "awkward_floats": _awkward_trace_file(),
+    # Past the text layer's first decoded chunk, so the body read meets it.
+    "invalid_utf8_in_body": (HEADER_LINE + "".join(f"0,0,{g},1,0,0\n" for g in range(1_000)))
+    .encode().replace(b"\n0,0,900,", b"\n0,0,9\xff00,"),
+}
+# The corpus cases both readers accept; every other case is refused.
+LOADABLE = {
+    "valid", "crlf", "cr_only", "mixed_line_ends", "blank_lines", "quoted_fields",
+    "quoted_header", "underscore_id", "underscore_unit_coordinate", "arabic_digit_id",
+    "arabic_digit_coordinate", "plus_signs", "spaces_around_fields", "signed_zeros",
+    "id_past_int64", "id_below_int64", "id_at_int64_max", "near_unit_norm", "predictions",
+    "awkward_floats",
+}
+
+
+def _outcome(read, path):
+    """What a reader gives: every trace's ids and row bytes, or its error."""
+    try:
+        return [(type(t.user_id), t.user_id, t.video_id, t.actual.tobytes(),
+                 None if t.predicted is None else t.predicted.tobytes()) for t in read(path)]
+    except Exception as exc:   # the error itself is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_CORPUS))
+def test_load_traces_matches_the_row_reader(tmp_path, case):
+    path = tmp_path / "t.csv"
+    text = LOAD_CORPUS[case]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    outcome = _outcome(load_traces, path)
+    assert outcome == _outcome(trace_io._load_rows, path)
+    assert isinstance(outcome, list) == (case in LOADABLE)
+
+
+def test_only_files_the_one_pass_read_refuses_reach_the_row_reader(tmp_path, monkeypatch):
+    calls = []
+    row_reader = trace_io._load_rows
+    monkeypatch.setattr(trace_io, "_load_rows", lambda path: calls.append(path) or row_reader(path))
+    rng = np.random.default_rng(8)
+    actual, predicted = rng.normal(size=(2, 16, 1_000, 3))
+    actual /= norm(actual)[..., None]
+    predicted /= norm(predicted)[..., None]
+    traces = [SessionTrace(i // 4, i % 4, actual[i], predicted[i]) for i in range(16)]
+    path = tmp_path / "set.csv"
+    write_traces(traces, path)
+    loaded = load_traces(path)
+    assert calls == []
+    for orig, back in zip(traces, loaded, strict=True):
+        assert (back.user_id, back.video_id) == (orig.user_id, orig.video_id)
+        assert np.array_equal(back.actual, unit_rows(orig.actual))
+        assert np.array_equal(back.predicted, unit_rows(orig.predicted))
+    # One row off by one gop_index: the row reader names its file line.
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1_501] = lines[1_501].replace(b"0,1,500,", b"0,1,501,", 1)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError, match="^row 1502: gop_index 501 breaks"):
+        load_traces(path)
+    assert calls == [path]
+    # A loadtxt that parses with a warning (as some numpy releases read "1.0"
+    # into an int column) is refused too.
+    write_traces(traces[:2], path)
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("parsed with a warning", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    assert len(load_traces(path)) == 2
+    assert calls == [path, path]
