@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from viewpriv import cli, harness
+from viewpriv import cli, harness, oracle
 from viewpriv.harness import ExperimentConfig, generate_trace_set
 from viewpriv.oracle import OracleConfig
 from viewpriv.traces import load_traces
@@ -47,6 +47,16 @@ def test_attack_sim_readme_example_output(capsys):
         "analytic leakage  = 0.123607\n"
         "grid attacker: best guess at distance 0.901948 rad (true error 0.942478), leak 0.127680\n"
     )
+
+
+def test_attack_sim_oversized_lattice_exits_2(capsys, monkeypatch):
+    # 50.3M candidates at 0.001 rad: refused by the config, before any lattice is built.
+    def no_lattice(count):
+        raise AssertionError(f"built a lattice of {count} points")
+
+    monkeypatch.setattr(oracle, "fibonacci_sphere", no_lattice)
+    assert cli.main(["attack-sim", "--e", "1.0", "--grid-resolution", "0.001"]) == 2
+    assert "50,265,483 candidates" in capsys.readouterr().err
 
 
 def test_calibrate_infeasible_exits_3(capsys):

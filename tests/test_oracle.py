@@ -1,14 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from viewpriv.bpea import conditional_leakage_noisy
+from viewpriv import oracle
 from viewpriv.oracle import (
     LeakageEstimate,
     OracleConfig,
     REFERENCE_POINT,
     _CANDIDATE_CHUNK,
+    _MAX_LATTICE,
     _bearings,
     _lattice_size,
     _streams,
@@ -40,6 +43,11 @@ def test_config_validation():
                 {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}):
         with pytest.raises(ValueError):
             OracleConfig(**bad)
+    # A lattice larger than 2^21 candidates is refused before it is built.
+    with pytest.raises(ValueError, match="50,265,483 candidates"):
+        OracleConfig(grid_resolution=0.001)
+    assert _lattice_size(0.0049) <= _MAX_LATTICE < _lattice_size(0.0048)
+    OracleConfig(grid_resolution=0.0049)
     # Numpy integers are stored as Python ints.
     cfg = OracleConfig(trials=np.int64(1_000), seed=np.uint32(7))
     assert (cfg.trials, cfg.seed) == (1_000, 7)
@@ -220,6 +228,81 @@ def test_candidates_beyond_reach_never_leak():
     assert skipped and leaking
 
 
+def bearing_windows(candidates, error, eps):
+    """Each candidate's bearing phi in [0, 2 pi) and half-window w. By the
+    cosine rule, a draw whose bearing lies more than w from phi has a product
+    below cos(eps) - 1e-9; where sin t = 0 the window is the whole circle."""
+    z = candidates[:, 2]
+    den = np.sqrt(np.maximum(1.0 - z * z, 0.0)) * math.sin(error)
+    kappa = np.divide(math.cos(eps) - 1e-9 - z * math.cos(error), den,
+                      out=np.full(len(z), -1.0), where=den > 0.0)
+    phi = np.arctan2(candidates[:, 1], candidates[:, 0]) % TWO_PI
+    return phi, np.arccos(np.clip(kappa, -1.0, 1.0))
+
+
+def test_pairs_outside_bearing_windows_never_leak():
+    # The lattice with both poles added, so that some window is the whole circle.
+    wrapping = whole = outside = 0
+    for eps in (EPS, 0.01):
+        for res, seed in ((0.1, 11), (0.07, 3)):
+            cfg = OracleConfig(trials=5_000, grid_resolution=res, seed=seed)
+            lattice = fibonacci_sphere(_lattice_size(res))
+            candidates = np.vstack(([0.0, 0.0, 1.0], lattice, [0.0, 0.0, -1.0]))
+            bearings = _streams(cfg.seed)[0].uniform(0.0, TWO_PI, cfg.trials)
+            for e in (eps + 1e-9, 0.3 * math.pi, 0.5 * math.pi, math.pi - eps - 1e-9):
+                actual = points_at_distance(REFERENCE_POINT, e, bearings)
+                live = candidates[~beyond_reach(candidates, e, eps)]
+                phi, w = bearing_windows(live, e, eps)
+                for start in range(0, len(live), 256):
+                    rows = slice(start, start + 256)
+                    gap = np.abs(bearings - phi[rows, None])
+                    far = np.minimum(gap, TWO_PI - gap) > w[rows, None]
+                    products = live[rows] @ actual.T
+                    assert np.all(products[far] < math.cos(eps)), (eps, res, e)
+                    outside += np.count_nonzero(far)
+                wrapping += np.count_nonzero((phi - w < 0.0) | (phi + w >= TWO_PI))
+                whole += np.count_nonzero(w >= math.pi)
+    assert wrapping and whole and outside
+
+
+def test_grid_attacker_scores_pole_candidates(monkeypatch):
+    # At a pole sin t = 0: its window is the whole circle, with no division warning.
+    candidates = np.vstack(([0.0, 0.0, 1.0], fibonacci_sphere(_lattice_size(0.1)), [0.0, 0.0, -1.0]))
+    for module in (oracle, sys.modules[__name__]):
+        monkeypatch.setattr(module, "fibonacci_sphere", lambda count: candidates)
+    cfg = OracleConfig(trials=1_000, grid_resolution=0.1, seed=4)
+    for eps in (EPS, 0.01):
+        for e in (eps + 1e-9, math.pi - eps - 1e-9):
+            assert grid_attacker_best(e, eps, cfg) == brute_force_grid_attacker(e, eps, cfg), (eps, e)
+
+
+def chunk_cases(error, eps, cfg):
+    """Which column-range cases the attacker's chunks of bearing-sorted rows
+    reach: a union of windows that wraps past 0/2 pi, a side of it that holds
+    a single draw, and one that covers the whole circle."""
+    candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
+    live = np.flatnonzero(~beyond_reach(candidates, error, eps))
+    if not len(live):
+        return set()
+    lo, hi = int(live[0]), int(live[-1]) + 1
+    phi, w = bearing_windows(candidates[max(min(lo, hi - 2), 0) : max(hi, 2)], error, eps)
+    order = np.argsort(phi)
+    phi, w = phi[order], w[order]
+    bearings = _streams(cfg.seed)[0].uniform(0.0, TWO_PI, cfg.trials)
+    edges = [*range(0, len(phi) - 1, _CANDIDATE_CHUNK), len(phi)]
+    cases = set()
+    for a, b in zip(edges, edges[1:]):
+        first, last = np.min(phi[a:b] - w[a:b]), np.max(phi[a:b] + w[a:b])
+        if last - first >= TWO_PI:
+            cases.add("whole")
+        elif first < 0.0 or last >= TWO_PI:
+            first, last = first % TWO_PI, last % TWO_PI
+            cases.add("wrap")
+            if 1 in (np.count_nonzero(bearings >= first), np.count_nonzero(bearings <= last)):
+                cases.add("one draw")
+    return cases
+
+
 def live_rows(error, eps, cfg):
     """The number of lattice rows within the attacker's reach bound."""
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
@@ -229,22 +312,25 @@ def live_rows(error, eps, cfg):
 
 def test_pruned_grid_attacker_matches_brute_force():
     # The cases reach every path: no live row (eps = 1e-5), one live row
-    # (eps = 0.01, next to a pole), and a live range whose chunks leave a
-    # 1-row tail.
+    # (eps = 0.01, next to a pole), a live range whose chunks leave a 1-row
+    # tail, a chunk whose draws wrap past 0/2 pi, a side of a wrap that holds
+    # a single draw, and a chunk that reaches every draw (eps = 0.01 at
+    # resolution 0.04, next to a pole).
     rng = np.random.default_rng(8)
     seen = set()
     for eps in (EPS, 0.01, 1e-5):
         for seed in range(3):
-            for res in (0.1, 0.07):
+            for res in (0.1, 0.07, 0.04) if eps == 0.01 else (0.1, 0.07):
                 cfg = OracleConfig(trials=1_000, grid_resolution=res, seed=seed)
                 for e in (eps + 1e-9, math.pi - eps - 1e-9, 0.5 * math.pi,
                           *rng.uniform(eps, math.pi - eps, 2)):
                     rows = live_rows(e, eps, cfg)
                     seen.add("none" if rows == 0 else "lone" if rows == 1
                              else "tail" if rows % _CANDIDATE_CHUNK == 1 else "other")
+                    seen |= chunk_cases(e, eps, cfg)
                     got = grid_attacker_best(e, eps, cfg)
                     assert got == brute_force_grid_attacker(e, eps, cfg), (eps, seed, res, e)
-    assert seen >= {"none", "lone", "tail"}, seen
+    assert seen >= {"none", "lone", "tail", "wrap", "one draw", "whole"}, seen
 
 
 @pytest.mark.parametrize("trials", [20_000, 100_000])
@@ -278,6 +364,24 @@ def test_lattice_products_do_not_depend_on_layout_or_chunk(trials):
                     compared += b - a
         del whole   # one 256-row product at a time: 205 MB at 1e5 draws
     assert compared == 529
+
+    # The attacker multiplies chunks of its bearing-sorted rows against column
+    # ranges of the bearing-sorted draws: any range of at least 2 columns must
+    # give the bits of those columns of the whole product, and the whole
+    # product those of the draws in their drawn order.
+    bearings = _streams(cfg.seed)[0].uniform(0.0, TWO_PI, cfg.trials)
+    ordered = points_at_bearings(REFERENCE_POINT, error, *_bearings(cfg.seed, cfg.trials)[2][1:]).T
+    phi, _ = bearing_windows(candidates[lo:hi], error, EPS)
+    rows = candidates[lo:hi][np.argsort(phi)]
+    rng = np.random.default_rng(trials)
+    n = cfg.trials
+    for start, stop in [*chunks(_CANDIDATE_CHUNK, 0, 529)[:6], (0, 2), (100, 117)]:
+        whole = rows[start:stop] @ ordered
+        assert np.array_equal(whole, (rows[start:stop] @ actual.T)[:, np.argsort(bearings)])
+        for width in (2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 250, 1_001):
+            for p in (0, n - width, *rng.integers(0, n - width, 3)):
+                got = rows[start:stop] @ ordered[:, p : p + width]
+                assert np.array_equal(got, whole[:, p : p + width]), (start, stop, p, width)
 
 
 def per_call_draw_leakage(error, noise, eps, cfg):
@@ -323,6 +427,14 @@ def test_cached_bearings_match_per_call_draws():
         for (cos_b, sin_b), rng in zip(cached, _streams(cfg.seed)):
             b = rng.uniform(0.0, TWO_PI, cfg.trials)
             assert np.array_equal(cos_b, np.cos(b)) and np.array_equal(sin_b, np.sin(b))
+        # The viewer's draws in bearing order, for the attacker; read-only.
+        viewer = _streams(cfg.seed)[0].uniform(0.0, TWO_PI, cfg.trials)
+        order = np.argsort(viewer)
+        bearing, cos_b, sin_b = cached[2]
+        assert np.all(np.diff(bearing) >= 0.0) and np.array_equal(bearing, viewer[order])
+        assert np.array_equal(cos_b, cached[0][0][order])
+        assert np.array_equal(sin_b, cached[0][1][order])
+        assert not any(a.flags.writeable for a in cached[2])
     assert results[-1] == results[0]
     info = _bearings.cache_info()
     assert info.hits > 0 and info.misses > 4, info
