@@ -30,6 +30,9 @@ _CANDIDATE_CHUNK = 16
 # The largest lattice scored (resolution ~0.0049 rad); it grows as 1/resolution^2.
 _MAX_LATTICE = 2**21
 
+# The most draws estimated: the cached draws take 56 bytes a trial, ~235 MB at this bound.
+_MAX_TRIALS = 2**22
+
 
 @dataclass(frozen=True)
 class LeakageEstimate:
@@ -52,6 +55,8 @@ class OracleConfig:
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"trials must be at most {_MAX_TRIALS:,}, got {self.trials:,}")
         if not 0.0 < self.grid_resolution <= 0.1:
             raise ValueError(
                 f"grid resolution must lie in (0, 0.1], got {self.grid_resolution!r}"

@@ -3,12 +3,14 @@
 The sphere is sliced into a 4x8 equirectangular tile grid (rows are
 latitude bands, columns wrap at the 360-degree seam). Each GoP, the server
 streams a rectangular zone of tiles centered on the predicted-FoV center
-tile; the zone shape grows with the uploaded prediction error. Within a
-per-GoP bitrate budget, every zone tile is first streamed at the lowest
-quality, then upgrades to the highest quality are spent on the pFoV center
-tile, the rest of the pFoV, the rest of the zone, and finally on adding
-tiles outside the zone, in that order. Ties within a tier are broken by
-ring distance from the pFoV center, then row, then column.
+tile; the zone shape grows with the uploaded prediction error. Tiles are
+taken in ring order: ring distance from the pFoV center, then row, then
+column. An allocation is the longest prefix of three passes that fits the
+per-GoP bitrate budget: every zone tile streamed at the lowest quality,
+the same tiles upgraded to the highest, then every tile outside the zone
+added at the highest. The pFoV is the zone's rings 0 and 1, so upgrading
+the zone in ring order spends on the pFoV center tile, the rest of the
+pFoV and the rest of the zone, in that order.
 
 The session score is a four-term weighted surrogate on a [1, 5] scale:
 gaze-tile quality, mean FoV quality, temporal quality smoothness, and the
@@ -27,6 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -133,7 +136,9 @@ def zone_from_error(uploaded_error: float) -> tuple[int, int]:
     return ZONE_SHAPES[int(zone_indices(uploaded_error))]
 
 
-def _ring_key(center: Tile):
+@lru_cache(maxsize=len(_TILES))
+def _ring_order(center: Tile) -> tuple:
+    """Every tile by ring distance from ``center``, then row, then column."""
     cr, cc = center
 
     def key(tile: Tile):
@@ -142,7 +147,7 @@ def _ring_key(center: Tile):
         dc = min(dc, TILE_COLS - dc)
         return (max(abs(r - cr), dc), r, c)
 
-    return key
+    return tuple(sorted(_TILES, key=key))
 
 
 @dataclass(frozen=True)
@@ -153,42 +158,26 @@ class Allocation:
 
 def allocate_quality(center: Tile, shape: tuple[int, int], cfg: SessionConfig) -> Allocation:
     """Per-tile quality map for one GoP under the bitrate budget: the zone of
-    ``shape`` and the pFoV are both the blocks around the pFoV center tile."""
+    ``shape`` and the pFoV are both the blocks around the pFoV center tile.
+
+    The steps are the zone tiles low, the same tiles upgraded to high, then
+    the tiles outside the zone high, each pass in ring order. The map keeps
+    the steps whose running spend, summed left to right, is within the
+    budget; it is under-provisioned when they end inside the first pass."""
     if shape not in ZONE_SHAPES:
         raise ValueError(f"zone shape {shape} is outside the feasible set {ZONE_SHAPES}")
-    zone, pfov, order = block_tiles(center, shape), fov_tiles(center), _ring_key(center)
-    quality: dict = {}
-    spent = 0.0
-    under = False
-
-    low_cost = QualityLevel.LOW.value * GOP_SECONDS
-    for tile in sorted(zone, key=order):
-        if spent + low_cost <= cfg.budget_mbit + _BUDGET_SLACK:
-            quality[tile] = QualityLevel.LOW
-            spent += low_cost
-        else:
-            under = True
-    if under:
-        return Allocation(quality, True)
-
-    upgrade_cost = (QualityLevel.HIGH.value - QualityLevel.LOW.value) * GOP_SECONDS
-    tiers = [
-        [center],
-        sorted(pfov - {center}, key=order),
-        sorted(zone - pfov, key=order),
-    ]
-    for tier in tiers:
-        for tile in tier:
-            if spent + upgrade_cost <= cfg.budget_mbit + _BUDGET_SLACK:
-                quality[tile] = QualityLevel.HIGH
-                spent += upgrade_cost
-
-    add_cost = QualityLevel.HIGH.value * GOP_SECONDS
-    for tile in sorted((x for x in _TILES if x not in zone), key=order):
-        if spent + add_cost <= cfg.budget_mbit + _BUDGET_SLACK:
-            quality[tile] = QualityLevel.HIGH
-            spent += add_cost
-    return Allocation(quality, False)
+    zone = block_tiles(center, shape)
+    inner = [tile for tile in _ring_order(center) if tile in zone]
+    outer = [tile for tile in _ring_order(center) if tile not in zone]
+    low, high = QualityLevel.LOW, QualityLevel.HIGH
+    steps = [(tile, low) for tile in inner] + [(tile, high) for tile in inner + outer]
+    costs = ([low.value * GOP_SECONDS] * len(inner)
+             + [(high.value - low.value) * GOP_SECONDS] * len(inner)
+             + [high.value * GOP_SECONDS] * len(outer))
+    # Every cost is positive, so the steps within the budget are a prefix.
+    kept = sum(spent <= cfg.budget_mbit + _BUDGET_SLACK for spent in accumulate(costs))
+    # An upgrade replaces its tile's level in place, keeping the tile's order.
+    return Allocation(dict(steps[:kept]), kept < len(inner))
 
 
 @lru_cache(maxsize=16)

@@ -257,6 +257,11 @@ def write_traces(traces: list[SessionTrace], path) -> None:
     include_pred = any(t.predicted is not None for t in traces)
     if include_pred and not all(t.predicted is not None for t in traces):
         raise ValueError("either all traces carry predictions or none do")
+    for t in traces:
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   for i in (t.user_id, t.video_id)):
+            raise ValueError(f"trace ({t.user_id!r}, {t.video_id!r}) would not load back: "
+                             "user_id and video_id must be integers")
     header = TRACE_HEADER + TRACE_PRED_COLUMNS if include_pred else TRACE_HEADER
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # The bytes csv.writer gives: a float is its repr, the shortest

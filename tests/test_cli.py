@@ -59,6 +59,16 @@ def test_attack_sim_oversized_lattice_exits_2(capsys, monkeypatch):
     assert "50,265,483 candidates" in capsys.readouterr().err
 
 
+def test_attack_sim_too_many_trials_exits_2(capsys, monkeypatch):
+    # 2^22 + 1 trials: refused by the config, before any bearing is drawn.
+    def no_draws(seed, trials):
+        raise AssertionError(f"drew {trials} bearings")
+
+    monkeypatch.setattr(oracle, "_bearings", no_draws)
+    assert cli.main(["attack-sim", "--e", "0.9424778", "--trials", "4194305"]) == 2
+    assert "at most 4,194,304" in capsys.readouterr().err
+
+
 def test_calibrate_infeasible_exits_3(capsys):
     code = cli.main([
         "calibrate", "--kind", "gaussian", "--q", "0.05", "--users", "2",

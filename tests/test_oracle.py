@@ -12,6 +12,7 @@ from viewpriv.oracle import (
     REFERENCE_POINT,
     _CANDIDATE_CHUNK,
     _MAX_LATTICE,
+    _MAX_TRIALS,
     _bearings,
     _lattice_size,
     _streams,
@@ -48,6 +49,10 @@ def test_config_validation():
         OracleConfig(grid_resolution=0.001)
     assert _lattice_size(0.0049) <= _MAX_LATTICE < _lattice_size(0.0048)
     OracleConfig(grid_resolution=0.0049)
+    # So are more than 2^22 trials, whose cached draws would pass 235 MB.
+    with pytest.raises(ValueError, match="at most 4,194,304, got 4,194,305"):
+        OracleConfig(trials=_MAX_TRIALS + 1)
+    assert OracleConfig(trials=np.int64(_MAX_TRIALS)).trials == 2**22
     # Numpy integers are stored as Python ints.
     cfg = OracleConfig(trials=np.int64(1_000), seed=np.uint32(7))
     assert (cfg.trials, cfg.seed) == (1_000, 7)

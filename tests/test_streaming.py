@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from viewpriv.baselines import GAUSSIAN_KIND, NoiseScale
 from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.streaming import (
     Allocation,
+    DEFAULT_BUDGET_MBIT,
     GOP_SECONDS,
     GopRecord,
     QOE_WEIGHTS,
@@ -17,7 +19,10 @@ from viewpriv.streaming import (
     SessionConfig,
     TILE_COLS,
     TILE_ROWS,
+    Tile,
     ZONE_SHAPES,
+    _BUDGET_SLACK,
+    _TILES,
     allocate_quality,
     apply_policy,
     block_tiles,
@@ -189,6 +194,99 @@ def test_allocation_order_prefers_pfov_center():
     alloc = allocate_quality((2, 2), (3, 5), cfg)
     highs = [t for t, lvl in alloc.quality.items() if lvl is QualityLevel.HIGH]
     assert highs == [(2, 2)]
+
+
+# The three greedy passes the prefix rule replaced, as the reference.
+
+
+def _ring_key(center: Tile):
+    cr, cc = center
+
+    def key(tile: Tile):
+        r, c = tile
+        dc = abs(c - cc)
+        dc = min(dc, TILE_COLS - dc)
+        return (max(abs(r - cr), dc), r, c)
+
+    return key
+
+
+def greedy_allocate_quality(center: Tile, shape: tuple[int, int], cfg: SessionConfig) -> Allocation:
+    """Per-tile quality map for one GoP under the bitrate budget: the zone of
+    ``shape`` and the pFoV are both the blocks around the pFoV center tile."""
+    if shape not in ZONE_SHAPES:
+        raise ValueError(f"zone shape {shape} is outside the feasible set {ZONE_SHAPES}")
+    zone, pfov, order = block_tiles(center, shape), fov_tiles(center), _ring_key(center)
+    quality: dict = {}
+    spent = 0.0
+    under = False
+
+    low_cost = QualityLevel.LOW.value * GOP_SECONDS
+    for tile in sorted(zone, key=order):
+        if spent + low_cost <= cfg.budget_mbit + _BUDGET_SLACK:
+            quality[tile] = QualityLevel.LOW
+            spent += low_cost
+        else:
+            under = True
+    if under:
+        return Allocation(quality, True)
+
+    upgrade_cost = (QualityLevel.HIGH.value - QualityLevel.LOW.value) * GOP_SECONDS
+    tiers = [
+        [center],
+        sorted(pfov - {center}, key=order),
+        sorted(zone - pfov, key=order),
+    ]
+    for tier in tiers:
+        for tile in tier:
+            if spent + upgrade_cost <= cfg.budget_mbit + _BUDGET_SLACK:
+                quality[tile] = QualityLevel.HIGH
+                spent += upgrade_cost
+
+    add_cost = QualityLevel.HIGH.value * GOP_SECONDS
+    for tile in sorted((x for x in _TILES if x not in zone), key=order):
+        if spent + add_cost <= cfg.budget_mbit + _BUDGET_SLACK:
+            quality[tile] = QualityLevel.HIGH
+            spent += add_cost
+    return Allocation(quality, False)
+
+
+def phase_boundary_budgets(zone_size: int) -> list[float]:
+    """Budgets at every running spend of a zone of ``zone_size`` tiles: each
+    sum itself, and the budget whose allowance (budget + slack) reaches it,
+    each with its neighbours one ulp either side."""
+    low, high = QualityLevel.LOW.value, QualityLevel.HIGH.value
+    costs = ([low] * zone_size + [high - low] * zone_size
+             + [high] * (TILE_ROWS * TILE_COLS - zone_size))
+    budgets = set()
+    for spent in accumulate(c * GOP_SECONDS for c in costs):
+        reach = spent - _BUDGET_SLACK
+        while reach + _BUDGET_SLACK < spent:
+            reach = np.nextafter(reach, math.inf)
+        while reach + _BUDGET_SLACK > spent:
+            reach = np.nextafter(reach, -math.inf)
+        for b in (spent, reach):
+            budgets |= {float(np.nextafter(b, -math.inf)), float(b), float(np.nextafter(b, math.inf))}
+    return sorted(budgets)
+
+
+def test_prefix_allocation_matches_the_greedy_passes_at_every_phase_boundary():
+    # A budget that lands on a running spend, or one ulp to either side of
+    # where budget + slack does, tells <= from <, a step from the next, and
+    # a left-to-right sum from any other order of summing.
+    fixed = [0.0, DEFAULT_BUDGET_MBIT, 1000.0, math.inf]
+    grids = {}
+    for center in _TILES:
+        for shape in ZONE_SHAPES:
+            size = len(block_tiles(center, shape))
+            if size not in grids:
+                grids[size] = [SessionConfig(b) for b in phase_boundary_budgets(size) + fixed]
+            for cfg in grids[size]:
+                got = allocate_quality(center, shape, cfg)
+                want = greedy_allocate_quality(center, shape, cfg)
+                assert list(got.quality.items()) == list(want.quality.items()), (center, shape, cfg)
+                assert got.under_provisioned == want.under_provisioned, (center, shape, cfg)
+    assert sorted(grids) == [6, 9, 10, 14, 15, 21, 28, 32]
 
 
 # ------------------------------------------------------------------ QoE score

@@ -446,6 +446,21 @@ def test_write_traces_refuses_an_empty_list(tmp_path):
     assert not path.exists()
 
 
+def test_write_traces_refuses_ids_that_do_not_load_back(tmp_path):
+    # "3.0" or "True" in an id column is refused by load_traces, so the
+    # writer refuses it first, before the file is opened.
+    path = tmp_path / "t.csv"
+    rows = np.eye(3)
+    for user, video in ((3.0, 0), (True, 0), (0, np.float64(2.0))):
+        bad = SessionTrace(user, video, rows)
+        with pytest.raises(ValueError, match=re.escape(f"trace ({user!r}, {video!r}) would not")):
+            write_traces([SessionTrace(0, 0, rows), bad], path)
+        assert not path.exists()
+    write_traces([SessionTrace(np.int64(3), np.int64(-5), rows)], path)
+    trace, = load_traces(path)
+    assert (trace.user_id, trace.video_id) == (3, -5)
+
+
 PRED_HEADER_LINE = ",".join(TRACE_HEADER + TRACE_PRED_COLUMNS)
 ROWS = ["0,0,0,1,0,0", "0,0,1,0,1,0", "0,0,2,0,0,1"]
 
