@@ -13,6 +13,7 @@ A ``NoiseScale`` (noise kind and scale) is itself the baseline policy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +36,8 @@ SCAN_BLOCK_ERRORS = 16_384
 def check_search_step(step: float) -> float:
     if not 0.0 < step < math.inf:
         raise ValueError(f"search step must be positive, got {step!r}")
+    if not math.isfinite((longest := max(SEARCH_MAX.values())) / step):   # a scan without end
+        raise ValueError(f"search step must be at least {longest / sys.float_info.max!r}, got {step!r}")
     return step
 
 
@@ -71,10 +74,9 @@ class CalibrationResult:
 
 def perturb_traces(points: np.ndarray, kind: str, value, rngs: Sequence) -> np.ndarray:
     """Add per-coordinate noise to (traces, n, 3) unit rows and renormalize.
-    ``value`` is one scale, or one per trace. Trace i draws from ``rngs[i]``
-    alone, at its own scale: its (n, 3) noise, then redraws of any rows
-    perturbed to (numerically) zero, an event of probability zero. A trace at
-    scale 0 comes back unchanged."""
+    ``value`` is one scale, or one per trace. Trace i draws its (n, 3) noise from
+    ``rngs[i]`` alone, at its own scale; at scale 0 it draws nothing and comes back
+    unchanged. A row perturbed to (numerically) zero, of probability zero, raises."""
     pts = np.asarray(points, dtype=float)
     values = np.asarray(value, dtype=float)
     if (pts.ndim != 3 or pts.shape[2] != 3 or not len(pts) or len(rngs) != len(pts)
@@ -84,35 +86,28 @@ def perturb_traces(points: np.ndarray, kind: str, value, rngs: Sequence) -> np.n
     values = np.broadcast_to(values, len(pts))
     for extreme in (values.min(), values.max()):   # checks every scale: a NaN is both
         NoiseScale(kind, float(extreme))
-    live = np.flatnonzero(values)
-    if len(live) < len(pts):   # traces at scale 0 take no draw
-        out = pts.copy()
-        if len(live):
-            out[live] = perturb_traces(pts[live], kind, values[live], [rngs[i] for i in live])
-        return out
+    if not values.any():   # no trace draws
+        return pts.copy()
     scales = values.tolist()
     draws = [rng.normal if kind == GAUSSIAN_KIND else rng.laplace for rng in rngs]
     if len(pts) == 1:   # a lone trace adds its rows to its draw, with no second buffer
         noisy = draws[0](0.0, scales[0], size=pts.shape[1:])[None]
         noisy += pts
-    else:   # each draw is added into its slab of the block, so no draw is copied
-        noisy = np.empty(pts.shape)
-        for draw, scale, slab, rows in zip(draws, scales, noisy, pts):
-            np.add(draw(0.0, scale, size=pts.shape[1:]), rows, out=slab)
+    else:   # each draw is added into its slab of a copy of the block, so no draw is copied
+        noisy = pts.copy()
+        for draw, scale, slab in zip(draws, scales, noisy):
+            if scale:   # a trace at scale 0 draws nothing
+                slab += draw(0.0, scale, size=pts.shape[1:])
     norms = norm(noisy)
-    bad = norms < 1e-12
-    for i in np.flatnonzero(bad.any(axis=-1)):
-        while np.any(bad[i]):
-            redraw = draws[i](0.0, scales[i], size=(int(np.sum(bad[i])), 3))
-            noisy[i, bad[i]] = pts[i, bad[i]] + redraw
-            norms[i] = norm(noisy[i])
-            bad[i] = norms[i] < 1e-12
+    norms[values == 0.0] = 1.0   # a trace at scale 0 is divided by 1: unchanged
     finite = np.isfinite(norms).all(axis=-1)   # a non-finite coordinate gives a non-finite norm
     if not finite.all():
         i = np.flatnonzero(~finite)[0]
         if np.all(np.isfinite(pts[i])):
             raise ValueError(f"noise scale {scales[i]!r} is too large: squared row norms overflow")
         raise ValueError("rows must be finite and nonzero")
+    if np.any(norms < 1e-12):
+        raise ValueError("a row was perturbed to (numerically) zero")
     noisy /= norms[..., None]
     return noisy
 

@@ -37,17 +37,24 @@ import numpy as np
 from .leakage import check_errors, check_precision, check_requirement
 from .sphere import check_angle
 
+# The margin lies in [MIN_MARGIN, pi - 2 eps): below one ulp of pi, left + margin rounds
+# back onto the cell edge; from pi - 2 eps on, it overshoots the cell it nudges into.
 DEFAULT_MARGIN = 1e-4
+MIN_MARGIN = float(np.spacing(math.pi))
 # Crossing candidates the refinement tries per error before it gives up.
 REFINE_STEPS = 200
 # Candidates one refinement pass evaluates at most, over all short errors.
 REFINE_BLOCK_EVALS = 2048
 
 
-def check_margin(margin: float) -> float:
+def check_margin(margin: float, eps: float | None = None) -> float:
     margin = float(margin)
     if not math.isfinite(margin) or margin <= 0.0:
         raise ValueError(f"solver margin must be positive, got {margin!r}")
+    top = math.inf if eps is None else math.pi - 2.0 * eps   # BpeaPolicy knows no eps
+    if not MIN_MARGIN <= margin < top:
+        raise ValueError(f"solver margin must lie in [{MIN_MARGIN!r}, {top!r}), from one ulp of "
+                         f"pi to pi - 2 eps, got {margin!r}")
     return margin
 
 
@@ -131,7 +138,7 @@ def noise_solver(errors, eps: float, margin: float = DEFAULT_MARGIN):
     (within ~1e-13); ``solve`` raises ArithmeticError after ``REFINE_STEPS``.
     """
     eps = check_precision(eps)
-    margin = check_margin(margin)
+    margin = check_margin(margin, eps)
     shape = np.shape(errors)
     e = check_errors(errors).ravel()
     cos_eps = math.cos(eps)

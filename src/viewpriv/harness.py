@@ -123,7 +123,7 @@ class ExperimentConfig:
         if self.gops_per_video < MIN_GOPS:
             raise ValueError(f"traces need at least {MIN_GOPS} GoPs")
         SessionConfig(self.budget_mbit)   # rejects a negative or NaN budget
-        check_margin(self.margin)
+        check_margin(self.margin, self.eps if "bpea" in self.policies else None)   # only bpea solves
         check_concentration(self.concentration)
         baselines.check_search_step(self.calibration_step)
         if self.out_path is not None:

@@ -27,10 +27,11 @@ REFERENCE_POINT = SpherePoint(0.0, 0.0, 1.0)
 # 16 rows by the draws within their bearing windows: a product that stays in cache.
 _CANDIDATE_CHUNK = 16
 
-# The largest lattice scored (resolution ~0.0049 rad); it grows as 1/resolution^2.
+# The largest lattice scored; it grows as 1/resolution^2, to 2^21 - 1 at ~0.0049 rad.
 _MAX_LATTICE = 2**21
+_MIN_RESOLUTION = math.sqrt(16.0 * math.pi / (_MAX_LATTICE - 1))
 
-# The most draws estimated: the cached draws take 56 bytes a trial, ~235 MB at this bound.
+# The most draws estimated: the cached draws take 40 bytes a trial, ~168 MB at this bound.
 _MAX_TRIALS = 2**22
 
 
@@ -61,9 +62,10 @@ class OracleConfig:
             raise ValueError(
                 f"grid resolution must lie in (0, 0.1], got {self.grid_resolution!r}"
             )
-        if (size := _lattice_size(self.grid_resolution)) > _MAX_LATTICE:
-            raise ValueError(f"grid resolution {self.grid_resolution!r} needs a lattice of "
-                             f"{size:,} candidates, more than {_MAX_LATTICE:,}")
+        if self.grid_resolution < _MIN_RESOLUTION:   # refused before a lattice size can overflow
+            size = np.ceil(16.0 * math.pi / self.grid_resolution / self.grid_resolution)
+            raise ValueError(f"grid resolution {self.grid_resolution!r} is below {_MIN_RESOLUTION:.4g}"
+                             f": it needs {size:,.0f} candidates, more than {_MAX_LATTICE:,}")
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -73,18 +75,16 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 
 @functools.lru_cache(maxsize=2)
-def _bearings(seed: int, trials: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Read-only (cos, sin) of the viewer's and the attacker's bearings, and
-    the viewer's (bearing, cos, sin) sorted by bearing. Each call with one
-    (seed, trials) would draw the same, so they are drawn once."""
-    drawn = [rng.uniform(0.0, TWO_PI, trials) for rng in _streams(seed)]
-    groups = [(np.cos(b), np.sin(b)) for b in drawn]
-    order = np.argsort(drawn[0])
-    groups.append((drawn[0][order], *(a[order] for a in groups[0])))
-    for group in groups:
-        for a in group:
-            a.flags.writeable = False
-    return tuple(groups)
+def _bearings(seed: int, trials: int) -> tuple[np.ndarray, ...]:
+    """Read-only (bearing, cos_v, sin_v, cos_a, sin_a): the viewer's sorted bearings, and
+    both streams' cos and sin in that order, so trial i keeps its pair. Each call
+    with one (seed, trials) would draw the same, so they are drawn once."""
+    viewer, attacker = (rng.uniform(0.0, TWO_PI, trials) for rng in _streams(seed))
+    order = np.argsort(viewer)
+    cached = (viewer[order], *(f(b)[order] for b in (viewer, attacker) for f in (np.cos, np.sin)))
+    for a in cached:
+        a.flags.writeable = False
+    return cached
 
 
 def empirical_conditional_leakage(
@@ -100,8 +100,9 @@ def empirical_conditional_leakage(
     lo, hi = noise_bounds(error)
     noise = check_angle(noise, lo, hi, "noise")
 
-    viewer, attacker, _ = _bearings(cfg.seed, cfg.trials)
-    actual = points_at_bearings(REFERENCE_POINT, error, *viewer)
+    # Pairs in bearing order: the same pairs, each product elementwise, so the same count.
+    _, cos_v, sin_v, cos_a, sin_a = _bearings(cfg.seed, cfg.trials)
+    actual = points_at_bearings(REFERENCE_POINT, error, cos_v, sin_v)
 
     reported = error + noise
     if reported <= eps:
@@ -109,7 +110,7 @@ def empirical_conditional_leakage(
     elif reported >= math.pi - eps:
         guesses = -REFERENCE_POINT.as_array()[None, :]
     else:
-        guesses = points_at_bearings(REFERENCE_POINT, reported, *attacker)
+        guesses = points_at_bearings(REFERENCE_POINT, reported, cos_a, sin_a)
 
     # d(V, Vhat) <= eps is equivalent to dot(V, Vhat) >= cos(eps).
     # An exact integer count over one division: bit-equal to np.mean of the mask.
@@ -152,8 +153,8 @@ def grid_attacker_best(error: float, eps: float, cfg: OracleConfig) -> tuple[Sph
         raise ValueError("grid search applies to mid-range errors only")
 
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
-    _, _, (bearing, cos_b, sin_b) = _bearings(cfg.seed, cfg.trials)
-    actual = points_at_bearings(REFERENCE_POINT, error, cos_b, sin_b).T   # (3, N), by bearing
+    bearing, cos_v, sin_v, _, _ = _bearings(cfg.seed, cfg.trials)
+    actual = points_at_bearings(REFERENCE_POINT, error, cos_v, sin_v).T   # (3, N), by bearing
     n = len(bearing)
 
     # Triangle inequality, not a leakage formula: a candidate at polar angle

@@ -100,18 +100,6 @@ class ScriptedRng:
     laplace = normal
 
 
-def reference_perturb(points, kind, value, rng):
-    """Row-at-a-time reference: draw, redraw zero rows until none is left,
-    renormalize."""
-    draw = rng.normal if kind == GAUSSIAN_KIND else rng.laplace
-    noisy = points + draw(0.0, value, size=points.shape)
-    bad = np.linalg.norm(noisy, axis=1) < 1e-12
-    while np.any(bad):
-        noisy[bad] = points[bad] + draw(0.0, value, size=(int(np.sum(bad)), 3))
-        bad = np.linalg.norm(noisy, axis=1) < 1e-12
-    return noisy / np.linalg.norm(noisy, axis=1)[:, None]
-
-
 def two_norm_perturb_traces(points, kind, value, rngs):
     """``perturb_traces`` as it computed the row norms twice, once for the
     zero-row check and again in ``unit_rows``, at one scale for every trace:
@@ -119,12 +107,6 @@ def two_norm_perturb_traces(points, kind, value, rngs):
     draws = [rng.normal if kind == GAUSSIAN_KIND else rng.laplace for rng in rngs]
     noisy = np.stack([draw(0.0, value, size=points.shape[1:]) for draw in draws])
     noisy += points
-    bad = np.linalg.norm(noisy, axis=-1) < 1e-12
-    for i in np.flatnonzero(bad.any(axis=-1)):
-        while np.any(bad[i]):
-            noisy[i, bad[i]] = points[i, bad[i]] + draws[i](0.0, value,
-                                                             size=(int(np.sum(bad[i])), 3))
-            bad[i] = np.linalg.norm(noisy[i], axis=-1) < 1e-12
     return unit_rows(noisy.reshape(-1, 3)).reshape(noisy.shape)
 
 
@@ -136,40 +118,46 @@ def per_slab_reference(points, kind, values, rngs):
                      for p, value, rng in zip(points, values, rngs)])
 
 
-def test_zero_norm_rows_are_redrawn_from_their_own_trace_rng():
+def test_a_zero_norm_row_raises_and_a_trace_at_scale_0_draws_nothing():
     points = unit_rows(np.random.default_rng(11).normal(size=(18, 3))).reshape(3, 6, 3)
-    # Trace 0 zeroes rows 1 and 4 on its first draw. Trace 1 draws honestly.
-    # Trace 2 zeroes rows 0, 2 and 5, then row 2 again on its first redraw.
-    scripts = [[{1: 1, 4: 4}], [], [{0: 0, 2: 2, 5: 5}, {1: 2}]]
-    sizes = [[(6, 3), (2, 3)], [(6, 3)], [(6, 3), (3, 3), (1, 3)]]
+    # Trace 0 zeroes rows 1 and 4 on its first draw. Traces 1 and 2 draw honestly.
+    scripts = [[{1: 1, 4: 4}], [], []]
 
     def rngs():
         return [ScriptedRng(p, script, seed)
                 for seed, (p, script) in enumerate(zip(points, scripts))]
 
+    zero = "a row was perturbed to \\(numerically\\) zero"
     for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
-        stacked_rngs = rngs()
-        stacked = perturb_traces(points, kind, 0.7, stacked_rngs)
-        assert [r.sizes for r in stacked_rngs] == sizes
-        assert np.array_equal(stacked, [perturb_rows(p, kind, 0.7, r)
-                                        for p, r in zip(points, rngs())])
-        assert np.array_equal(stacked, [reference_perturb(p, kind, 0.7, r)
-                                        for p, r in zip(points, rngs())])
-        assert np.array_equal(stacked, two_norm_perturb_traces(points, kind, 0.7, rngs()))
-        lone = perturb_traces(points[2:], kind, 0.7, rngs()[2:])
-        assert np.array_equal(lone, two_norm_perturb_traces(points[2:], kind, 0.7, rngs()[2:]))
-        assert np.allclose(np.linalg.norm(stacked, axis=-1), 1.0, rtol=0.0, atol=1e-12)
-        # One scale per trace: trace 1 at scale 0 draws nothing and comes back
-        # unchanged; traces 0 and 2 redraw at their own scales.
-        values = [0.7, 0.0, 1.9]
+        # A zero row raises, in a block and alone, after one draw per trace: nothing is redrawn.
         block_rngs = rngs()
-        block = perturb_traces(points, kind, values, block_rngs)
-        assert [r.sizes for r in block_rngs] == [sizes[0], [], sizes[2]]
-        assert np.array_equal(block[1], points[1])
+        with pytest.raises(ValueError, match=zero):
+            perturb_traces(points, kind, 0.7, block_rngs)
+        assert [r.sizes for r in block_rngs] == [[(6, 3)]] * 3
+        lone_rngs = rngs()[:1]
+        with pytest.raises(ValueError, match=zero):
+            perturb_traces(points[:1], kind, 0.7, lone_rngs)
+        assert lone_rngs[0].sizes == [(6, 3)]
+        with pytest.raises(ValueError, match=zero):
+            perturb_rows(points[0], kind, 0.7, rngs()[0])
+        honest = perturb_traces(points[1:], kind, 0.7, rngs()[1:])
+        assert np.array_equal(honest, two_norm_perturb_traces(points[1:], kind, 0.7, rngs()[1:]))
+        assert np.allclose(np.linalg.norm(honest, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        # One scale per trace: trace 0 at scale 0 draws nothing, so its scripted
+        # zero rows never appear, and comes back unchanged, not renormalised:
+        # its zero row and its row of norm 2 stay. Traces 1 and 2 perturb at
+        # their own scales.
+        held = points.copy()
+        held[0, 2], held[0, 3] = 0.0, 2.0 * points[0, 3]
+        values = [0.0, 0.7, 1.9]
+        block_rngs = rngs()
+        block = perturb_traces(held, kind, values, block_rngs)
+        assert [r.sizes for r in block_rngs] == [[], [(6, 3)], [(6, 3)]]
+        assert np.array_equal(block[0], held[0])
         assert np.array_equal(block, [perturb_rows(p, kind, value, r)
-                                      for p, value, r in zip(points, values, rngs())])
-        assert np.array_equal(block, per_slab_reference(points, kind, values, rngs()))
-        assert np.array_equal(perturb_traces(points, kind, [0.0] * 3, rngs()), points)
+                                      for p, value, r in zip(held, values, rngs())])
+        assert np.array_equal(block, per_slab_reference(held, kind, values, rngs()))
+        assert np.array_equal(perturb_traces(held, kind, [0.0] * 3, rngs()), held)
     with pytest.raises(ValueError, match="one RNG per trace"):
         perturb_traces(points, GAUSSIAN_KIND, 0.7, rngs()[:1])
     with pytest.raises(ValueError, match="one RNG per trace"):

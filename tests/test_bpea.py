@@ -11,6 +11,7 @@ from viewpriv.harness import default_q_grid
 from viewpriv.leakage import conditional_leakage
 from viewpriv.bpea import (
     DEFAULT_MARGIN,
+    MIN_MARGIN,
     conditional_leakage_noisy,
     effective_precision,
     noise_bounds,
@@ -458,3 +459,37 @@ def test_margin_validation():
         optimal_noise(0.3, EPS, 0.5, 0.0)
     with pytest.raises(ValueError):
         optimal_noise(0.3, EPS, -0.1, DEFAULT_MARGIN)
+    # Below one ulp of pi, left + margin rounds back onto the cell edge, where
+    # leakage is 1; from pi - 2 eps on, the margin overshoots the cell it nudges
+    # into, and past pi - eps it leaves [-e, pi - e]. Both are refused.
+    assert MIN_MARGIN == np.spacing(math.pi)
+    top = math.pi - 2.0 * EPS
+    bounds = rf"\[{MIN_MARGIN!r}, {top!r}\), from one ulp of pi to pi - 2 eps"
+    for margin in (1e-20, 1e-17, 1e-16, float(np.nextafter(MIN_MARGIN, 0.0))):
+        with pytest.raises(ValueError, match=bounds):
+            optimal_noise(0.2, EPS, 0.9, margin)
+        with pytest.raises(ValueError, match=rf"\[{MIN_MARGIN!r}, inf\)"):
+            bpea.check_margin(margin)
+    for margin in (top, 2.9, 3.0):
+        with pytest.raises(ValueError, match=bounds):
+            optimal_noise(0.0, EPS, 0.0, margin)
+        assert bpea.check_margin(margin) == margin   # no eps: the lower bound alone
+    for margin in (MIN_MARGIN, DEFAULT_MARGIN, 1e-3, float(np.nextafter(top, 0.0))):
+        assert bpea.check_margin(margin, EPS) == margin
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1 * math.pi, 0.7, 1.5])
+def test_solves_at_both_margin_bounds_stay_admissible_and_meet_q(eps):
+    # The errors pack the cell edges of both end regimes, and e = 0 and pi.
+    rng = np.random.default_rng(29)
+    special = np.array([0.0, eps, math.pi - eps, math.pi, 0.5 * eps, math.pi - 0.5 * eps])
+    near = np.nextafter(np.repeat(special, 2), np.tile([-1.0, 4.0], len(special)))
+    errors = np.clip(np.concatenate([special, near, np.linspace(0.0, math.pi, 1_001),
+                                     rng.uniform(0.0, math.pi, 1_000)]), 0.0, math.pi)
+    for margin in (MIN_MARGIN, float(np.nextafter(math.pi - 2.0 * eps, 0.0))):
+        solve = bpea.noise_solver(errors, eps, margin)
+        for q in np.linspace(0.0, 1.0, 41):
+            noises, leakage = solve(q)
+            assert np.all(noises >= -errors) and np.all(noises <= math.pi - errors), (margin, q)
+            assert np.all(conditional_leakage_noisy(errors, noises, eps) <= q), (margin, q)
+            assert np.all(leakage <= q), (margin, q)

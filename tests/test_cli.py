@@ -69,6 +69,41 @@ def test_attack_sim_too_many_trials_exits_2(capsys, monkeypatch):
     assert "at most 4,194,304" in capsys.readouterr().err
 
 
+def test_attack_sim_tiny_grid_resolution_exits_2(capsys, monkeypatch):
+    # 1e-160 once raised OverflowError and 1e-200 ZeroDivisionError, from the
+    # lattice size: the floor is checked first, before any draw or lattice.
+    def no_draws(seed, trials):
+        raise AssertionError(f"drew {trials} bearings")
+
+    def no_lattice(count):
+        raise AssertionError(f"built a lattice of {count} points")
+
+    monkeypatch.setattr(oracle, "_bearings", no_draws)
+    monkeypatch.setattr(oracle, "fibonacci_sphere", no_lattice)
+    for resolution in ("1e-160", "1e-200", "5e-324"):
+        assert cli.main(["attack-sim", "--e", "1.0", "--trials", "1000",
+                         "--grid-resolution", resolution]) == 2
+        assert f"grid resolution {resolution} is below 0.004896" in capsys.readouterr().err
+    assert oracle.OracleConfig(grid_resolution=0.0049).grid_resolution == 0.0049
+
+
+def test_calibrate_tiny_step_exits_2(capsys, monkeypatch):
+    # 1e-320 once raised OverflowError from the scan's length, after synthesis.
+    def no_synthesis(*args):
+        raise AssertionError("traces were synthesized")
+
+    calibrate = ["calibrate", "--kind", "gaussian", "--q", "0.3", "--users", "1",
+                 "--videos", "1", "--gops", "3"]
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "generate_trace_set", no_synthesis)
+        assert cli.main(calibrate + ["--step", "1e-320"]) == 2
+        assert "search step must be at least 3.893879252387603e-308, got 1e-320" in capsys.readouterr().err
+    # A fine step whose scan is finite still runs: scale 0 meets q = 1.
+    calibrate[4] = "1.0"
+    assert cli.main(calibrate + ["--step", "1e-6"]) == 0
+    assert capsys.readouterr().out.startswith("feasible: scale 0 achieves")
+
+
 def test_calibrate_infeasible_exits_3(capsys):
     code = cli.main([
         "calibrate", "--kind", "gaussian", "--q", "0.05", "--users", "2",
@@ -182,14 +217,29 @@ def test_tradeoff_rejects_a_bad_tau_before_calibrating(tmp_path, capsys, monkeyp
     def no_calibration(*args):
         raise AssertionError("the calibration scan ran")
 
+    def no_synthesis(*args):
+        raise AssertionError("traces were synthesized")
+
     monkeypatch.setattr(harness, "calibrate_baselines", no_calibration)
+    monkeypatch.setattr(harness, "generate_trace_set", no_synthesis)
     results_path = tmp_path / "rows.csv"
-    for tau in ("-1", "0", "nan"):
+    # 1e-20 once wrote pr_leak 0.553 at q = 0.5, and 2.9 noises of 3.21 rad.
+    bounds = "must lie in [4.440892098500626e-16, 2.5132741228718345), from one ulp of pi"
+    for tau, message in (("-1", "must be positive"), ("0", "must be positive"),
+                         ("nan", "must be positive"), ("1e-20", bounds), ("2.9", bounds)):
         assert cli.main(["tradeoff", "--users", "2", "--videos", "1", "--train-videos", "1",
                          "--gops", "10", "--q-grid", "0.3", "--tau", tau,
                          "--out", str(results_path)]) == 2
-        assert "solver margin must be positive" in capsys.readouterr().err
+        assert f"solver margin {message}" in capsys.readouterr().err
     assert not results_path.exists()
+
+
+def test_solve_noise_rejects_a_margin_outside_its_range(capsys):
+    # 1e-20 once printed "achieved leakage = 1 (requirement 0.9)" and exited 0.
+    bounds = "[4.440892098500626e-16, 2.5132741228718345), from one ulp of pi to pi - 2 eps"
+    for e, q, tau in (("0.2", "0.9", "1e-20"), ("0", "0", "2.9")):
+        assert cli.main(["solve-noise", "--e", e, "--q", q, "--tau", tau]) == 2
+        assert capsys.readouterr().err == f"error: solver margin must lie in {bounds}, got {tau}\n"
 
 
 def test_tradeoff_rejects_a_repeated_policy(tmp_path, capsys):

@@ -62,9 +62,30 @@ def test_config_rejects_a_bad_margin_and_calibration_step():
         for margin in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="solver margin must be positive"):
                 ExperimentConfig(margin=margin, policies=policies)
+        # Below one ulp of pi always; at or past pi - 2 eps (2.51 at the default
+        # eps) only where bpea solves, since no baseline reads the margin.
+        top = r"2.513\d*" if "bpea" in policies else "inf"
+        with pytest.raises(ValueError, match=rf"solver margin must lie in \[4.44\d*e-16, {top}\)"):
+            ExperimentConfig(margin=1e-20, policies=policies)
+        if "bpea" in policies:
+            with pytest.raises(ValueError, match=rf"{top}\), from one ulp of pi to pi - 2 eps"):
+                ExperimentConfig(margin=2.9, policies=policies)
+        else:
+            assert ExperimentConfig(margin=2.9, policies=policies).margin == 2.9
         for step in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="search step must be positive"):
                 ExperimentConfig(calibration_step=step, policies=policies)
+        # A step so small that SEARCH_MAX / step overflows: no finite scan.
+        for step in (1e-320, 5e-324):
+            with pytest.raises(ValueError, match=r"search step must be at least 3.893879252387603e-308, got"):
+                ExperimentConfig(calibration_step=step, policies=policies)
+    assert ExperimentConfig(margin=float(np.spacing(math.pi))).margin == np.spacing(math.pi)
+    # At eps within 5e-5 of pi/2 the default margin is past pi - 2 eps: refused
+    # for bpea, while the baselines, and so `calibrate`, still run.
+    with pytest.raises(ValueError, match="pi - 2 eps, got 0.0001"):
+        ExperimentConfig(eps=1.57075)
+    assert ExperimentConfig(eps=1.57075, policies=("gaussian", "laplace")).eps == 1.57075
+    assert ExperimentConfig(calibration_step=1e-300).calibration_step == 1e-300
 
 
 def test_config_rejects_non_integer_counts_and_bad_seeds():

@@ -49,7 +49,16 @@ def test_config_validation():
         OracleConfig(grid_resolution=0.001)
     assert _lattice_size(0.0049) <= _MAX_LATTICE < _lattice_size(0.0048)
     OracleConfig(grid_resolution=0.0049)
-    # So are more than 2^22 trials, whose cached draws would pass 235 MB.
+    # The floor is checked before any lattice size: at 1e-160 that size once
+    # overflowed, and at 1e-200 it divided by zero. Every resolution the
+    # floor admits has a lattice within the bound.
+    floor = oracle._MIN_RESOLUTION
+    assert _lattice_size(floor) <= _MAX_LATTICE
+    OracleConfig(grid_resolution=floor)
+    for resolution in (float(np.nextafter(floor, 0.0)), 1e-160, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match=f"grid resolution {resolution!r} is below 0.004896"):
+            OracleConfig(grid_resolution=resolution)
+    # So are more than 2^22 trials, whose cached draws would pass 168 MB.
     with pytest.raises(ValueError, match="at most 4,194,304, got 4,194,305"):
         OracleConfig(trials=_MAX_TRIALS + 1)
     assert OracleConfig(trials=np.int64(_MAX_TRIALS)).trials == 2**22
@@ -347,7 +356,8 @@ def test_lattice_products_do_not_depend_on_layout_or_chunk(trials):
     cfg = OracleConfig(trials=trials, grid_resolution=0.1, seed=7)
     error = 0.4 * math.pi
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
-    actual = points_at_bearings(REFERENCE_POINT, error, *_bearings(cfg.seed, cfg.trials)[0])
+    bearings = _streams(cfg.seed)[0].uniform(0.0, TWO_PI, cfg.trials)
+    actual = points_at_bearings(REFERENCE_POINT, error, np.cos(bearings), np.sin(bearings))
     assert actual.T.flags.c_contiguous
     packed = np.ascontiguousarray(actual)
     lo = int(np.flatnonzero(~beyond_reach(candidates, error, EPS))[0])
@@ -374,8 +384,7 @@ def test_lattice_products_do_not_depend_on_layout_or_chunk(trials):
     # ranges of the bearing-sorted draws: any range of at least 2 columns must
     # give the bits of those columns of the whole product, and the whole
     # product those of the draws in their drawn order.
-    bearings = _streams(cfg.seed)[0].uniform(0.0, TWO_PI, cfg.trials)
-    ordered = points_at_bearings(REFERENCE_POINT, error, *_bearings(cfg.seed, cfg.trials)[2][1:]).T
+    ordered = points_at_bearings(REFERENCE_POINT, error, *_bearings(cfg.seed, cfg.trials)[1:3]).T
     phi, _ = bearing_windows(candidates[lo:hi], error, EPS)
     rows = candidates[lo:hi][np.argsort(phi)]
     rng = np.random.default_rng(trials)
@@ -429,24 +438,27 @@ def test_cached_bearings_match_per_call_draws():
         assert grid == brute_force_grid_attacker(0.4 * math.pi, EPS, cfg), cfg
         results.append((estimates, grid))
         cached = _bearings(int(cfg.seed), int(cfg.trials))
-        for (cos_b, sin_b), rng in zip(cached, _streams(cfg.seed)):
-            b = rng.uniform(0.0, TWO_PI, cfg.trials)
-            assert np.array_equal(cos_b, np.cos(b)) and np.array_equal(sin_b, np.sin(b))
-        # The viewer's draws in bearing order, for the attacker; read-only.
-        viewer = _streams(cfg.seed)[0].uniform(0.0, TWO_PI, cfg.trials)
+        # The viewer's draws in bearing order, and both streams' cos and sin,
+        # each taken in drawn order and gathered by that order: trial i keeps
+        # its (viewer, attacker) pair. Read-only, 40 bytes a trial.
+        viewer, attacker = (rng.uniform(0.0, TWO_PI, cfg.trials) for rng in _streams(cfg.seed))
         order = np.argsort(viewer)
-        bearing, cos_b, sin_b = cached[2]
+        bearing, cos_v, sin_v, cos_a, sin_a = cached
         assert np.all(np.diff(bearing) >= 0.0) and np.array_equal(bearing, viewer[order])
-        assert np.array_equal(cos_b, cached[0][0][order])
-        assert np.array_equal(sin_b, cached[0][1][order])
-        assert not any(a.flags.writeable for a in cached[2])
+        assert np.array_equal(cos_v, np.cos(viewer)[order])
+        assert np.array_equal(sin_v, np.sin(viewer)[order])
+        assert np.array_equal(cos_a, np.cos(attacker)[order])
+        assert np.array_equal(sin_a, np.sin(attacker)[order])
+        assert not any(a.flags.writeable for a in cached)
+        assert sum(a.nbytes for a in cached) == 40 * cfg.trials
     assert results[-1] == results[0]
     info = _bearings.cache_info()
     assert info.hits > 0 and info.misses > 4, info
 
 
 def test_cached_bearings_are_read_only():
-    for pair in _bearings(5, 1_000):
-        for values in pair:
-            with pytest.raises(ValueError):
-                values[0] = 0.0
+    cached = _bearings(5, 1_000)
+    assert len(cached) == 5
+    for values in cached:
+        with pytest.raises(ValueError):
+            values[0] = 0.0
