@@ -101,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_leakage(args) -> int:
+    q = None if args.q is None else leakage.check_requirement(args.q)
     if args.n is None:
         value = leakage.conditional_leakage(args.e, args.eps)
         print(f"conditional_leakage(e={args.e:.6g}, eps={args.eps:.6g}) = {value:.10g}")
@@ -108,8 +109,8 @@ def _cmd_leakage(args) -> int:
         value = bpea.conditional_leakage_noisy(args.e, args.n, args.eps)
         print(f"conditional_leakage_noisy(e={args.e:.6g}, n={args.n:.6g}, "
               f"eps={args.eps:.6g}) = {value:.10g}")
-    if args.q is not None:
-        print(f"requirement q={args.q:.6g}: {'met' if value <= args.q else 'NOT met'}")
+    if q is not None:
+        print(f"requirement q={q:.6g}: {'met' if value <= q else 'NOT met'}")
     return EXIT_OK
 
 

@@ -19,9 +19,10 @@ import numpy as np
 
 from .bpea import noise_bounds
 from .leakage import check_precision
-from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_at_bearings, unit_rows
+from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_around_pole, unit_rows
 
-# The predicted viewpoint is fixed here; leakage is rotation invariant.
+# The predicted viewpoint is fixed at +z, the pole the circles are sampled about;
+# leakage is rotation invariant.
 REFERENCE_POINT = SpherePoint(0.0, 0.0, 1.0)
 
 # 16 rows by the draws within their bearing windows: a product that stays in cache.
@@ -102,7 +103,7 @@ def empirical_conditional_leakage(
 
     # Pairs in bearing order: the same pairs, each product elementwise, so the same count.
     _, cos_v, sin_v, cos_a, sin_a = _bearings(cfg.seed, cfg.trials)
-    actual = points_at_bearings(REFERENCE_POINT, error, cos_v, sin_v)
+    actual = points_around_pole(error, cos_v, sin_v)
 
     reported = error + noise
     if reported <= eps:
@@ -110,7 +111,7 @@ def empirical_conditional_leakage(
     elif reported >= math.pi - eps:
         guesses = -REFERENCE_POINT.as_array()[None, :]
     else:
-        guesses = points_at_bearings(REFERENCE_POINT, reported, cos_a, sin_a)
+        guesses = points_around_pole(reported, cos_a, sin_a)
 
     # d(V, Vhat) <= eps is equivalent to dot(V, Vhat) >= cos(eps).
     # An exact integer count over one division: bit-equal to np.mean of the mask.
@@ -154,7 +155,7 @@ def grid_attacker_best(error: float, eps: float, cfg: OracleConfig) -> tuple[Sph
 
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
     bearing, cos_v, sin_v, _, _ = _bearings(cfg.seed, cfg.trials)
-    actual = points_at_bearings(REFERENCE_POINT, error, cos_v, sin_v).T   # (3, N), by bearing
+    actual = points_around_pole(error, cos_v, sin_v).T   # (3, N), by bearing
     n = len(bearing)
 
     # Triangle inequality, not a leakage formula: a candidate at polar angle

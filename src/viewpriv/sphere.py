@@ -153,21 +153,17 @@ def step_walk(walk: np.ndarray, cos_a, sin_a, cos_b, sin_b) -> None:
 
 
 def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarray) -> np.ndarray:
-    """Unit rows at arc distance ``distance`` from ``origin``, one per tangent-frame bearing."""
-    b = np.asarray(bearings, dtype=float)
-    return points_at_bearings(origin, distance, np.cos(b), np.sin(b))
-
-
-def points_at_bearings(origin: SpherePoint, distance: float, cos_b, sin_b) -> np.ndarray:
-    """``points_at_distance`` on precomputed cosines and sines of the bearings.
+    """Unit rows at arc distance ``distance`` from ``origin``, one per tangent-frame bearing.
 
     Returns an (n, 3) view of component-major (3, n) storage. Each row is
     bit-equal to ``unit_rows`` of ``c * o + s * (cos b * t1 + sin b * t2)``.
     """
     distance = check_angle(distance, 0.0, math.pi, "distance")
+    b = np.asarray(bearings, dtype=float)
+    cos_b, sin_b = np.cos(b), np.sin(b)
     t1, t2 = tangent_frame(origin)
     c, s, o = math.cos(distance), math.sin(distance), origin.as_array()
-    comps = np.empty((3, len(cos_b)))
+    comps = np.empty((3, len(b)))
     for k, row in enumerate(comps):
         np.multiply(cos_b, t1[k], row)
         row += sin_b * t2[k]
@@ -176,6 +172,31 @@ def points_at_bearings(origin: SpherePoint, distance: float, cos_b, sin_b) -> np
     norms = norm(comps.T)
     if not np.all(np.isfinite(comps)) or np.any(norms == 0.0):
         raise ValueError("rows must be finite and nonzero")
+    comps /= norms
+    return comps.T
+
+
+def points_around_pole(distance: float, cos_b, sin_b) -> np.ndarray:
+    """``points_at_distance`` about +z, on precomputed cosines and sines of the bearings.
+
+    Returns an (n, 3) view of component-major (3, n) storage. The +z frame is
+    (+x, +y), so each row is (s cos b, s sin b, c) over its ``norm``: the
+    generic rows by value (a zero may take the other sign), as the generic
+    kernel adds only products with 0 or 1.
+    """
+    distance = check_angle(distance, 0.0, math.pi, "distance")
+    c, s = math.cos(distance), math.sin(distance)
+    comps = np.empty((3, len(cos_b)))
+    x, y, z = comps
+    np.multiply(cos_b, s, x)
+    np.multiply(sin_b, s, y)
+    norms = np.multiply(x, x)
+    norms += np.multiply(y, y, z)   # row z holds y * y until it is filled with c
+    norms += c * c
+    np.sqrt(norms, norms)   # a non-finite row has a non-finite norm
+    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
+        raise ValueError("rows must be finite and nonzero")
+    z.fill(c)
     comps /= norms
     return comps.T
 

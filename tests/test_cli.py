@@ -20,6 +20,15 @@ def test_leakage_command_with_noise(capsys):
     assert "conditional_leakage_noisy" in capsys.readouterr().out
 
 
+def test_leakage_requirement_outside_0_1_exits_2(capsys):
+    # These once printed "met" (1.5, inf) or "NOT met" (-0.2, nan) and exited 0.
+    for q in ("1.5", "-0.2", "nan", "inf"):
+        assert cli.main(["leakage", "--e", "0.5", "--q", q]) == 2, q
+        out = capsys.readouterr()
+        assert out.out == "", q
+        assert "privacy requirement must lie in [0, 1]" in out.err, q
+
+
 def test_invalid_precision_exits_2(capsys):
     assert cli.main(["leakage", "--e", "0.3", "--eps", "2.0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from viewpriv.sphere import (
     SpherePoint,
     TWO_PI,
     dot,
-    points_at_bearings,
+    points_around_pole,
     points_at_distance,
     spherical_distance,
 )
@@ -357,7 +357,7 @@ def test_lattice_products_do_not_depend_on_layout_or_chunk(trials):
     error = 0.4 * math.pi
     candidates = fibonacci_sphere(_lattice_size(cfg.grid_resolution))
     bearings = _streams(cfg.seed)[0].uniform(0.0, TWO_PI, cfg.trials)
-    actual = points_at_bearings(REFERENCE_POINT, error, np.cos(bearings), np.sin(bearings))
+    actual = points_around_pole(error, np.cos(bearings), np.sin(bearings))
     assert actual.T.flags.c_contiguous
     packed = np.ascontiguousarray(actual)
     lo = int(np.flatnonzero(~beyond_reach(candidates, error, EPS))[0])
@@ -384,7 +384,7 @@ def test_lattice_products_do_not_depend_on_layout_or_chunk(trials):
     # ranges of the bearing-sorted draws: any range of at least 2 columns must
     # give the bits of those columns of the whole product, and the whole
     # product those of the draws in their drawn order.
-    ordered = points_at_bearings(REFERENCE_POINT, error, *_bearings(cfg.seed, cfg.trials)[1:3]).T
+    ordered = points_around_pole(error, *_bearings(cfg.seed, cfg.trials)[1:3]).T
     phi, _ = bearing_windows(candidates[lo:hi], error, EPS)
     rows = candidates[lo:hi][np.argsort(phi)]
     rng = np.random.default_rng(trials)

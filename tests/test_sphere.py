@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from viewpriv.oracle import REFERENCE_POINT
 from viewpriv.sphere import (
     UNIT_TOLERANCE,
     SpherePoint,
+    points_around_pole,
     points_at_distance,
     random_point,
     spherical_distance,
@@ -220,6 +222,36 @@ def test_circle_sampler_matches_the_broadcast_form():
         for distance in (0.0, math.pi, 1e-300, 0.1 * math.pi, *rng.uniform(0.0, math.pi, 3)):
             assert np.array_equal(points_at_distance(origin, distance, bearings),
                                   broadcast_points_at_distance(origin, distance, bearings))
+
+
+def test_pole_kernel_matches_the_generic_sampler_at_z():
+    # At +z the tangent frame is (+x, +y) exactly, so the pole kernel drops
+    # only products with 0 or 1: the same values, though a zero may carry the
+    # other sign (array_equal treats -0.0 and 0.0 as equal). The oracle
+    # samples its circles about REFERENCE_POINT with this kernel.
+    assert REFERENCE_POINT == SpherePoint(0.0, 0.0, 1.0)
+    eps = 0.1 * math.pi
+    rng = np.random.default_rng(30)
+    bearings = np.concatenate(([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi],
+                               rng.uniform(0.0, 2.0 * math.pi, 5_000)))
+    cos_b, sin_b = np.cos(bearings), np.sin(bearings)
+    near_ends = (*rng.uniform(0.0, 1e-12, 3), *(math.pi - rng.uniform(0.0, 1e-12, 3)),
+                 1e-300, 5e-324, math.nextafter(math.pi, 0.0))
+    for d in (0.0, eps, 0.5 * math.pi, 0.9424778, math.pi - eps, math.pi, *near_ends,
+              *rng.uniform(0.0, math.pi, 20)):
+        got = points_around_pole(d, cos_b, sin_b)
+        assert got.shape == (len(bearings), 3) and got.T.flags.c_contiguous, d
+        assert np.array_equal(got, points_at_distance(REFERENCE_POINT, d, bearings)), d
+
+
+def test_pole_kernel_rejects_bad_distances_and_rows():
+    cos_b, sin_b = np.cos([0.0, 1.0]), np.sin([0.0, 1.0])
+    for d in (-0.1, -1e-300, math.pi + 0.1, math.nextafter(math.pi, 4.0), math.nan, math.inf):
+        with pytest.raises(ValueError, match="distance"):
+            points_around_pole(d, cos_b, sin_b)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            points_around_pole(1.0, np.array([1.0, bad]), sin_b)
 
 
 def test_unit_rows_rejects_zero_rows():
