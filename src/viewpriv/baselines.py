@@ -1,10 +1,11 @@
 """Viewpoint-noise baselines, their calibration, and the requirement
 satisfaction ratio.
 
-The baselines perturb three-dimensional viewpoint coordinates with
-zero-mean Gaussian or Laplace noise and renormalize to the unit sphere.
-Because such noise only reshapes the error distribution, the achievable
-leakage is floored at eps/pi regardless of scale; calibration searches the
+The baselines perturb three-dimensional viewpoint coordinates with zero-mean
+Gaussian or Laplace noise and renormalize to the unit sphere. Such noise
+only reshapes the error distribution, and eps/pi bounds the leakage of every
+error distribution; as its scale grows, coordinate noise tends to
+``uniform_error_leakage(eps)``, above that bound. Calibration searches the
 scale parameter with one forward scan per noise kind, shared by every
 requirement, and reports infeasibility when no scale meets a requirement.
 A ``NoiseScale`` (noise kind and scale) is itself the baseline policy.
@@ -13,7 +14,6 @@ A ``NoiseScale`` (noise kind and scale) is itself the baseline policy.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,13 +31,16 @@ DEFAULT_SEARCH_STEP = 0.05
 # Errors one pipeline call of a scan evaluates at most, after scale 0. Small
 # sets pay numpy's per-call cost once per block of scales, not per scale.
 SCAN_BLOCK_ERRORS = 16_384
+# Scales one scan holds at most; a fine step with an infeasible q scans them all.
+MAX_SCAN_SCALES = 2 ** 23
 
 
 def check_search_step(step: float) -> float:
     if not 0.0 < step < math.inf:
         raise ValueError(f"search step must be positive, got {step!r}")
-    if not math.isfinite((longest := max(SEARCH_MAX.values())) / step):   # a scan without end
-        raise ValueError(f"search step must be at least {longest / sys.float_info.max!r}, got {step!r}")
+    if step < (least := max(SEARCH_MAX.values()) / (MAX_SCAN_SCALES - 1)):
+        raise ValueError(f"search step must be at least {least!r}, a scan of at most "
+                         f"{MAX_SCAN_SCALES} scales, got {step!r}")
     return step
 
 

@@ -65,19 +65,11 @@ def noise_bounds(error: float) -> tuple[float, float]:
 
 
 def _effective(noise, eps: float, cos_eps: float):
+    """The effective precision eff of noise n, on checked inputs, with cos(eps)."""
     n = np.abs(noise)
     # The ratio is at least cos eps > 0 (eps < pi/2), so only the upper clamp acts.
     ratio = np.minimum(cos_eps / np.cos(np.minimum(n, eps)), 1.0)
     return np.where(n == 0.0, eps, np.arccos(ratio))
-
-
-def effective_precision(noise, eps: float):
-    """Half-arc of the attacker's neighborhood cut by the viewpoint circle:
-    arccos(cos eps / cos(min(|n|, eps))). Zero for |n| >= eps, and exactly
-    eps at n = 0, where arccos(cos eps) can land an ulp above eps."""
-    eps = check_precision(eps)
-    out = _effective(np.asarray(noise, dtype=float), eps, math.cos(eps))
-    return float(out) if np.ndim(noise) == 0 else out
 
 
 def _mid_leakage(noise, eps: float, cos_eps: float, denom):

@@ -275,15 +275,15 @@ def _calibration_pipeline(cfg: ExperimentConfig, kind: str, stacked: np.ndarray)
     """
     rows = stacked.reshape(-1, 3)
     kind_id = tuple(baselines.SEARCH_MAX).index(kind)
-    words = np.empty((0, 4), np.uint64)   # seed words of scale indices 0, 1, ...
+    words, first = np.empty((0, 4), np.uint64), 0   # seed words of scale indices first, ...
 
     def pipeline(indices: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        nonlocal words
-        while indices.max() >= len(words):
-            start = len(words)
-            words = np.concatenate((words, _seed_words(
-                cfg.seed, 2, kind_id, np.arange(start, start + SCALE_KEYS_PER_PASS))))
-        rngs = [_generator(w) for w in words[indices]]
+        nonlocal words, first
+        if indices[-1] >= (end := first + len(words)):   # blocks ascend: keys below this are done
+            passes = [_seed_words(cfg.seed, 2, kind_id, np.arange(i, i + SCALE_KEYS_PER_PASS))
+                      for i in range(end, indices[-1] + 1, SCALE_KEYS_PER_PASS)]
+            words, first = np.concatenate((words[indices[0] - first:], *passes)), indices[0]
+        rngs = [_generator(w) for w in words[indices - first]]
         noisy = perturb_traces(np.broadcast_to(rows, (len(scales),) + rows.shape), kind, scales,
                                rngs).reshape((len(scales),) + stacked.shape)
         return prediction_errors(persistence_predict(noisy), stacked).reshape(len(scales), -1)

@@ -90,18 +90,3 @@ def uniform_error_leakage(eps: float) -> float:
     eps = check_precision(eps)
     return (1.0 - math.cos(eps)) + eps * (math.pi - 2.0 * eps) / (2.0 * math.pi)
 
-
-def min_leakage_grid_check(eps: float, bins: int) -> float:
-    """Numeric check of the leakage floor on a uniform error grid.
-
-    Minimizes the expected leakage over all discrete error distributions
-    supported on ``bins`` evenly spaced points of [0, pi]. The objective is
-    linear in the distribution, so the optimum sits on a single grid point
-    and equals the smallest per-point leakage.
-    """
-    eps = check_precision(eps)
-    bins = int(bins)
-    if bins < 2:
-        raise ValueError(f"need at least 2 grid points, got {bins}")
-    grid = np.linspace(0.0, math.pi, bins)
-    return float(np.min(conditional_leakage(grid, eps)))

@@ -97,16 +97,11 @@ def spherical_distance(a: SpherePoint, b: SpherePoint) -> float:
 
 
 def tangent_frame(origin) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent basis (t1, t2) at ``origin``.
-
-    ``origin`` is a SpherePoint, giving two 3-vectors, or an (n, 3) array of
-    unit rows, giving two (n, 3) arrays with one frame per row. t1 is the
-    unit projection of the +z axis onto the tangent plane (+x axis when the
-    origin is within UNIT_TOLERANCE of +-z), and t2 = origin x t1.
+    """Orthonormal tangent bases (t1, t2), two (n, 3) arrays, at the (n, 3)
+    unit rows ``origin``, one frame per row. t1 is the unit projection of the
+    +z axis onto the tangent plane (+x axis when the row is within
+    UNIT_TOLERANCE of +-z), and t2 = origin x t1.
     """
-    if isinstance(origin, SpherePoint):
-        t1, t2 = tangent_frame(origin.as_array()[None, :])
-        return t1[0], t2[0]
     o = np.asarray(origin, dtype=float)
     near_pole = np.abs(o[:, 2]) > 1.0 - UNIT_TOLERANCE
     axis = np.where(near_pole[:, None], _FRAME_AXIS_FALLBACK, _FRAME_AXIS)
@@ -161,8 +156,9 @@ def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarra
     distance = check_angle(distance, 0.0, math.pi, "distance")
     b = np.asarray(bearings, dtype=float)
     cos_b, sin_b = np.cos(b), np.sin(b)
-    t1, t2 = tangent_frame(origin)
-    c, s, o = math.cos(distance), math.sin(distance), origin.as_array()
+    o = origin.as_array()
+    (t1,), (t2,) = tangent_frame(o[None])
+    c, s = math.cos(distance), math.sin(distance)
     comps = np.empty((3, len(b)))
     for k, row in enumerate(comps):
         np.multiply(cos_b, t1[k], row)

@@ -18,7 +18,7 @@ from viewpriv.baselines import (
     pspr,
 )
 from viewpriv.bpea import conditional_leakage_noisy, optimal_noise_batch
-from viewpriv.leakage import leakage_sample_mean, optimal_error_distribution
+from viewpriv.leakage import conditional_leakage, leakage_sample_mean, optimal_error_distribution
 from viewpriv.sphere import SpherePoint, unit_rows
 from viewpriv.traces import prediction_errors
 
@@ -79,6 +79,29 @@ def test_laplace_tails_heavier_than_matched_gaussian():
         perturb_rows(base, GAUSSIAN_KIND, math.sqrt(2.0) * b, np.random.default_rng(7)), ref
     )
     assert np.quantile(lap, 0.99) > np.quantile(gau, 0.99)
+
+
+def test_laplace_leakage_depends_on_where_the_viewpoint_points():
+    # Laplace noise on x, y and z is not isotropic: the same history point
+    # leaks more on an axis than on a body diagonal. Gaussian noise is
+    # isotropic, so its leakage does not move. The noisy history point is
+    # the prediction; the actual viewpoint sits 0.3 rad from the clean one.
+    rng, trials = np.random.default_rng(19), 400_000
+
+    def leakage(kind, scale, history, tangent):
+        h, t = unit_rows([history, tangent])
+        noisy = perturb_traces(np.broadcast_to(h, (1, trials, 3)), kind, scale, [rng])[0]
+        actual = math.cos(0.3) * h + math.sin(0.3) * t
+        values = conditional_leakage(prediction_errors(noisy, actual), EPS)
+        return values.mean(), values.std() / math.sqrt(trials)
+
+    for kind, scale, least, most in ((LAPLACE_KIND, 3.0, 10.0, math.inf),
+                                     (LAPLACE_KIND, 0.7, 10.0, math.inf),
+                                     (GAUSSIAN_KIND, 3.0, -4.0, 4.0)):
+        (axis, axis_se), (diagonal, diagonal_se) = (leakage(kind, scale, [0, 0, 1], [1, 0, 0]),
+                                                    leakage(kind, scale, [1, 1, 1], [1, -1, 0]))
+        gap = (axis - diagonal) / math.hypot(axis_se, diagonal_se)   # in standard errors
+        assert least < gap < most, (kind, scale, axis, diagonal, gap)
 
 
 class ScriptedRng:

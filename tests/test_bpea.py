@@ -13,7 +13,6 @@ from viewpriv.bpea import (
     DEFAULT_MARGIN,
     MIN_MARGIN,
     conditional_leakage_noisy,
-    effective_precision,
     noise_bounds,
     obfuscate_error,
     optimal_noise,
@@ -32,7 +31,12 @@ def mid_regime_leakage(e, absn, eps=EPS):
     return min(eff / (math.pi * math.sin(e)), 1.0)
 
 
-# ---------------------------------------------------------------- effective精度
+# ---------------------------------------------------------------- effective precision
+
+
+def effective_precision(noise, eps):
+    """The solver's effective-precision kernel, as every leakage it computes calls it."""
+    return bpea._effective(np.asarray(noise, dtype=float), eps, math.cos(eps))
 
 
 def test_effective_precision_no_noise_is_full_precision():

@@ -103,11 +103,15 @@ def test_calibrate_tiny_step_exits_2(capsys, monkeypatch):
 
     calibrate = ["calibrate", "--kind", "gaussian", "--q", "0.3", "--users", "1",
                  "--videos", "1", "--gops", "3"]
+    # 1e-300 once scanned without end: no bound held the scan's length.
+    least = 7.0 / (2 ** 23 - 1)
     with monkeypatch.context() as patch:
         patch.setattr(harness, "generate_trace_set", no_synthesis)
-        assert cli.main(calibrate + ["--step", "1e-320"]) == 2
-        assert "search step must be at least 3.893879252387603e-308, got 1e-320" in capsys.readouterr().err
-    # A fine step whose scan is finite still runs: scale 0 meets q = 1.
+        for step in ("1e-320", "5e-324", "1e-300", repr(math.nextafter(least, 0.0))):
+            assert cli.main(calibrate + ["--step", step]) == 2
+            assert (f"search step must be at least {least!r}, a scan of at most 8388608 scales, "
+                    f"got {float(step)!r}") in capsys.readouterr().err
+    # A fine step within the bound still runs: scale 0 meets q = 1.
     calibrate[4] = "1.0"
     assert cli.main(calibrate + ["--step", "1e-6"]) == 0
     assert capsys.readouterr().out.startswith("feasible: scale 0 achieves")

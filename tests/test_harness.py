@@ -58,6 +58,7 @@ def test_config_validation():
 def test_config_rejects_a_bad_margin_and_calibration_step():
     # Checked at construction, before any trace is made or scale scanned, and
     # also for policy lists that would never calibrate or solve.
+    least = 7.0 / (baselines.MAX_SCAN_SCALES - 1)   # 7 is the Gaussian SEARCH_MAX
     for policies in (("bpea", "gaussian"), ("bpea",), ("laplace",)):
         for margin in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="solver margin must be positive"):
@@ -75,9 +76,11 @@ def test_config_rejects_a_bad_margin_and_calibration_step():
         for step in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="search step must be positive"):
                 ExperimentConfig(calibration_step=step, policies=policies)
-        # A step so small that SEARCH_MAX / step overflows: no finite scan.
-        for step in (1e-320, 5e-324):
-            with pytest.raises(ValueError, match=r"search step must be at least 3.893879252387603e-308, got"):
+        # A step whose scan would hold more than MAX_SCAN_SCALES scales, down to
+        # steps where SEARCH_MAX / step overflows.
+        for step in (math.nextafter(least, 0.0), 1e-300, 1e-320, 5e-324):
+            with pytest.raises(ValueError, match=rf"search step must be at least {least!r}, a scan "
+                                                 rf"of at most 8388608 scales, got {step!r}"):
                 ExperimentConfig(calibration_step=step, policies=policies)
     assert ExperimentConfig(margin=float(np.spacing(math.pi))).margin == np.spacing(math.pi)
     # At eps within 5e-5 of pi/2 the default margin is past pi - 2 eps: refused
@@ -85,7 +88,8 @@ def test_config_rejects_a_bad_margin_and_calibration_step():
     with pytest.raises(ValueError, match="pi - 2 eps, got 0.0001"):
         ExperimentConfig(eps=1.57075)
     assert ExperimentConfig(eps=1.57075, policies=("gaussian", "laplace")).eps == 1.57075
-    assert ExperimentConfig(calibration_step=1e-300).calibration_step == 1e-300
+    for step in (least, 1e-6):
+        assert ExperimentConfig(calibration_step=step).calibration_step == step
 
 
 def test_config_rejects_non_integer_counts_and_bad_seeds():
@@ -633,6 +637,25 @@ def test_write_results_formats_rows(tmp_path):
 def test_policy_dataclasses():
     with pytest.raises(ValueError):
         BpeaPolicy(q=1.5)
+
+
+def test_privacy_columns_do_not_depend_on_orientation(monkeypatch):
+    # Leakage is a function of the error angle alone, so one rotation of every
+    # trace moves no privacy column of the policies without coordinate noise.
+    # QoE is not invariant (the tiles are equirectangular) and is not computed.
+    cfg = ExperimentConfig(num_users=12, policies=("none", "bpea"), compute_qoe=False)
+    rotation, _ = np.linalg.qr(np.random.default_rng(19).normal(size=(3, 3)))
+    rotation[:, 0] *= np.sign(np.linalg.det(rotation))   # a rotation, not a reflection
+    assert np.linalg.det(rotation) == pytest.approx(1.0) and not np.allclose(rotation, np.eye(3))
+    plain = run_tradeoff_experiment(cfg).rows
+    trace_set = harness.generate_trace_set
+    monkeypatch.setattr(harness, "generate_trace_set",
+                        lambda c: tuple(split @ rotation.T for split in trace_set(c)))
+    rotated = run_tradeoff_experiment(cfg).rows
+    assert [(r.q, r.policy) for r in rotated] == [(r.q, r.policy) for r in plain]
+    for a, b in zip(plain, rotated):
+        for column in ("pr_leak", "mean_error_rad", "mean_abs_noise_rad", "pspr"):
+            assert getattr(b, column) == pytest.approx(getattr(a, column), rel=0.0, abs=1e-12)
 
 
 def test_a_constant_upload_beats_the_clean_errors():

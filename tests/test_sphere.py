@@ -179,7 +179,7 @@ def test_vectorized_helpers_match_scalars():
     t1, t2 = tangent_frame(origins)
     assert t1.shape == t2.shape == origins.shape
     for i, point in enumerate(points):
-        s1, s2 = tangent_frame(point)
+        (s1,), (s2,) = tangent_frame(point.as_array()[None])
         assert np.array_equal(t1[i], s1) and np.array_equal(t2[i], s2)
     assert np.allclose(t1[-4:], [1.0, 0.0, 0.0], atol=1e-4)
     for a, b in ((t1, t1), (t2, t2)):
@@ -203,7 +203,7 @@ def test_vectorized_helpers_match_scalars():
 
 
 def broadcast_points_at_distance(origin, distance, bearings):
-    t1, t2 = tangent_frame(origin)
+    (t1,), (t2,) = tangent_frame(origin.as_array()[None])
     b = np.asarray(bearings, dtype=float)
     directions = np.cos(b)[:, None] * t1 + np.sin(b)[:, None] * t2
     return unit_rows(math.cos(distance) * origin.as_array() + math.sin(distance) * directions)
