@@ -152,26 +152,25 @@ def calibrate_noise_scales(
     search_max = SEARCH_MAX[kind]
 
     target = min(qs)   # an empty grid raises ValueError here, before any scan
-    n_scales = int(math.floor(search_max / step + 1e-9)) + 1   # scales are made as reached
-    leaks, block, per_call = [], [], 1   # scale 0 alone; its error count sizes the blocks
-    while len(leaks) < n_scales and not any(leak <= target for leak in block):
-        indices = np.arange(len(leaks), min(len(leaks) + per_call, n_scales))
+    leaks = np.empty(int(math.floor(search_max / step + 1e-9)) + 1)   # per scale, as reached
+    start, end, per_call = 0, 0, 1   # leaks[start:end] is the last block; scale 0 goes alone
+    while end < len(leaks) and not (leaks[start:end] <= target).any():
+        indices = np.arange(end, min(end + per_call, len(leaks)))
         errors = np.asarray(error_pipeline(indices, np.minimum(indices * step, search_max)),
                             dtype=float)
         if errors.ndim != 2 or len(errors) != len(indices) or errors.size == 0:
             raise ValueError(f"error pipeline must give one non-empty row of errors per scale, "
                              f"got shape {errors.shape} for {len(indices)} scales")
-        block = conditional_leakage(errors, eps).mean(axis=-1).tolist()
-        leaks += block
-        per_call = max(1, SCAN_BLOCK_ERRORS // errors.shape[1])
+        leaks[end:end + len(indices)] = conditional_leakage(errors, eps).mean(axis=-1)
+        start, end, per_call = end, end + len(indices), max(1, SCAN_BLOCK_ERRORS // errors.shape[1])
 
-    results = []
+    leaks, results = leaks[:end], []
     for q in qs:
-        meeting = [i for i, leak in enumerate(leaks) if leak <= q]
-        i = meeting[0] if meeting else leaks.index(min(leaks))   # else the first lowest
+        meets = leaks <= q
+        i = int(meets.argmax() if meets.any() else leaks.argmin())   # else the first lowest
         scale = NoiseScale(kind, float(min(i * step, search_max)))
-        evals = i + 1 if meeting else len(leaks)
-        results.append(CalibrationResult(scale, leaks[i], evals, bool(meeting)))
+        evals = i + 1 if meets[i] else end
+        results.append(CalibrationResult(scale, float(leaks[i]), evals, bool(meets[i])))
     return results
 
 

@@ -38,8 +38,8 @@ from .traces import (
 )
 
 DEFAULT_PRECISION = 0.1 * math.pi
-# Calibration scale keys seeded per pass: a scan at the default step (at most
-# 141 scales) takes one pass, and a fine step seeds no scale its scan never reaches.
+# Fewest scale keys a calibration key window is seeded with: a scan at the default
+# step (at most 141 scales) seeds one window, and a fine step one window past its end.
 SCALE_KEYS_PER_PASS = 256
 
 # A policy's index here, and a baseline kind's in ``SEARCH_MAX``, key its RNG streams.
@@ -97,6 +97,8 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
+        for name in ("q_grid", "policies"):   # a one-shot iterable is read once, here
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         check_precision(self.eps)
         if not self.q_grid:
             raise ValueError("q grid must not be empty")
@@ -269,20 +271,18 @@ def generate_trace_set(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 def _calibration_pipeline(cfg: ExperimentConfig, kind: str, stacked: np.ndarray):
     """(scale indices, scales) -> prediction errors over the stacked (traces,
     GoPs, 3) training viewpoints, with one RNG per (kind, scale index), per
-    the seed discipline for calibration: scale keys are seeded
-    ``SCALE_KEYS_PER_PASS`` at a time, as the scan reaches them, and a block
-    of scales builds its own RNGs and is perturbed in one call.
-    """
+    the seed discipline for calibration: scale keys are seeded into one window,
+    reseeded from the first scale of a block that runs past it, and a block of
+    scales builds its own RNGs and is perturbed in one call."""
     rows = stacked.reshape(-1, 3)
     kind_id = tuple(baselines.SEARCH_MAX).index(kind)
     words, first = np.empty((0, 4), np.uint64), 0   # seed words of scale indices first, ...
 
     def pipeline(indices: np.ndarray, scales: np.ndarray) -> np.ndarray:
         nonlocal words, first
-        if indices[-1] >= (end := first + len(words)):   # blocks ascend: keys below this are done
-            passes = [_seed_words(cfg.seed, 2, kind_id, np.arange(i, i + SCALE_KEYS_PER_PASS))
-                      for i in range(end, indices[-1] + 1, SCALE_KEYS_PER_PASS)]
-            words, first = np.concatenate((words[indices[0] - first:], *passes)), indices[0]
+        if indices[-1] >= first + len(words):   # blocks ascend: no later block reads keys below
+            first, count = indices[0], max(len(indices), SCALE_KEYS_PER_PASS)
+            words = _seed_words(cfg.seed, 2, kind_id, np.arange(first, first + count))
         rngs = [_generator(w) for w in words[indices - first]]
         noisy = perturb_traces(np.broadcast_to(rows, (len(scales),) + rows.shape), kind, scales,
                                rngs).reshape((len(scales),) + stacked.shape)

@@ -24,6 +24,9 @@ DEFAULT_CONCENTRATION = 32.0
 DEFAULT_HORIZON = 2
 
 MIN_GOPS = 3
+# Below this, the rounding error of a step's cosine w (about 1.1e-16 / concentration) stops
+# the walk: at 1e-17 every step is 0. At it, w errs by ~1e-10 and is uniform within 4e-7.
+MIN_CONCENTRATION = 1e-6
 
 TRACE_HEADER = [
     "user_id", "video_id", "gop_index",
@@ -61,9 +64,10 @@ class SessionTrace:
 
 
 def check_concentration(concentration: float) -> None:
-    """A walk's vMF concentration: positive, or +inf for a stationary walk."""
-    if not concentration > 0.0:
-        raise ValueError(f"concentration must be positive, got {concentration!r}")
+    """A walk's vMF concentration: at least ``MIN_CONCENTRATION``, or +inf for a stationary walk."""
+    if not concentration >= MIN_CONCENTRATION:
+        raise ValueError(f"concentration must be positive and at least {MIN_CONCENTRATION!r} "
+                         f"(or inf), got {concentration!r}")
 
 
 def generate_synthetic_traces(

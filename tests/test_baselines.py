@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -431,6 +433,66 @@ def test_block_scan_is_the_same_at_and_below_the_floor():
     pipeline.base = np.tile(pipeline.base, SCAN_BLOCK_ERRORS // n + 1)
     calibrate_noise_scale(pipeline, EPS, 0.0, LAPLACE_KIND)
     assert pipeline.blocks == [1] * 121
+
+
+def list_scan(error_pipeline, eps, q_grid, kind, step):
+    """The blocked scan as it kept its leakages, one Python float per scale in
+    a list, and looked each q up in it: the reference for the array scan."""
+    qs, search_max = list(q_grid), SEARCH_MAX[kind]
+    n_scales = int(math.floor(search_max / step + 1e-9)) + 1
+    leaks, block, per_call = [], [], 1
+    while len(leaks) < n_scales and not any(leak <= min(qs) for leak in block):
+        indices = np.arange(len(leaks), min(len(leaks) + per_call, n_scales))
+        errors = error_pipeline(indices, np.minimum(indices * step, search_max))
+        block = conditional_leakage(errors, eps).mean(axis=-1).tolist()
+        leaks += block
+        per_call = max(1, SCAN_BLOCK_ERRORS // errors.shape[1])
+    results = []
+    for q in qs:
+        meeting = [i for i, leak in enumerate(leaks) if leak <= q]
+        i = meeting[0] if meeting else leaks.index(min(leaks))
+        results.append(CalibrationResult(NoiseScale(kind, float(min(i * step, search_max))),
+                                         leaks[i], i + 1 if meeting else len(leaks), bool(meeting)))
+    return results
+
+
+def test_tied_leakages_read_as_the_list_scan_reads_them():
+    # Each scale's errors are one of four rows, so leakages tie exactly, and
+    # the grids hold those leakages themselves as requirements.
+    rows = np.random.default_rng(3).uniform(0.2, 2.9, (4, 5))
+    pattern = np.random.default_rng(4).integers(0, len(rows), 8_000)
+    pattern[0] = np.argmax(conditional_leakage(rows, EPS).mean(axis=-1))   # scale 0 meets no q < 1
+
+    def pipeline(indices, scales):
+        return rows[pattern[indices]]
+
+    values = sorted(conditional_leakage(rows, EPS).mean(axis=-1).tolist())
+    grids = ((values[0],), (values[1], 0.0), tuple(values), (values[2], 1.0, values[0]),
+             (0.0, values[1] - 1e-12), (1.0,))
+    for kind in (GAUSSIAN_KIND, LAPLACE_KIND):
+        for step in (0.001, 0.05, 7.0):
+            for grid in grids:
+                results = calibrate_noise_scales(pipeline, EPS, grid, kind, step)
+                expected = list_scan(pipeline, EPS, grid, kind, step)
+                assert results == expected
+                for got, want in zip(results, expected):
+                    assert [type(v) for v in astuple(got)] == [type(v) for v in astuple(want)]
+                    assert type(got.search_evals) is int and type(got.feasible) is bool
+
+
+def test_an_infeasible_scan_holds_under_twelve_bytes_a_scale():
+    # Leakages once lived in a list of Python floats, about 33 bytes a scale.
+    n_scales = 2 ** 20
+    step = SEARCH_MAX[GAUSSIAN_KIND] / (n_scales - 1)
+    tracemalloc.start()
+    try:
+        result = calibrate_noise_scale(lambda i, s: np.full((len(s), 1), 1.0), EPS, 0.0,
+                                       GAUSSIAN_KIND, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.feasible and result.search_evals == n_scales
+    assert peak < 12 * n_scales, peak / n_scales
 
 
 def test_pspr_counts():

@@ -277,6 +277,28 @@ def test_calibrate_and_gen_traces_reject_non_finite_arguments(tmp_path, capsys):
     assert "concentration must be positive" in capsys.readouterr().err
 
 
+def test_a_concentration_below_the_floor_exits_2(tmp_path, capsys):
+    # Such a walk once stood still: every step 0, mean error 0 and QoE 5.
+    small = ["--users", "1", "--videos", "1", "--gops", "6"]
+    for command in (["gen-traces", *small, "--concentration", "1e-300"],
+                    ["tradeoff", *small, "--train-videos", "1", "--concentration", "1e-17"]):
+        assert cli.main([*command, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "concentration must be positive and at least 1e-06" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_tradeoff_without_a_q_grid_runs_the_default_grid(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    assert cli.main(["tradeoff", "--users", "1", "--videos", "1", "--train-videos", "1",
+                     "--gops", "3", "--out", str(path)]) in (0, 3)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    policies = ExperimentConfig().policies
+    assert [(float(r["q"]), r["policy"]) for r in rows] == [
+        (q, name) for q in harness.default_q_grid() for name in policies]
+    assert len(harness.default_q_grid()) == 21
+
+
 def test_gen_traces_rejects_a_zero_count(tmp_path, capsys):
     # A zero count once reached the walk and failed there, on its RNG count.
     path = tmp_path / "t.csv"

@@ -21,7 +21,9 @@ from viewpriv.streaming import (
 )
 from viewpriv.leakage import leakage_sample_mean, optimal_error_distribution
 from viewpriv.sphere import unit_rows
-from viewpriv.traces import MIN_GOPS, SessionTrace, persistence_predict, prediction_errors
+from viewpriv.traces import (
+    MIN_CONCENTRATION, MIN_GOPS, SessionTrace, persistence_predict, prediction_errors,
+)
 
 SMALL = dict(
     num_users=3,
@@ -48,6 +50,9 @@ def test_config_validation():
     assert ExperimentConfig(gops_per_video=MIN_GOPS).gops_per_video == MIN_GOPS
     with pytest.raises(ValueError, match="need at least one policy"):
         ExperimentConfig(policies=())
+    for name in ("num_users", "num_videos", "num_train_videos"):
+        with pytest.raises(ValueError, match="need at least one user and one video per split"):
+            ExperimentConfig(**{name: 0})
     for budget in (-1.0, math.nan):
         # Rejected even when no QoE (and so no SessionConfig) would be computed.
         with pytest.raises(ValueError, match="budget"):
@@ -130,7 +135,14 @@ def test_config_rejects_a_bad_concentration_and_a_missing_output_directory(tmp_p
     for concentration in (0.0, -1.0, math.nan, -math.inf):
         with pytest.raises(ValueError, match="concentration must be positive"):
             ExperimentConfig(concentration=concentration)
-    assert ExperimentConfig(concentration=math.inf).concentration == math.inf
+    # A tiny concentration once made the walk stand still (every step 0 at
+    # 1e-17), the opposite of the near-uniform steps it asks for.
+    for concentration in (1e-300, 1e-17, np.nextafter(MIN_CONCENTRATION, 0.0)):
+        with pytest.raises(ValueError, match=rf"concentration must be positive and at least "
+                                             rf"{MIN_CONCENTRATION!r}"):
+            ExperimentConfig(concentration=concentration)
+    for concentration in (MIN_CONCENTRATION, math.inf):
+        assert ExperimentConfig(concentration=concentration).concentration == concentration
     missing = tmp_path / "missing" / "rows.csv"
     with pytest.raises(FileNotFoundError, match="output directory .* does not exist"):
         ExperimentConfig(out_path=str(missing))
@@ -251,6 +263,21 @@ def test_experiment_csv_deterministic(tmp_path):
     header = out_a.read_text().splitlines()[0]
     assert header == ",".join(RESULTS_HEADER)
     assert header == "q,policy,pr_leak,mean_error_rad,mean_abs_noise_rad,qoe,pspr"
+
+
+def test_a_one_shot_or_array_q_grid_makes_every_row(tmp_path):
+    # A generator grid was once consumed by validation and made no rows; an
+    # array grid raised on its truth value.
+    grid = (0.0, 0.1, 0.2)
+    cfg = dict(SMALL, policies=("none", "bpea", "gaussian"), q_grid=grid)
+    rows = run_tradeoff_experiment(ExperimentConfig(**cfg)).rows
+    assert len(rows) == 9
+    generated = dict(cfg, q_grid=(x / 10 for x in range(3)), policies=iter(cfg["policies"]))
+    assert run_tradeoff_experiment(ExperimentConfig(**generated)).rows == rows
+    paths = tmp_path / "tuple.csv", tmp_path / "array.csv"
+    for path, q_grid in zip(paths, (grid, np.array(grid))):
+        run_tradeoff_experiment(ExperimentConfig(**dict(cfg, q_grid=q_grid, out_path=str(path))))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_bpea_noise_non_increasing_in_q():
@@ -609,13 +636,15 @@ def test_scale_keys_are_seeded_as_the_scan_reaches_them(monkeypatch):
     cfg = ExperimentConfig(**dict(SMALL, q_grid=(1.0,), calibration_step=1e-6))
     harness.calibrate_baselines(cfg, generate_trace_set(cfg)[0])
     assert passes == [(0, 0, per_pass), (1, 0, per_pass)]
-    # A full scan past one pass: the 281 Gaussian scales take two passes, the
+    # A full scan past one window: the 281 Gaussian scales take two, the second
+    # reseeded from the first scale of the block that ran past the first, the
     # 241 Laplace scales one, and the results are the per-scale scan's.
     passes.clear()
     cfg = ExperimentConfig(**dict(SMALL, q_grid=(0.0, 1.0), calibration_step=0.025))
     train, _ = generate_trace_set(cfg)
     calibrations = harness.calibrate_baselines(cfg, train)
-    assert passes == [(0, 0, per_pass), (0, per_pass, per_pass), (1, 0, per_pass)]
+    second = 1 + baselines.SCAN_BLOCK_ERRORS // (train.size // 3)   # scale 0, then one block
+    assert passes == [(0, 0, per_pass), (0, second, per_pass), (1, 0, per_pass)]
     for kind in baselines.SEARCH_MAX:
         expected, visited = per_scale_calibration(cfg, kind, train)
         assert [calibrations[(kind, q)] for q in cfg.q_grid] == expected

@@ -179,6 +179,8 @@ def test_seeded_determinism():
 
 
 def test_fibonacci_sphere_is_near_uniform():
+    with pytest.raises(ValueError, match="need at least one lattice point"):
+        fibonacci_sphere(0)
     pts = fibonacci_sphere(2_000)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     # Octant occupancy within 20% of uniform.

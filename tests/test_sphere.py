@@ -72,6 +72,8 @@ def test_point_at_distance_rejects_bad_distance():
         points_at_distance(p, -0.1, [0.0])
     with pytest.raises(ValueError):
         points_at_distance(p, math.pi + 0.1, [0.0])
+    with pytest.raises(ValueError, match="rows must be finite and nonzero"):
+        points_at_distance(p, 0.5, [0.0, math.nan])
 
 
 def test_round_trip_ten_thousand_random_triples():

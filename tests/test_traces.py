@@ -10,6 +10,7 @@ from viewpriv import traces as trace_io
 from viewpriv.harness import ExperimentConfig, generate_trace_set, synthesize_traces
 from viewpriv.sphere import norm, random_point, tangent_frame, unit_rows
 from viewpriv.traces import (
+    MIN_CONCENTRATION,
     MIN_GOPS,
     TRACE_HEADER,
     TRACE_PRED_COLUMNS,
@@ -59,6 +60,18 @@ def test_synthetic_trace_concentration_validation():
     for concentration in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="concentration must be positive"):
             generate_synthetic_trace(0, 0, 10, np.random.default_rng(0), concentration)
+    for concentration in (1e-300, 1e-17, np.nextafter(MIN_CONCENTRATION, 0.0)):
+        with pytest.raises(ValueError, match=rf"at least {MIN_CONCENTRATION!r}"):
+            generate_synthetic_traces(10, [np.random.default_rng(0)], concentration)
+    with pytest.raises(ValueError, match=f"need at least {MIN_GOPS} GoPs, got 2"):
+        generate_synthetic_traces(2, [np.random.default_rng(0)])
+
+
+def test_a_walk_at_the_concentration_floor_never_stands_still():
+    # Below the floor the step cosine rounds to 1: at 1e-17 every step was 0.
+    walks = generate_synthetic_traces(400, [np.random.default_rng(i) for i in range(50)],
+                                      MIN_CONCENTRATION)
+    assert np.all(np.any(walks[:, 1:] != walks[:, :-1], axis=-1))
 
 
 def test_synthetic_trace_concentrates():
@@ -443,6 +456,8 @@ def test_write_traces_refuses_an_empty_list(tmp_path):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="^no traces to write"):
         write_traces([], path)
+    with pytest.raises(ValueError, match="^either all traces carry predictions or none do"):
+        write_traces([SessionTrace(0, 0, np.eye(3), np.eye(3)), SessionTrace(1, 0, np.eye(3))], path)
     assert not path.exists()
 
 
