@@ -30,6 +30,15 @@ def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
 
+def _add_trace_set(parser, cfg: ExperimentConfig, videos: int, videos_help: str | None = None):
+    """The flags that describe a synthetic trace set, defaulting to ``cfg``'s."""
+    parser.add_argument("--users", type=int, default=cfg.num_users)
+    parser.add_argument("--videos", type=int, default=videos, help=videos_help)
+    parser.add_argument("--gops", type=int, default=cfg.gops_per_video)
+    parser.add_argument("--concentration", type=float, default=cfg.concentration)
+    _add_seed(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     cfg = ExperimentConfig()   # the tradeoff, calibrate and gen-traces defaults
     attack = oracle.OracleConfig()   # the attack-sim defaults
@@ -45,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=None, help="additive error noise in radians")
     p.add_argument("--q", type=float, default=None, help="requirement to compare against")
     _add_eps(p)
+    p.set_defaults(run=_cmd_leakage)
 
     p = sub.add_parser("solve-noise", help="minimal-|noise| solution for a requirement")
     p.add_argument("--e", type=float, required=True)
@@ -52,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=bpea.DEFAULT_MARGIN,
                    help="open-interval margin (default 1e-4)")
     _add_eps(p)
+    p.set_defaults(run=_cmd_solve_noise)
 
     p = sub.add_parser("attack-sim", help="Monte-Carlo attacker at (e, n), plus grid search")
     p.add_argument("--e", type=float, required=True)
@@ -61,41 +72,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-grid", action="store_true", help="skip the grid attacker search")
     _add_eps(p)
     _add_seed(p)
+    p.set_defaults(run=_cmd_attack_sim)
 
     p = sub.add_parser("calibrate", help="one-dimensional baseline noise-scale search")
     p.add_argument("--kind", choices=tuple(baselines.SEARCH_MAX), required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--step", type=float, default=cfg.calibration_step)
-    p.add_argument("--users", type=int, default=cfg.num_users)
-    p.add_argument("--videos", type=int, default=cfg.num_train_videos,
-                   help="calibration videos per user")
-    p.add_argument("--gops", type=int, default=cfg.gops_per_video)
-    p.add_argument("--concentration", type=float, default=cfg.concentration)
+    _add_trace_set(p, cfg, cfg.num_train_videos, "calibration videos per user")
     _add_eps(p)
-    _add_seed(p)
+    p.set_defaults(run=_cmd_calibrate)
 
     p = sub.add_parser("tradeoff", help="full QoE-privacy tradeoff experiment to CSV")
     p.add_argument("--q-grid", type=str, default=None,
                    help="comma-separated requirements (default 0,0.05,...,1)")
     p.add_argument("--policies", type=str, default=",".join(cfg.policies))
-    p.add_argument("--users", type=int, default=cfg.num_users)
-    p.add_argument("--videos", type=int, default=cfg.num_videos, help="evaluation videos per user")
+    _add_trace_set(p, cfg, cfg.num_videos, "evaluation videos per user")
     p.add_argument("--train-videos", type=int, default=cfg.num_train_videos)
-    p.add_argument("--gops", type=int, default=cfg.gops_per_video)
     p.add_argument("--budget-mbit", type=float, default=cfg.budget_mbit)
     p.add_argument("--tau", type=float, default=cfg.margin)
-    p.add_argument("--concentration", type=float, default=cfg.concentration)
     p.add_argument("--out", type=str, required=True)
     _add_eps(p)
-    _add_seed(p)
+    p.set_defaults(run=_cmd_tradeoff)
 
     p = sub.add_parser("gen-traces", help="synthesize head traces to CSV")
-    p.add_argument("--users", type=int, default=cfg.num_users)
-    p.add_argument("--videos", type=int, default=cfg.num_train_videos + cfg.num_videos)
-    p.add_argument("--gops", type=int, default=cfg.gops_per_video)
-    p.add_argument("--concentration", type=float, default=cfg.concentration)
+    _add_trace_set(p, cfg, cfg.num_train_videos + cfg.num_videos)
     p.add_argument("--out", type=str, required=True)
-    _add_seed(p)
+    p.set_defaults(run=_cmd_gen_traces)
 
     return parser
 
@@ -200,20 +202,10 @@ def _cmd_gen_traces(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "leakage": _cmd_leakage,
-    "solve-noise": _cmd_solve_noise,
-    "attack-sim": _cmd_attack_sim,
-    "calibrate": _cmd_calibrate,
-    "tradeoff": _cmd_tradeoff,
-    "gen-traces": _cmd_gen_traces,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

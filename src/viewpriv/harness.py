@@ -17,7 +17,7 @@ import csv
 import functools
 import math
 import os
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .sphere import norm
 from .streaming import DEFAULT_BUDGET_MBIT, SessionConfig, score_sessions, tiles_of
 from .traces import (
     DEFAULT_CONCENTRATION,
-    MIN_GOPS,
     check_concentration,
+    check_gops,
     generate_synthetic_traces,
     persistence_predict,
     prediction_errors,
@@ -44,7 +44,6 @@ SCALE_KEYS_PER_PASS = 256
 
 # A policy's index here, and a baseline kind's in ``SEARCH_MAX``, key its RNG streams.
 POLICY_NAMES = ("none", "bpea", *baselines.SEARCH_MAX)
-_POLICY_IDS = {name: i for i, name in enumerate(POLICY_NAMES)}
 
 
 def default_q_grid() -> tuple[float, ...]:
@@ -53,6 +52,12 @@ def default_q_grid() -> tuple[float, ...]:
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integers(**counts) -> None:
+    for name, value in counts.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _q_id(q: float) -> int:
@@ -116,14 +121,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
         if len(set(self.policies)) != len(self.policies):
             raise ValueError(f"policies must not repeat, got {self.policies}")
-        for name in ("num_users", "num_videos", "num_train_videos", "gops_per_video"):
-            if not _is_int(value := getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(**{name: getattr(self, name) for name in (
+            "num_users", "num_videos", "num_train_videos", "gops_per_video")})
         check_seed(self.seed)
         if min(self.num_users, self.num_videos) < 1 or self.num_train_videos < 1:
             raise ValueError("need at least one user and one video per split")
-        if self.gops_per_video < MIN_GOPS:
-            raise ValueError(f"traces need at least {MIN_GOPS} GoPs")
+        check_gops(self.gops_per_video)
         SessionConfig(self.budget_mbit)   # rejects a negative or NaN budget
         check_margin(self.margin, self.eps if "bpea" in self.policies else None)   # only bpea solves
         check_concentration(self.concentration)
@@ -246,8 +249,11 @@ def synthesize_traces(seed: int, users: int, videos: int, gops: int,
     draws from its own RNG seeded by (seed, user, video), so the same pair
     gives the same trace in every command and split."""
     check_seed(seed)
+    _check_integers(users=users, videos=videos, gops=gops)
     if min(users, videos) < 1:
         raise ValueError("need at least one user and one video")
+    check_gops(gops)
+    check_concentration(concentration)   # every argument is checked before any key is seeded
     words = _seed_words(seed, 1, np.arange(users)[:, None], np.arange(videos))
     rngs = [_generator(w) for w in words.reshape(-1, 4)]
     return generate_synthetic_traces(gops, rngs, concentration).reshape(users, videos, gops, 3)
@@ -334,7 +340,7 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             return
         if name != "none":   # one RNG per trace per q, keyed by (q, policy, user, video)
             q_ids = np.array([_q_id(q) for q in cfg.q_grid])[:, None, None]
-            words = _seed_words(cfg.seed, 3, q_ids, _POLICY_IDS[name],
+            words = _seed_words(cfg.seed, 3, q_ids, POLICY_NAMES.index(name),
                                 np.arange(cfg.num_users)[:, None],
                                 cfg.num_train_videos + np.arange(cfg.num_videos))
         for i, q in enumerate(cfg.q_grid):
@@ -357,9 +363,10 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def write_results(rows: list, path) -> None:
-    """Write tradeoff rows; float fields use repr for byte-stable output."""
+    """Write tradeoff rows in ``RESULTS_HEADER`` order; floats use repr for byte-stable output."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in astuple(row)])
+            values = [getattr(row, name) for name in RESULTS_HEADER]
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in values])

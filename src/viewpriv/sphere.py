@@ -32,9 +32,9 @@ class SpherePoint:
 
     def __post_init__(self):
         v = np.array([self.x, self.y, self.z], dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"sphere point has non-finite coordinates: {v}")
-        norm = float(np.linalg.norm(v))
+        norm = float(np.linalg.norm(v))   # an inf or NaN coordinate gives a non-finite norm
+        if not math.isfinite(norm):
+            raise ValueError(f"sphere point {v} is not finite or its squared norm overflows")
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector to a sphere point")
         v /= norm
@@ -80,9 +80,9 @@ def unit_rows(vectors) -> np.ndarray:
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {v.shape}")
-    norms = norm(v)
-    if not np.all(np.isfinite(v)) or np.any(norms == 0.0):
-        raise ValueError("rows must be finite and nonzero")
+    norms = norm(v)   # an inf or NaN coordinate gives a non-finite norm
+    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
+        raise ValueError("rows must be finite and nonzero, with squared norms that do not overflow")
     return v / norms[:, None]
 
 

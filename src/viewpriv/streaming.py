@@ -98,25 +98,20 @@ def tile_of(point) -> Tile:
     return _TILES[int(tiles_of(point))]
 
 
-def block_tiles(center: Tile, shape: tuple[int, int]) -> frozenset:
-    """Tile block of the given shape centered on ``center``.
+# Columns apart across the 360-degree seam, either way round: [column][column].
+_COL_DISTANCE = tuple(tuple(min(abs(c - d), TILE_COLS - abs(c - d)) for d in range(TILE_COLS))
+                      for c in range(TILE_COLS))
 
-    Columns wrap around the seam; row ranges clamp at the top and bottom
-    edges, so blocks near a pole can lose a row.
-    """
+
+def block_tiles(center: Tile, shape: tuple[int, int]) -> frozenset:
+    """The tiles within ``rows // 2`` rows (every row for a shape as tall as the
+    grid) and ``cols // 2`` seam-wrapping columns of ``center``, so a block near
+    a pole can lose a row; row-major, the order ``_qoe_tables`` sums FoVs in."""
     rows, cols = shape
     r, c = center
-    if rows >= TILE_ROWS:
-        row_range = range(TILE_ROWS)
-    else:
-        half = rows // 2
-        row_range = range(max(0, r - half), min(TILE_ROWS, r + half + 1))
-    if cols >= TILE_COLS:
-        col_range = [(c + d) % TILE_COLS for d in range(TILE_COLS)]
-    else:
-        half = cols // 2
-        col_range = [(c + d) % TILE_COLS for d in range(-half, half + 1)]
-    return frozenset((rr, cc) for rr in row_range for cc in col_range)
+    half_rows = TILE_ROWS if rows >= TILE_ROWS else rows // 2
+    return frozenset((rr, cc) for rr, cc in _TILES
+                     if abs(rr - r) <= half_rows and _COL_DISTANCE[c][cc] <= cols // 2)
 
 
 @lru_cache(maxsize=TILE_ROWS * TILE_COLS)
@@ -139,15 +134,8 @@ def zone_from_error(uploaded_error: float) -> tuple[int, int]:
 @lru_cache(maxsize=len(_TILES))
 def _ring_order(center: Tile) -> tuple:
     """Every tile by ring distance from ``center``, then row, then column."""
-    cr, cc = center
-
-    def key(tile: Tile):
-        r, c = tile
-        dc = abs(c - cc)
-        dc = min(dc, TILE_COLS - dc)
-        return (max(abs(r - cr), dc), r, c)
-
-    return tuple(sorted(_TILES, key=key))
+    cr, near = center[0], _COL_DISTANCE[center[1]]
+    return tuple(sorted(_TILES, key=lambda tile: (max(abs(tile[0] - cr), near[tile[1]]), tile)))
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,12 @@ def check_concentration(concentration: float) -> None:
                          f"(or inf), got {concentration!r}")
 
 
+def check_gops(gops: int) -> None:
+    """A walk's GoP count: at least ``MIN_GOPS``."""
+    if gops < MIN_GOPS:
+        raise ValueError(f"traces need at least {MIN_GOPS} GoPs, got {gops!r}")
+
+
 def generate_synthetic_traces(
     gops: int,
     rngs: list[np.random.Generator],
@@ -82,8 +88,7 @@ def generate_synthetic_traces(
     angles, then its step bearings. ``sphere.step_walk`` then steps every
     trace at once, so a trace does not depend on the rest of the batch.
     """
-    if gops < MIN_GOPS:
-        raise ValueError(f"need at least {MIN_GOPS} GoPs, got {gops}")
+    check_gops(gops)
     check_concentration(concentration)
     walk = np.empty((gops, 3, len(rngs)))
     angles, bearings = np.empty((2, gops - 1, len(rngs)))

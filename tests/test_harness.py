@@ -709,3 +709,30 @@ def test_a_constant_upload_beats_the_clean_errors():
             constant = [mean_qoe(np.full_like(errors, k * math.pi / (len(ZONE_SHAPES) - 1)))
                         for k in range(len(ZONE_SHAPES))]
             assert max(constant) > mean_qoe(errors)
+
+
+def test_a_refused_trace_set_builds_no_generator(monkeypatch, tmp_path):
+    # The counts, GoP count and concentration are checked before any key is
+    # seeded. A refused walk once built every generator first (50,000 for the
+    # first case), and a non-integer count failed in the seed kernel.
+    built = []
+    real = harness._generator
+    monkeypatch.setattr(harness, "_generator", lambda words: built.append(words) or real(words))
+    refused = {
+        (0, 1000, 50, 3, 1e-300): "concentration must be positive",
+        (0, 1000, 50, MIN_GOPS - 1): f"traces need at least {MIN_GOPS} GoPs",
+        (0, 2.5, 1, 10): "users must be an integer, got 2.5",
+        (0, 1, 2.0, 10): "videos must be an integer",
+        (0, 1, 1, 10.0): "gops must be an integer",
+        (0, 0, 1, 10): "need at least one user and one video",
+        (0, 1, 0, 10): "need at least one user and one video",
+    }
+    for args, message in refused.items():
+        with pytest.raises(ValueError, match=message):
+            harness.synthesize_traces(*args)
+    path = tmp_path / "t.csv"
+    assert cli.main(["gen-traces", "--users", "1000", "--videos", "50", "--gops", "3",
+                     "--concentration", "1e-300", "--out", str(path)]) == 2
+    assert built == [] and not path.exists()
+    harness.synthesize_traces(0, 2, 1, MIN_GOPS)
+    assert len(built) == 2

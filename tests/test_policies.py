@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from viewpriv.baselines import GAUSSIAN_KIND, LAPLACE_KIND, NoiseScale
-from viewpriv.harness import synthesize_traces
+from viewpriv.baselines import GAUSSIAN_KIND, LAPLACE_KIND, SEARCH_MAX, NoiseScale
+from viewpriv.harness import ExperimentConfig, generate_trace_set, synthesize_traces
 from viewpriv.policies import BpeaPolicy, NoObfuscation, apply_policy
-from viewpriv.traces import SessionTrace, generate_synthetic_trace
+from viewpriv.traces import SessionTrace, generate_synthetic_trace, prediction_errors
 
 EPS = 0.1 * math.pi
 FIELDS = ("predicted", "errors", "noises", "uploaded", "per_gop_leakage")
@@ -54,3 +54,21 @@ def test_a_baseline_is_refused_on_a_trace_with_supplied_predictions():
     for policy in (NoObfuscation(), BpeaPolicy(q=0.3)):
         app = apply_policy(trace, policy, EPS, np.random.default_rng(0))
         assert np.array_equal(app.predicted, trace.predicted)
+
+
+def test_bpea_protects_each_gop_but_its_predictions_replay_the_session():
+    # The persistence prediction uploaded for GoP t + 2 is GoP t's actual
+    # viewpoint. bpea perturbs only the uploaded error, so an attacker who reads
+    # each prediction as a lag guess finds every viewpoint, at every q, as with
+    # no obfuscation: the leakage cap holds per GoP, not per session. A baseline
+    # predicts from a perturbed history, so few of its lag guesses land within eps.
+    _, actual = generate_trace_set(ExperimentConfig(num_users=6, num_videos=4,
+                                                    gops_per_video=60, seed=0))
+    for policy in (NoObfuscation(), BpeaPolicy(0.0), BpeaPolicy(0.2), BpeaPolicy(0.5)):
+        predicted = apply_policy(actual, policy, EPS, None).predicted
+        assert np.array_equal(predicted[:, 2:], actual[:, :-2]), policy
+    for kind, scale in SEARCH_MAX.items():
+        rngs = [np.random.default_rng(i) for i in range(len(actual))]
+        predicted = apply_policy(actual, NoiseScale(kind, scale), EPS, rngs).predicted
+        hits = np.mean(prediction_errors(predicted[:, 2:], actual[:, :-2]) <= EPS)
+        assert hits < 0.1, (kind, hits)

@@ -15,7 +15,7 @@ from viewpriv.sphere import (
     tangent_frame,
     unit_rows,
 )
-from viewpriv.traces import prediction_errors
+from viewpriv.traces import SessionTrace, prediction_errors
 
 ATOL = 1e-9
 
@@ -261,3 +261,23 @@ def test_unit_rows_rejects_zero_rows():
         unit_rows(np.array([[0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         unit_rows(np.array([1.0, 0.0, 0.0]))
+
+
+def test_a_row_whose_squared_norm_overflows_is_refused():
+    # A finite row whose squared norm overflows once became a zero "unit" row:
+    # its norm is inf, and the row over it is 0.
+    with np.errstate(over="ignore"):
+        for x in (1.4e154, 1e200):
+            row = [x, 0.0, 0.0]
+            with pytest.raises(ValueError, match="overflow"):
+                unit_rows([row])
+            with pytest.raises(ValueError, match="overflow"):
+                SpherePoint(*row)
+            with pytest.raises(ValueError, match="overflow"):
+                SessionTrace(0, 0, np.array([row] * 3))
+        # A row whose square stays finite still normalises.
+        row = [1e154, 0.0, 0.0]
+        assert np.array_equal(unit_rows([row]), [[1.0, 0.0, 0.0]])
+        assert SpherePoint(*row) == SpherePoint(1.0, 0.0, 0.0)
+        assert np.array_equal(SessionTrace(0, 0, np.array([row] * 3)).actual,
+                              [[1.0, 0.0, 0.0]] * 3)

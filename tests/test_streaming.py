@@ -11,6 +11,7 @@ from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.streaming import (
     Allocation,
     DEFAULT_BUDGET_MBIT,
+    FOV_SHAPE,
     GOP_SECONDS,
     GopRecord,
     QOE_WEIGHTS,
@@ -521,3 +522,31 @@ def test_under_provisioned_budget_stalls_every_gop():
 def test_allocation_dataclass_shape():
     alloc = Allocation(quality={}, under_provisioned=True)
     assert alloc.under_provisioned
+
+
+def range_block_tiles(center, shape):
+    """``block_tiles`` built from row and column ranges: rows clamped at the
+    poles (every row for a shape as tall as the grid), columns from
+    ``-(cols // 2)`` to ``cols // 2`` around the centre, wrapped at the seam."""
+    rows, cols = shape
+    r, c = center
+    if rows >= TILE_ROWS:
+        row_range = range(TILE_ROWS)
+    else:
+        row_range = range(max(0, r - rows // 2), min(TILE_ROWS, r + rows // 2 + 1))
+    if cols >= TILE_COLS:
+        col_range = [(c + d) % TILE_COLS for d in range(TILE_COLS)]
+    else:
+        col_range = [(c + d) % TILE_COLS for d in range(-(cols // 2), cols // 2 + 1)]
+    return frozenset((rr, cc) for rr in row_range for cc in col_range)
+
+
+def test_zones_keep_their_tiles_and_iteration_order():
+    # _qoe_tables sums each FoV's qualities in fov_tiles' iteration order, so a
+    # block with the same tiles in another order can move a QoE in its last bit.
+    shapes = {FOV_SHAPE, *ZONE_SHAPES,
+              *((rows, cols) for rows in range(2, 6) for cols in range(1, 10))}
+    for center in _TILES:
+        for shape in shapes:
+            want, got = range_block_tiles(center, shape), block_tiles(center, shape)
+            assert got == want and list(got) == list(want), (center, shape)
