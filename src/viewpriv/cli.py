@@ -8,6 +8,7 @@ requested requirement (results are still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -43,20 +44,21 @@ def build_parser() -> argparse.ArgumentParser:
     cfg = ExperimentConfig()   # the tradeoff, calibrate and gen-traces defaults
     attack = oracle.OracleConfig()   # the attack-sim defaults
     parser = argparse.ArgumentParser(
-        prog="viewpriv",
+        prog="viewpriv", allow_abbrev=False,
         description="Viewpoint-leakage analysis and noisy-error obfuscation "
                     "for proactive tile-based VR streaming.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)   # no flag prefixes
 
-    p = sub.add_parser("leakage", help="evaluate conditional leakage at (e, n)")
+    p = add_parser("leakage", help="evaluate conditional leakage at (e, n)")
     p.add_argument("--e", type=float, required=True, help="prediction error in radians")
     p.add_argument("--n", type=float, default=None, help="additive error noise in radians")
     p.add_argument("--q", type=float, default=None, help="requirement to compare against")
     _add_eps(p)
     p.set_defaults(run=_cmd_leakage)
 
-    p = sub.add_parser("solve-noise", help="minimal-|noise| solution for a requirement")
+    p = add_parser("solve-noise", help="minimal-|noise| solution for a requirement")
     p.add_argument("--e", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--tau", type=float, default=bpea.DEFAULT_MARGIN,
@@ -64,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps(p)
     p.set_defaults(run=_cmd_solve_noise)
 
-    p = sub.add_parser("attack-sim", help="Monte-Carlo attacker at (e, n), plus grid search")
+    p = add_parser("attack-sim", help="Monte-Carlo attacker at (e, n), plus grid search")
     p.add_argument("--e", type=float, required=True)
     p.add_argument("--n", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=attack.trials)
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.set_defaults(run=_cmd_attack_sim)
 
-    p = sub.add_parser("calibrate", help="one-dimensional baseline noise-scale search")
+    p = add_parser("calibrate", help="one-dimensional baseline noise-scale search")
     p.add_argument("--kind", choices=tuple(baselines.SEARCH_MAX), required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--step", type=float, default=cfg.calibration_step)
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps(p)
     p.set_defaults(run=_cmd_calibrate)
 
-    p = sub.add_parser("tradeoff", help="full QoE-privacy tradeoff experiment to CSV")
+    p = add_parser("tradeoff", help="full QoE-privacy tradeoff experiment to CSV")
     p.add_argument("--q-grid", type=str, default=None,
                    help="comma-separated requirements (default 0,0.05,...,1)")
     p.add_argument("--policies", type=str, default=",".join(cfg.policies))
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps(p)
     p.set_defaults(run=_cmd_tradeoff)
 
-    p = sub.add_parser("gen-traces", help="synthesize head traces to CSV")
+    p = add_parser("gen-traces", help="synthesize head traces to CSV")
     _add_trace_set(p, cfg, cfg.num_train_videos + cfg.num_videos)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(run=_cmd_gen_traces)

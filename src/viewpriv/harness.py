@@ -26,8 +26,8 @@ from .baselines import calibrate_noise_scales, perturb_traces, pspr
 from .bpea import DEFAULT_MARGIN, check_margin
 from .leakage import check_precision, check_requirement
 from .policies import NoObfuscation, apply_policy, bpea_uploads
-from .sphere import norm
-from .streaming import DEFAULT_BUDGET_MBIT, SessionConfig, score_sessions, tiles_of
+from .sphere import is_integer, norm
+from .streaming import DEFAULT_BUDGET_MBIT, check_budget, score_sessions, tiles_of
 from .traces import (
     DEFAULT_CONCENTRATION,
     check_concentration,
@@ -50,13 +50,9 @@ def default_q_grid() -> tuple[float, ...]:
     return tuple(round(0.05 * i, 2) for i in range(21))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_integers(**counts) -> None:
     for name, value in counts.items():
-        if not _is_int(value):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -67,7 +63,7 @@ def _q_id(q: float) -> int:
 
 def check_seed(seed) -> int:
     """An experiment seed: an integer in [0, 2^32), the first word of every RNG key."""
-    if not (_is_int(seed) and 0 <= seed < 2 ** 32):
+    if not (is_integer(seed) and 0 <= seed < 2 ** 32):
         raise ValueError(f"seed must be an integer in [0, 2^32), got {seed!r}")
     return int(seed)
 
@@ -127,7 +123,7 @@ class ExperimentConfig:
         if min(self.num_users, self.num_videos) < 1 or self.num_train_videos < 1:
             raise ValueError("need at least one user and one video per split")
         check_gops(self.gops_per_video)
-        SessionConfig(self.budget_mbit)   # rejects a negative or NaN budget
+        check_budget(self.budget_mbit)
         check_margin(self.margin, self.eps if "bpea" in self.policies else None)   # only bpea solves
         check_concentration(self.concentration)
         baselines.check_search_step(self.calibration_step)
@@ -325,8 +321,7 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         qoe = math.nan
         if cfg.compute_qoe:
             pfov = clean_tiles if app.predicted is clean.predicted else tiles_of(app.predicted)
-            reports = score_sessions(pfov, app.uploaded, actual_tiles,
-                                     SessionConfig(cfg.budget_mbit))
+            reports = score_sessions(pfov, app.uploaded, actual_tiles, cfg.budget_mbit)
             qoe = np.mean([r.qoe for r in reports])
         errs, noises, leak = app.errors, app.noises, app.per_gop_leakage
         return (float(np.mean(leak)), float(np.mean(np.mean(errs, axis=1))),

@@ -19,7 +19,8 @@ import numpy as np
 
 from .bpea import noise_bounds
 from .leakage import check_precision
-from .sphere import SpherePoint, TWO_PI, check_angle, dot, points_around_pole, unit_rows
+from .sphere import (SpherePoint, TWO_PI, check_angle, dot, is_integer, points_around_pole,
+                     unit_rows)
 
 # The predicted viewpoint is fixed at +z, the pole the circles are sampled about;
 # leakage is rotation invariant.
@@ -54,7 +55,7 @@ class OracleConfig:
 
     def __post_init__(self):
         for name, value, least in (("trials", self.trials, 1_000), ("seed", self.seed, 0)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+            if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.trials > _MAX_TRIALS:

@@ -59,6 +59,11 @@ def check_angle(value: float, lo: float, hi: float, name: str) -> float:
     return value
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or a numpy integer, and not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def dot(a, b) -> np.ndarray:
     """Dot products over the last axis, summed left to right as ``np.sum(a * b, axis=-1)``."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]

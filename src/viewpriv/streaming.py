@@ -25,7 +25,6 @@ budget, so every per-GoP term is gathered from tables built once per budget.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,23 +55,15 @@ QOE_WEIGHTS = (0.4, 0.3, 0.15, 0.15)
 Tile = tuple[int, int]
 
 
-class QualityLevel(enum.Enum):
-    LOW = 1.8
-    MID = 2.7
-    HIGH = 6.0
-
-    @property
-    def normalized(self) -> float:
-        return self.value / QualityLevel.HIGH.value
+# Tile rates; a streamed tile's quality is its rate over HIGH_MBPS.
+LOW_MBPS = 1.8
+HIGH_MBPS = 6.0
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    budget_mbit: float = DEFAULT_BUDGET_MBIT
-
-    def __post_init__(self):
-        if not self.budget_mbit >= 0.0:
-            raise ValueError(f"budget must be non-negative, got {self.budget_mbit!r}")
+def check_budget(budget_mbit: float) -> None:
+    """A per-GoP bitrate budget in Mbit: non-negative, or +inf."""
+    if not budget_mbit >= 0.0:
+        raise ValueError(f"budget must be non-negative, got {budget_mbit!r}")
 
 
 _TILES = tuple((r, c) for r in range(TILE_ROWS) for c in range(TILE_COLS))
@@ -138,50 +129,45 @@ def _ring_order(center: Tile) -> tuple:
     return tuple(sorted(_TILES, key=lambda tile: (max(abs(tile[0] - cr), near[tile[1]]), tile)))
 
 
-@dataclass(frozen=True)
-class Allocation:
-    quality: dict
-    under_provisioned: bool
-
-
-def allocate_quality(center: Tile, shape: tuple[int, int], cfg: SessionConfig) -> Allocation:
-    """Per-tile quality map for one GoP under the bitrate budget: the zone of
-    ``shape`` and the pFoV are both the blocks around the pFoV center tile.
+def allocate_quality(center: Tile, shape: tuple[int, int], budget_mbit: float) -> tuple[dict, bool]:
+    """(quality, under_provisioned) for one GoP under the bitrate budget: the
+    zone of ``shape`` and the pFoV are both the blocks around the pFoV center
+    tile, and ``quality`` maps each streamed tile to its quality.
 
     The steps are the zone tiles low, the same tiles upgraded to high, then
     the tiles outside the zone high, each pass in ring order. The map keeps
     the steps whose running spend, summed left to right, is within the
     budget; it is under-provisioned when they end inside the first pass."""
+    check_budget(budget_mbit)
     if shape not in ZONE_SHAPES:
         raise ValueError(f"zone shape {shape} is outside the feasible set {ZONE_SHAPES}")
     zone = block_tiles(center, shape)
     inner = [tile for tile in _ring_order(center) if tile in zone]
     outer = [tile for tile in _ring_order(center) if tile not in zone]
-    low, high = QualityLevel.LOW, QualityLevel.HIGH
-    steps = [(tile, low) for tile in inner] + [(tile, high) for tile in inner + outer]
-    costs = ([low.value * GOP_SECONDS] * len(inner)
-             + [(high.value - low.value) * GOP_SECONDS] * len(inner)
-             + [high.value * GOP_SECONDS] * len(outer))
+    low = LOW_MBPS / HIGH_MBPS
+    steps = [(tile, low) for tile in inner] + [(tile, 1.0) for tile in inner + outer]
+    costs = ([LOW_MBPS * GOP_SECONDS] * len(inner)
+             + [(HIGH_MBPS - LOW_MBPS) * GOP_SECONDS] * len(inner)
+             + [HIGH_MBPS * GOP_SECONDS] * len(outer))
     # Every cost is positive, so the steps within the budget are a prefix.
-    kept = sum(spent <= cfg.budget_mbit + _BUDGET_SLACK for spent in accumulate(costs))
-    # An upgrade replaces its tile's level in place, keeping the tile's order.
-    return Allocation(dict(steps[:kept]), kept < len(inner))
+    kept = sum(spent <= budget_mbit + _BUDGET_SLACK for spent in accumulate(costs))
+    # An upgrade replaces its tile's quality in place, keeping the tile's order.
+    return dict(steps[:kept]), kept < len(inner)
 
 
 @lru_cache(maxsize=16)
-def _qoe_tables(cfg: SessionConfig) -> tuple[np.ndarray, ...]:
-    """The per-GoP terms ``_qoe_reports`` takes, of every allocation under ``cfg``,
-    each indexed [pFoV center tile, zone shape, actual-FoV center tile]."""
+def _qoe_tables(budget_mbit: float) -> tuple[np.ndarray, ...]:
+    """The per-GoP terms ``_qoe_reports`` takes, of every allocation under the
+    budget, each indexed [pFoV center tile, zone shape, actual-FoV center tile]."""
     count = len(_TILES)
     # The last slot is never streamed; it pads FoVs clamped at a pole.
     quality = np.zeros((count, len(ZONE_SHAPES), count + 1))
     under = np.zeros((count, len(ZONE_SHAPES), 1), dtype=bool)
     for p, center in enumerate(_TILES):
         for z, shape in enumerate(ZONE_SHAPES):
-            allocation = allocate_quality(center, shape, cfg)
-            under[p, z] = allocation.under_provisioned
-            for (r, c), level in allocation.quality.items():
-                quality[p, z, r * TILE_COLS + c] = level.normalized
+            streamed, under[p, z] = allocate_quality(center, shape, budget_mbit)
+            for (r, c), value in streamed.items():
+                quality[p, z, r * TILE_COLS + c] = value
     fovs = [[r * TILE_COLS + c for r, c in fov_tiles(center)] for center in _TILES]
     fov = np.array([f + [count] * (max(map(len, fovs)) - len(f)) for f in fovs])
     size = np.broadcast_to([len(f) for f in fovs], (count, len(ZONE_SHAPES), count))
@@ -234,27 +220,27 @@ def qoe_score(per_gop: list) -> QoEReport:
         raise ValueError("cannot score an empty session")
     terms = []
     for rec in per_gop:
-        norm = {tile: level.normalized for tile, level in rec.quality.items()}
-        fov = fov_tiles(rec.fov_center)
-        covered = sum(1 for tile in fov if tile in norm)
+        quality, fov = rec.quality, fov_tiles(rec.fov_center)
+        covered = sum(1 for tile in fov if tile in quality)
         size = len(fov)
-        fov_mean = sum(norm.get(tile, 0.0) for tile in fov) / size
-        terms.append((norm.get(rec.fov_center, 0.0), fov_mean, covered, size,
+        fov_mean = sum(quality.get(tile, 0.0) for tile in fov) / size
+        terms.append((quality.get(rec.fov_center, 0.0), fov_mean, covered, size,
                       rec.under_provisioned or covered < size))
     return _qoe_reports(*(np.array([column]) for column in zip(*terms)))[0]
 
 
-def score_sessions(pfov_tiles, uploaded, actual_tiles, cfg: SessionConfig) -> list[QoEReport]:
+def score_sessions(pfov_tiles, uploaded, actual_tiles, budget_mbit: float) -> list[QoEReport]:
     """QoE of each session from (sessions, GoPs) arrays of pFoV and actual-FoV
     center tiles (``tiles_of``) and of uploaded errors."""
+    check_budget(budget_mbit)
     key = (pfov_tiles, zone_indices(uploaded), actual_tiles)
-    return _qoe_reports(*(table[key] for table in _qoe_tables(cfg)))
+    return _qoe_reports(*(table[key] for table in _qoe_tables(budget_mbit)))
 
 
 def simulate_session(
     trace: SessionTrace,
     policy: ObfuscationPolicy,
-    cfg: SessionConfig,
+    budget_mbit: float,
     eps: float,
     rng: np.random.Generator,
 ) -> tuple[QoEReport, PolicyApplication]:
@@ -262,5 +248,5 @@ def simulate_session(
     gives it, and its upload arrays, as ``apply_policy`` gives them."""
     app = apply_policy(trace, policy, eps, rng)
     report, = score_sessions(tiles_of(app.predicted)[None], app.uploaded[None],
-                             tiles_of(trace.actual)[None], cfg)
+                             tiles_of(trace.actual)[None], budget_mbit)
     return report, app

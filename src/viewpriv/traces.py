@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphere import TWO_PI, norm, random_point, step_walk, unit_rows
+from .sphere import TWO_PI, is_integer, norm, random_point, step_walk, unit_rows
 
 # Tuned so that two-GoP-ahead persistence errors spread across both sides of
 # a 0.1*pi precision radius.
@@ -71,7 +71,9 @@ def check_concentration(concentration: float) -> None:
 
 
 def check_gops(gops: int) -> None:
-    """A walk's GoP count: at least ``MIN_GOPS``."""
+    """A walk's GoP count: an integer of at least ``MIN_GOPS``."""
+    if not is_integer(gops):
+        raise ValueError(f"GoP count must be an integer, got {gops!r}")
     if gops < MIN_GOPS:
         raise ValueError(f"traces need at least {MIN_GOPS} GoPs, got {gops!r}")
 
@@ -267,8 +269,7 @@ def write_traces(traces: list[SessionTrace], path) -> None:
     if include_pred and not all(t.predicted is not None for t in traces):
         raise ValueError("either all traces carry predictions or none do")
     for t in traces:
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   for i in (t.user_id, t.video_id)):
+        if not (is_integer(t.user_id) and is_integer(t.video_id)):
             raise ValueError(f"trace ({t.user_id!r}, {t.video_id!r}) would not load back: "
                              "user_id and video_id must be integers")
     header = TRACE_HEADER + TRACE_PRED_COLUMNS if include_pred else TRACE_HEADER

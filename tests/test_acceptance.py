@@ -25,7 +25,8 @@ from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.sphere import SpherePoint, points_at_distance, random_point, spherical_distance
 from viewpriv.streaming import (
     GOP_SECONDS,
-    SessionConfig,
+    HIGH_MBPS,
+    LOW_MBPS,
     TILE_COLS,
     TILE_ROWS,
     ZONE_SHAPES,
@@ -278,18 +279,19 @@ def test_criterion_7_property_suites(tmp_path):
         # Budget conservation: exhaustive over every reachable allocation at
         # the budgets used below, then QoE bounds over 1e3 sessions.
         budgets = (40.0, 95.4)
+        # A streamed tile's quality is its rate over HIGH_MBPS.
+        rate = {LOW_MBPS / HIGH_MBPS: LOW_MBPS, HIGH_MBPS / HIGH_MBPS: HIGH_MBPS}
         for budget in budgets:
-            cfg = SessionConfig(budget_mbit=budget)
             for r in range(TILE_ROWS):
                 for c in range(TILE_COLS):
                     for shape in ZONE_SHAPES:
-                        alloc = allocate_quality((r, c), shape, cfg)
-                        spent = sum(lvl.value for lvl in alloc.quality.values()) * GOP_SECONDS
+                        quality, _ = allocate_quality((r, c), shape, budget)
+                        spent = sum(rate[q] for q in quality.values()) * GOP_SECONDS
                         assert spent <= budget + 1e-9
         session_rng = np.random.default_rng(41)
         for i in range(1_000):
             trace = generate_synthetic_trace(0, i, 6, session_rng)
             policy = BpeaPolicy(q=float(session_rng.uniform(0.0, 1.0))) if i % 2 else NoObfuscation()
-            cfg = SessionConfig(budget_mbit=budgets[i % len(budgets)])
-            report, _ = simulate_session(trace, policy, cfg, EPS, session_rng)
+            report, _ = simulate_session(trace, policy, budgets[i % len(budgets)], EPS,
+                                         session_rng)
             assert 1.0 <= report.qoe <= 5.0

@@ -2,6 +2,7 @@ import csv
 import math
 
 import numpy as np
+import pytest
 
 from viewpriv import cli, harness, oracle
 from viewpriv.harness import ExperimentConfig, generate_trace_set
@@ -306,6 +307,22 @@ def test_gen_traces_rejects_a_zero_count(tmp_path, capsys):
         assert cli.main(["gen-traces", *counts, "--gops", "5", "--out", str(path)]) == 2
         assert capsys.readouterr().err == "error: need at least one user and one video\n"
         assert not path.exists()
+
+
+def test_abbreviated_flags_exit_2_and_write_nothing(tmp_path, capsys):
+    # A unique prefix of a flag was once taken for it, so this wrote its traces.
+    path = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["gen-traces", "--user", "2", "--vid", "1", "--gop", "5", "--conc", "32",
+                  "--out", str(path)])
+    assert exited.value.code == 2 and not path.exists()
+    assert "unrecognized arguments: --user 2 --vid 1 --gop 5 --conc 32" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["--hel"])
+    assert exited.value.code == 2
+    assert cli.main(["gen-traces", "--users", "2", "--videos", "1", "--gops", "5",
+                     "--concentration", "32", "--out", str(path)]) == 0
+    assert len(load_traces(path)) == 2
 
 
 def test_seeds_outside_32_bits_exit_2(tmp_path, capsys):

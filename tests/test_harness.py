@@ -17,7 +17,7 @@ from viewpriv.harness import (
 )
 from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.streaming import (
-    ZONE_SHAPES, SessionConfig, apply_policy, score_sessions, tiles_of,
+    ZONE_SHAPES, apply_policy, score_sessions, tiles_of,
 )
 from viewpriv.leakage import leakage_sample_mean, optimal_error_distribution
 from viewpriv.sphere import unit_rows
@@ -54,8 +54,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match="need at least one user and one video per split"):
             ExperimentConfig(**{name: 0})
     for budget in (-1.0, math.nan):
-        # Rejected even when no QoE (and so no SessionConfig) would be computed.
-        with pytest.raises(ValueError, match="budget"):
+        # Rejected even when no QoE would be computed.
+        with pytest.raises(ValueError, match="budget must be non-negative"):
             ExperimentConfig(budget_mbit=budget, compute_qoe=False)
     assert ExperimentConfig(budget_mbit=math.inf).budget_mbit == math.inf
 
@@ -352,7 +352,7 @@ def test_stacked_rows_match_the_per_trace_pipeline():
         assert row.pspr == np.mean([np.mean(leak) <= row.q for leak in leaks])
         assert row.qoe == np.mean([
             score_sessions(tiles_of(a.predicted)[None], a.uploaded[None], tiles_of(t)[None],
-                           SessionConfig(cfg.budget_mbit))[0].qoe
+                           cfg.budget_mbit)[0].qoe
             for t, a in zip(evaluation, apps)
         ])
 
@@ -411,8 +411,7 @@ def test_bpea_rows_are_per_q_uploads_of_the_clean_errors_whatever_else_runs():
     for row in alone.rows:
         app = apply_policy(actual, BpeaPolicy(row.q, cfg.margin), cfg.eps, None)
         noises, uploaded, leak = app.noises, app.uploaded, app.per_gop_leakage
-        reports = score_sessions(tiles_of(predicted), uploaded, tiles_of(actual),
-                                 SessionConfig(cfg.budget_mbit))
+        reports = score_sessions(tiles_of(predicted), uploaded, tiles_of(actual), cfg.budget_mbit)
         assert row.pr_leak == float(np.mean(leak))
         assert row.mean_error_rad == float(np.mean(np.mean(errors, axis=1)))
         assert row.mean_abs_noise_rad == float(np.mean(np.mean(np.abs(noises), axis=1)))
@@ -699,11 +698,10 @@ def test_a_constant_upload_beats_the_clean_errors():
         errors = prediction_errors(predicted, actual)
         pfov_tiles, actual_tiles = tiles_of(predicted), tiles_of(actual)
         for budget in (95.4, 40.0):
-            cfg = SessionConfig(budget)
 
             def mean_qoe(uploaded):
                 return np.mean([r.qoe for r in score_sessions(pfov_tiles, uploaded,
-                                                              actual_tiles, cfg)])
+                                                              actual_tiles, budget)])
 
             # The middle error of each zone bin.
             constant = [mean_qoe(np.full_like(errors, k * math.pi / (len(ZONE_SHAPES) - 1)))

@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import math
 from itertools import accumulate
 
@@ -9,24 +9,25 @@ from viewpriv.harness import ExperimentConfig, generate_trace_set
 from viewpriv.baselines import GAUSSIAN_KIND, NoiseScale
 from viewpriv.policies import BpeaPolicy, NoObfuscation
 from viewpriv.streaming import (
-    Allocation,
     DEFAULT_BUDGET_MBIT,
     FOV_SHAPE,
     GOP_SECONDS,
+    HIGH_MBPS,
+    LOW_MBPS,
     GopRecord,
     QOE_WEIGHTS,
     QoEReport,
-    QualityLevel,
-    SessionConfig,
     TILE_COLS,
     TILE_ROWS,
     Tile,
     ZONE_SHAPES,
     _BUDGET_SLACK,
     _TILES,
+    _qoe_tables,
     allocate_quality,
     apply_policy,
     block_tiles,
+    check_budget,
     fov_tiles,
     qoe_score,
     score_sessions,
@@ -39,11 +40,14 @@ from viewpriv.streaming import (
 from viewpriv.traces import SessionTrace, generate_synthetic_trace, persistence_predict
 
 EPS = 0.1 * math.pi
+# A streamed tile's quality is its rate over HIGH_MBPS.
+LOW, HIGH = LOW_MBPS / HIGH_MBPS, HIGH_MBPS / HIGH_MBPS
+RATE = {LOW: LOW_MBPS, HIGH: HIGH_MBPS}
 
 
-def spent_mbit(alloc):
+def spent_mbit(quality):
     """What an allocation's quality map costs over one GoP."""
-    return sum(lvl.value for lvl in alloc.quality.values()) * GOP_SECONDS
+    return sum(RATE[q] for q in quality.values()) * GOP_SECONDS
 
 
 def walking_trace(gops=12, seed=4):
@@ -139,61 +143,58 @@ def test_zone_indices_match_zone_from_error_at_bin_edges():
 
 def test_zone_shape_feasible_set_only():
     with pytest.raises(ValueError):
-        allocate_quality((1, 1), (2, 2), SessionConfig())
+        allocate_quality((1, 1), (2, 2), DEFAULT_BUDGET_MBIT)
 
 
 # ----------------------------------------------------------------- allocation
 
 
 def test_allocation_exact_low_budget_means_no_upgrades():
-    cfg = SessionConfig(budget_mbit=15 * 1.8)
-    alloc = allocate_quality((1, 4), (3, 5), cfg)
-    assert not alloc.under_provisioned
-    assert len(alloc.quality) == 15
-    assert all(level is QualityLevel.LOW for level in alloc.quality.values())
+    quality, under = allocate_quality((1, 4), (3, 5), 15 * 1.8)
+    assert not under
+    assert len(quality) == 15
+    assert all(q == LOW for q in quality.values())
 
 
 def test_allocation_default_budget_fills_pfov_high():
     # 9 pFoV tiles at the top rate plus 23 low tiles exactly consume the
     # default per-GoP budget.
-    cfg = SessionConfig()
-    alloc = allocate_quality((1, 4), (4, 8), cfg)
-    assert not alloc.under_provisioned
-    highs = [t for t, lvl in alloc.quality.items() if lvl is QualityLevel.HIGH]
-    lows = [t for t, lvl in alloc.quality.items() if lvl is QualityLevel.LOW]
+    quality, under = allocate_quality((1, 4), (4, 8), DEFAULT_BUDGET_MBIT)
+    assert not under
+    highs = [t for t, q in quality.items() if q == HIGH]
+    lows = [t for t, q in quality.items() if q == LOW]
     assert sorted(highs) == sorted(fov_tiles((1, 4)))
     assert len(lows) == 23
-    assert spent_mbit(alloc) == pytest.approx(95.4, abs=1e-9)
+    assert spent_mbit(quality) == pytest.approx(95.4, abs=1e-9)
 
 
 def test_allocation_zero_budget_under_provisions():
-    alloc = allocate_quality((1, 4), (3, 3), SessionConfig(budget_mbit=0.0))
-    assert alloc.under_provisioned
-    assert alloc.quality == {}
+    quality, under = allocate_quality((1, 4), (3, 3), 0.0)
+    assert under
+    assert quality == {}
 
 
 def test_allocation_extends_outside_zone():
     zone = block_tiles((1, 4), (3, 3))
-    alloc = allocate_quality((1, 4), (3, 3), SessionConfig(budget_mbit=95.4))
-    outside = [t for t in alloc.quality if t not in zone]
-    assert outside and all(alloc.quality[t] is QualityLevel.HIGH for t in outside)
+    quality, _ = allocate_quality((1, 4), (3, 3), 95.4)
+    outside = [t for t in quality if t not in zone]
+    assert outside and all(quality[t] == HIGH for t in outside)
 
 
 def test_budget_conservation_exhaustive():
     # Every reachable (center, shape) pair at several budgets.
     for budget in (0.0, 10.0, 30.0, 57.6, 95.4, 200.0, 1000.0):
-        cfg = SessionConfig(budget_mbit=budget)
         for r in range(TILE_ROWS):
             for c in range(TILE_COLS):
                 for shape in ZONE_SHAPES:
-                    alloc = allocate_quality((r, c), shape, cfg)
-                    assert spent_mbit(alloc) <= budget + 1e-9
+                    quality, _ = allocate_quality((r, c), shape, budget)
+                    assert spent_mbit(quality) <= budget + 1e-9
 
 
 def test_allocation_order_prefers_pfov_center():
-    cfg = SessionConfig(budget_mbit=15 * 1.8 + 4.2)  # room for exactly one upgrade
-    alloc = allocate_quality((2, 2), (3, 5), cfg)
-    highs = [t for t, lvl in alloc.quality.items() if lvl is QualityLevel.HIGH]
+    budget = 15 * 1.8 + 4.2  # room for exactly one upgrade
+    quality, _ = allocate_quality((2, 2), (3, 5), budget)
+    highs = [t for t, q in quality.items() if q == HIGH]
     assert highs == [(2, 2)]
 
 
@@ -212,53 +213,62 @@ def _ring_key(center: Tile):
     return key
 
 
-def greedy_allocate_quality(center: Tile, shape: tuple[int, int], cfg: SessionConfig) -> Allocation:
-    """Per-tile quality map for one GoP under the bitrate budget: the zone of
-    ``shape`` and the pFoV are both the blocks around the pFoV center tile."""
-    if shape not in ZONE_SHAPES:
-        raise ValueError(f"zone shape {shape} is outside the feasible set {ZONE_SHAPES}")
+@functools.lru_cache(maxsize=None)
+def _greedy_passes(center: Tile, shape: tuple[int, int]) -> tuple:
+    """The tiles of each greedy pass in its order, which no budget changes:
+    the zone, the upgrade tiers (pFoV center, rest of the pFoV, rest of the
+    zone) and the tiles outside the zone."""
     zone, pfov, order = block_tiles(center, shape), fov_tiles(center), _ring_key(center)
-    quality: dict = {}
-    spent = 0.0
-    under = False
-
-    low_cost = QualityLevel.LOW.value * GOP_SECONDS
-    for tile in sorted(zone, key=order):
-        if spent + low_cost <= cfg.budget_mbit + _BUDGET_SLACK:
-            quality[tile] = QualityLevel.LOW
-            spent += low_cost
-        else:
-            under = True
-    if under:
-        return Allocation(quality, True)
-
-    upgrade_cost = (QualityLevel.HIGH.value - QualityLevel.LOW.value) * GOP_SECONDS
     tiers = [
         [center],
         sorted(pfov - {center}, key=order),
         sorted(zone - pfov, key=order),
     ]
+    return (sorted(zone, key=order), tiers,
+            sorted((x for x in _TILES if x not in zone), key=order))
+
+
+def greedy_allocate_quality(center: Tile, shape: tuple[int, int], budget: float) -> tuple[dict, bool]:
+    """(quality, under_provisioned) for one GoP under the bitrate budget: the
+    zone of ``shape`` and the pFoV are both the blocks around the pFoV center tile."""
+    if shape not in ZONE_SHAPES:
+        raise ValueError(f"zone shape {shape} is outside the feasible set {ZONE_SHAPES}")
+    zone, tiers, outside = _greedy_passes(center, shape)
+    quality: dict = {}
+    spent = 0.0
+    under = False
+
+    low_cost = LOW_MBPS * GOP_SECONDS
+    for tile in zone:
+        if spent + low_cost <= budget + _BUDGET_SLACK:
+            quality[tile] = LOW
+            spent += low_cost
+        else:
+            under = True
+    if under:
+        return quality, True
+
+    upgrade_cost = (HIGH_MBPS - LOW_MBPS) * GOP_SECONDS
     for tier in tiers:
         for tile in tier:
-            if spent + upgrade_cost <= cfg.budget_mbit + _BUDGET_SLACK:
-                quality[tile] = QualityLevel.HIGH
+            if spent + upgrade_cost <= budget + _BUDGET_SLACK:
+                quality[tile] = HIGH
                 spent += upgrade_cost
 
-    add_cost = QualityLevel.HIGH.value * GOP_SECONDS
-    for tile in sorted((x for x in _TILES if x not in zone), key=order):
-        if spent + add_cost <= cfg.budget_mbit + _BUDGET_SLACK:
-            quality[tile] = QualityLevel.HIGH
+    add_cost = HIGH_MBPS * GOP_SECONDS
+    for tile in outside:
+        if spent + add_cost <= budget + _BUDGET_SLACK:
+            quality[tile] = HIGH
             spent += add_cost
-    return Allocation(quality, False)
+    return quality, False
 
 
 def phase_boundary_budgets(zone_size: int) -> list[float]:
     """Budgets at every running spend of a zone of ``zone_size`` tiles: each
     sum itself, and the budget whose allowance (budget + slack) reaches it,
     each with its neighbours one ulp either side."""
-    low, high = QualityLevel.LOW.value, QualityLevel.HIGH.value
-    costs = ([low] * zone_size + [high - low] * zone_size
-             + [high] * (TILE_ROWS * TILE_COLS - zone_size))
+    costs = ([LOW_MBPS] * zone_size + [HIGH_MBPS - LOW_MBPS] * zone_size
+             + [HIGH_MBPS] * (TILE_ROWS * TILE_COLS - zone_size))
     budgets = set()
     for spent in accumulate(c * GOP_SECONDS for c in costs):
         reach = spent - _BUDGET_SLACK
@@ -281,13 +291,50 @@ def test_prefix_allocation_matches_the_greedy_passes_at_every_phase_boundary():
         for shape in ZONE_SHAPES:
             size = len(block_tiles(center, shape))
             if size not in grids:
-                grids[size] = [SessionConfig(b) for b in phase_boundary_budgets(size) + fixed]
-            for cfg in grids[size]:
-                got = allocate_quality(center, shape, cfg)
-                want = greedy_allocate_quality(center, shape, cfg)
-                assert list(got.quality.items()) == list(want.quality.items()), (center, shape, cfg)
-                assert got.under_provisioned == want.under_provisioned, (center, shape, cfg)
+                grids[size] = phase_boundary_budgets(size) + fixed
+            for budget in grids[size]:
+                got, got_under = allocate_quality(center, shape, budget)
+                want, want_under = greedy_allocate_quality(center, shape, budget)
+                assert list(got.items()) == list(want.items()), (center, shape, budget)
+                assert got_under == want_under, (center, shape, budget)
     assert sorted(grids) == [6, 9, 10, 14, 15, 21, 28, 32]
+
+
+def greedy_tables(budget):
+    """``_qoe_tables``' arrays from the greedy maps, each FoV's terms summed
+    tile by tile, left to right in ``fov_tiles`` order: quality of each tile,
+    FoV mean quality, FoV tiles streamed, FoV size and stalled."""
+    count, shapes = len(_TILES), len(ZONE_SHAPES)
+    quality = np.zeros((count, shapes, count))
+    under = np.zeros((count, shapes, 1), dtype=bool)
+    for p, center in enumerate(_TILES):
+        for z, shape in enumerate(ZONE_SHAPES):
+            streamed, under[p, z] = greedy_allocate_quality(center, shape, budget)
+            for (r, c), q in streamed.items():
+                quality[p, z, r * TILE_COLS + c] = q
+    fovs = [[r * TILE_COLS + c for r, c in fov_tiles(center)] for center in _TILES]
+    fov_sum, covered, size = (np.zeros((count, shapes, count), dtype) for dtype in (float, int, int))
+    for k in range(max(map(len, fovs))):   # the k-th tile of every FoV that has one
+        has = np.array([k < len(fov) for fov in fovs])
+        term = quality[:, :, [fov[k] if k < len(fov) else 0 for fov in fovs]][:, :, has]
+        fov_sum[:, :, has] += term
+        covered[:, :, has] += term > 0.0
+        size[:, :, has] += 1
+    return quality, fov_sum / size, covered, size, under | (covered < size)
+
+
+def test_tables_match_the_greedy_tables_bit_for_bit():
+    # The scorer test compares QoE to 1e-12; here every table is the greedy
+    # reference's, to the bit, at every phase boundary of every zone size, so
+    # a quality computed, written or summed another way fails.
+    sizes = {len(block_tiles(center, shape)) for center in _TILES for shape in ZONE_SHAPES}
+    budgets = {0.0, DEFAULT_BUDGET_MBIT, 1000.0, math.inf}
+    budgets.update(*map(phase_boundary_budgets, sizes))
+    for budget in sorted(budgets):
+        got, want = _qoe_tables(budget), greedy_tables(budget)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), budget
 
 
 # ------------------------------------------------------------------ QoE score
@@ -299,7 +346,7 @@ def _static_records(gops, quality, center=(1, 1), under=False):
 
 def test_qoe_everything_high_no_stalls_is_five():
     fov = fov_tiles((1, 1))
-    quality = {t: QualityLevel.HIGH for t in fov}
+    quality = {t: HIGH for t in fov}
     report = qoe_score(_static_records(6, quality))
     assert report.qoe == pytest.approx(5.0, abs=1e-12)
     assert report.stall_fraction == 0.0
@@ -317,9 +364,8 @@ def test_qoe_everything_missing_is_one():
 def test_qoe_half_low_half_high_regression():
     fov = sorted(fov_tiles((1, 1)))
     center = (1, 1)
-    quality = {t: (QualityLevel.HIGH if i < 4 or t == center else QualityLevel.LOW)
-               for i, t in enumerate(fov)}
-    highs = sum(1 for lvl in quality.values() if lvl is QualityLevel.HIGH)
+    quality = {t: (HIGH if i < 4 or t == center else LOW) for i, t in enumerate(fov)}
+    highs = sum(1 for q in quality.values() if q == HIGH)
     report = qoe_score(_static_records(4, quality, center))
     fov_mean = (highs * 1.0 + (9 - highs) * 0.3) / 9.0
     expected = 1.0 + 4.0 * (0.4 * 1.0 + 0.3 * fov_mean + 0.15 + 0.15)
@@ -329,7 +375,7 @@ def test_qoe_half_low_half_high_regression():
 
 def test_qoe_missing_fov_tile_reduces_coverage_and_stalls():
     fov = sorted(fov_tiles((1, 1)))
-    quality = {t: QualityLevel.HIGH for t in fov[:-1]}
+    quality = {t: HIGH for t in fov[:-1]}
     report = qoe_score(_static_records(5, quality))
     assert report.fov_coverage == pytest.approx(8.0 / 9.0)
     assert report.stall_fraction == 1.0
@@ -342,7 +388,7 @@ def test_qoe_bounds_random_sessions():
         records = []
         for _ in range(6):
             quality = {
-                t: rng.choice([QualityLevel.LOW, QualityLevel.MID, QualityLevel.HIGH])
+                t: rng.choice([LOW, 2.7 / HIGH_MBPS, HIGH])
                 for t in fov
                 if rng.random() > 0.3
             }
@@ -356,29 +402,30 @@ def test_qoe_rejects_empty_session():
         qoe_score([])
 
 
-def test_session_config_validation():
-    assert [f.name for f in dataclasses.fields(SessionConfig)] == ["budget_mbit"]
-    assert SessionConfig(budget_mbit=0.0).budget_mbit == 0.0
-    assert SessionConfig(budget_mbit=math.inf).budget_mbit == math.inf
+def test_budget_validation():
+    check_budget(0.0)
+    check_budget(math.inf)
     for budget in (-1.0, math.nan):
-        with pytest.raises(ValueError):
-            SessionConfig(budget_mbit=budget)
+        with pytest.raises(ValueError, match=f"budget must be non-negative, got {budget!r}"):
+            check_budget(budget)
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            allocate_quality((1, 1), (3, 3), budget)
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            score_sessions(np.zeros((1, 3), int), np.zeros((1, 3)), np.zeros((1, 3), int), budget)
 
 
 def test_zone_inflation_never_helps_under_fixed_budget():
     # FoV equals pFoV; growing the zone only spreads the budget thinner.
-    cfg = SessionConfig(budget_mbit=60.0)
     center = (1, 1)
     scores = []
     for shape in ZONE_SHAPES:
-        alloc = allocate_quality(center, shape, cfg)
-        records = [GopRecord(center, alloc.quality, alloc.under_provisioned)
-                   for _ in range(5)]
+        quality, under = allocate_quality(center, shape, 60.0)
+        records = [GopRecord(center, quality, under) for _ in range(5)]
         scores.append(qoe_score(records).qoe)
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
 
 
-def reference_qoe(predicted, actual, uploaded, cfg):
+def reference_qoe(predicted, actual, uploaded, budget):
     """Per-GoP scoring loop over allocate_quality's dict quality maps, in
     plain Python arithmetic: the reference for the table-driven scorer.
     Returns the report and the session's GopRecords."""
@@ -386,16 +433,15 @@ def reference_qoe(predicted, actual, uploaded, cfg):
     covered_pairs = total_pairs = 0
     for p, a, e in zip(predicted, actual, uploaded):
         pcenter, acenter = tile_of(p), tile_of(a)
-        quality = allocate_quality(pcenter, zone_from_error(float(e)), cfg)
-        level = {t: lvl.normalized for t, lvl in quality.quality.items()}
+        level, under = allocate_quality(pcenter, zone_from_error(float(e)), budget)
         fov = fov_tiles(acenter)
         central.append(level.get(acenter, 0.0))
         fov_means.append(sum([level.get(t, 0.0) for t in fov]) / len(fov))
         covered = sum(1 for t in fov if t in level)
         covered_pairs += covered
         total_pairs += len(fov)
-        stalled.append(quality.under_provisioned or covered < len(fov))
-        records.append(GopRecord(acenter, quality.quality, quality.under_provisioned))
+        stalled.append(under or covered < len(fov))
+        records.append(GopRecord(acenter, level, under))
     transitions = [
         1.0 if (stalled[i] or stalled[i + 1]) else min(1.0, abs(fov_means[i + 1] - fov_means[i]))
         for i in range(len(stalled) - 1)
@@ -427,20 +473,19 @@ def test_table_scorer_matches_the_per_gop_reference():
     rng = np.random.default_rng(11)
     seen = set()
     for budget in (0.0, 10.0, 30.0, 57.6, 95.4, 200.0, 1000.0):
-        cfg = SessionConfig(budget_mbit=budget)
         for gops in (1, 2, 60):
             predicted, actual, uploaded = random_sessions(rng, 4, gops)
-            reports = score_sessions(tiles_of(predicted), uploaded, tiles_of(actual), cfg)
+            reports = score_sessions(tiles_of(predicted), uploaded, tiles_of(actual), budget)
             pairs = []
             for i, report in enumerate(reports):
-                want, records = reference_qoe(predicted[i], actual[i], uploaded[i], cfg)
+                want, records = reference_qoe(predicted[i], actual[i], uploaded[i], budget)
                 pairs += [(report, want), (qoe_score(records), want)]
             if gops >= 3:   # the shortest SessionTrace
                 # One session of (1, GoPs) arrays, scored from a trace's rows.
                 trace = SessionTrace(0, 0, actual[0])
                 one, = score_sessions(tiles_of(predicted[0])[None], uploaded[0][None],
-                                      tiles_of(trace.actual)[None], cfg)
-                want, _ = reference_qoe(predicted[0], trace.actual, uploaded[0], cfg)
+                                      tiles_of(trace.actual)[None], budget)
+                want, _ = reference_qoe(predicted[0], trace.actual, uploaded[0], budget)
                 pairs.append((one, want))
             for got, want in pairs:
                 for name in ("qoe", "fov_coverage", "mean_fov_quality", "quality_variation",
@@ -458,7 +503,7 @@ def test_table_scorer_matches_the_per_gop_reference():
 
 def test_simulate_perfect_predictor_no_policy():
     report, app = simulate_session(
-        perfect_trace(), NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(0)
+        perfect_trace(), NoObfuscation(), DEFAULT_BUDGET_MBIT, EPS, np.random.default_rng(0)
     )
     assert np.mean(app.per_gop_leakage) == 1.0
     assert np.all(app.uploaded == 0.0)
@@ -467,7 +512,7 @@ def test_simulate_perfect_predictor_no_policy():
 
 def test_simulate_bpea_zero_requirement_leaks_nothing():
     report, app = simulate_session(
-        walking_trace(), BpeaPolicy(q=0.0), SessionConfig(), EPS, np.random.default_rng(0)
+        walking_trace(), BpeaPolicy(q=0.0), DEFAULT_BUDGET_MBIT, EPS, np.random.default_rng(0)
     )
     assert np.mean(app.per_gop_leakage) == 0.0
     assert np.all(app.per_gop_leakage == 0.0)
@@ -476,9 +521,9 @@ def test_simulate_bpea_zero_requirement_leaks_nothing():
 def test_simulate_bpea_vacuous_requirement_equals_no_policy():
     trace = walking_trace()
     base_report, base = simulate_session(
-        trace, NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(0))
+        trace, NoObfuscation(), DEFAULT_BUDGET_MBIT, EPS, np.random.default_rng(0))
     noisy_report, noisy = simulate_session(
-        trace, BpeaPolicy(q=1.0), SessionConfig(), EPS, np.random.default_rng(0))
+        trace, BpeaPolicy(q=1.0), DEFAULT_BUDGET_MBIT, EPS, np.random.default_rng(0))
     assert noisy_report == base_report
     assert noisy.mean_error_rad == base.mean_error_rad
     assert noisy.mean_abs_noise_rad == 0.0
@@ -488,9 +533,9 @@ def test_simulate_bpea_vacuous_requirement_equals_no_policy():
 def test_simulate_gaussian_policy_inflates_errors():
     trace = walking_trace(gops=40)
     _, base = simulate_session(
-        trace, NoObfuscation(), SessionConfig(), EPS, np.random.default_rng(1))
+        trace, NoObfuscation(), DEFAULT_BUDGET_MBIT, EPS, np.random.default_rng(1))
     _, noisy = simulate_session(
-        trace, NoiseScale(GAUSSIAN_KIND, 2.0), SessionConfig(), EPS, np.random.default_rng(1)
+        trace, NoiseScale(GAUSSIAN_KIND, 2.0), DEFAULT_BUDGET_MBIT, EPS, np.random.default_rng(1)
     )
     assert noisy.mean_error_rad > base.mean_error_rad
     assert noisy.mean_abs_noise_rad == 0.0
@@ -498,30 +543,30 @@ def test_simulate_gaussian_policy_inflates_errors():
 
 def test_apply_policy_matches_simulate_session_pipeline():
     trace = walking_trace()
-    cfg = SessionConfig()
     app = apply_policy(trace, BpeaPolicy(q=0.2), EPS, np.random.default_rng(3))
     report, outcome = simulate_session(
-        trace, BpeaPolicy(q=0.2), cfg, EPS, np.random.default_rng(3)
+        trace, BpeaPolicy(q=0.2), DEFAULT_BUDGET_MBIT, EPS, np.random.default_rng(3)
     )
     assert np.array_equal(app.per_gop_leakage, outcome.per_gop_leakage)
     assert np.array_equal(app.uploaded, outcome.uploaded)
     assert app.mean_error_rad == outcome.mean_error_rad
     assert report == score_sessions(tiles_of(app.predicted)[None], app.uploaded[None],
-                                    tiles_of(trace.actual)[None], cfg)[0]
+                                    tiles_of(trace.actual)[None], DEFAULT_BUDGET_MBIT)[0]
 
 
 def test_under_provisioned_budget_stalls_every_gop():
     report, _ = simulate_session(
-        perfect_trace(), NoObfuscation(), SessionConfig(budget_mbit=5.0), EPS,
+        perfect_trace(), NoObfuscation(), 5.0, EPS,
         np.random.default_rng(0),
     )
     assert report.stall_fraction == 1.0
     assert report.fov_coverage < 1.0
 
 
-def test_allocation_dataclass_shape():
-    alloc = Allocation(quality={}, under_provisioned=True)
-    assert alloc.under_provisioned
+def test_allocation_is_a_quality_map_and_an_under_provisioned_flag():
+    quality, under = allocate_quality((1, 4), (3, 3), 0.0)
+    assert type(quality) is dict and type(under) is bool
+    assert under
 
 
 def range_block_tiles(center, shape):

@@ -65,6 +65,12 @@ def test_synthetic_trace_concentration_validation():
             generate_synthetic_traces(10, [np.random.default_rng(0)], concentration)
     with pytest.raises(ValueError, match=f"need at least {MIN_GOPS} GoPs, got 2"):
         generate_synthetic_traces(2, [np.random.default_rng(0)])
+    # A non-integer count once reached np.empty and raised TypeError there.
+    for gops in (3.5, True):
+        with pytest.raises(ValueError, match=f"GoP count must be an integer, got {gops!r}"):
+            generate_synthetic_traces(gops, [np.random.default_rng(0)])
+        with pytest.raises(ValueError, match=f"GoP count must be an integer, got {gops!r}"):
+            generate_synthetic_trace(0, 0, gops, np.random.default_rng(0))
 
 
 def test_a_walk_at_the_concentration_floor_never_stands_still():
