@@ -181,9 +181,9 @@ def _cmd_tradeoff(args) -> int:
         gops_per_video=args.gops, seed=args.seed, budget_mbit=args.budget_mbit,
         margin=args.tau, concentration=args.concentration, out_path=args.out,
     )
-    result = harness.run_tradeoff_experiment(cfg)
-    print(f"wrote {len(result.rows)} rows to {args.out}")
-    infeasible = sorted(k for k, c in result.calibrations.items() if not c.feasible)
+    rows, calibrations = harness.run_tradeoff_experiment(cfg)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    infeasible = sorted(k for k, c in calibrations.items() if not c.feasible)
     if infeasible:
         print(f"warning: {len(infeasible)} calibration points infeasible "
               f"(fallback scales used; {_noise_limit(args.eps)}): "

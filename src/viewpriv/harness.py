@@ -145,12 +145,6 @@ class TradeoffRow:
 RESULTS_HEADER = [f.name for f in fields(TradeoffRow)]
 
 
-@dataclass
-class ExperimentResult:
-    rows: list
-    calibrations: dict
-
-
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), for ``_seed_words``.
 _POOL_SIZE, _XSHIFT = 4, np.uint32(16)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -305,8 +299,8 @@ def calibrate_baselines(cfg: ExperimentConfig, train: np.ndarray) -> dict:
     return calibrations
 
 
-def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Calibrate, simulate, and aggregate one row per (q, policy)."""
+def run_tradeoff_experiment(cfg: ExperimentConfig) -> tuple[list, dict]:
+    """Calibrate, simulate, and aggregate one row per (q, policy); returns (rows, calibrations)."""
     train, actual = generate_trace_set(cfg)
     calibrations = calibrate_baselines(cfg, train)
     del train   # calibration is its only reader
@@ -354,7 +348,7 @@ def run_tradeoff_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     if cfg.out_path is not None:
         write_results(rows, cfg.out_path)
-    return ExperimentResult(rows, calibrations)
+    return rows, calibrations
 
 
 def write_results(rows: list, path) -> None:

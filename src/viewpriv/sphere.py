@@ -155,26 +155,15 @@ def step_walk(walk: np.ndarray, cos_a, sin_a, cos_b, sin_b) -> None:
 def points_at_distance(origin: SpherePoint, distance: float, bearings: np.ndarray) -> np.ndarray:
     """Unit rows at arc distance ``distance`` from ``origin``, one per tangent-frame bearing.
 
-    Returns an (n, 3) view of component-major (3, n) storage. Each row is
-    bit-equal to ``unit_rows`` of ``c * o + s * (cos b * t1 + sin b * t2)``.
+    Returns a C-contiguous (n, 3) array, each row ``unit_rows`` of
+    ``s * (cos b * t1 + sin b * t2) + c * o``; a NaN bearing is refused there.
     """
     distance = check_angle(distance, 0.0, math.pi, "distance")
     b = np.asarray(bearings, dtype=float)
-    cos_b, sin_b = np.cos(b), np.sin(b)
     o = origin.as_array()
     (t1,), (t2,) = tangent_frame(o[None])
     c, s = math.cos(distance), math.sin(distance)
-    comps = np.empty((3, len(b)))
-    for k, row in enumerate(comps):
-        np.multiply(cos_b, t1[k], row)
-        row += sin_b * t2[k]
-        row *= s
-        row += c * o[k]
-    norms = norm(comps.T)
-    if not np.all(np.isfinite(comps)) or np.any(norms == 0.0):
-        raise ValueError("rows must be finite and nonzero")
-    comps /= norms
-    return comps.T
+    return unit_rows((np.cos(b)[:, None] * t1 + np.sin(b)[:, None] * t2) * s + c * o)
 
 
 def points_around_pole(distance: float, cos_b, sin_b) -> np.ndarray:

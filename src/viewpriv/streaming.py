@@ -66,12 +66,16 @@ def check_budget(budget_mbit: float) -> None:
         raise ValueError(f"budget must be non-negative, got {budget_mbit!r}")
 
 
+# The grid: a tile is one of these (row, column) pairs, and its flat index is its place here.
 _TILES = tuple((r, c) for r in range(TILE_ROWS) for c in range(TILE_COLS))
 
 
 def tiles_of(points) -> np.ndarray:
-    """Flat tile indices, row * TILE_COLS + col, of unit vectors of any leading shape."""
-    x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
+    """Flat tile indices, row * TILE_COLS + col, of finite unit vectors of any leading shape."""
+    points = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"viewpoints must be finite, got {points[~np.isfinite(points)][0]}")
+    x, y, z = points.reshape(-1, 3).T
     rows = np.arccos(np.clip(z, -1.0, 1.0)) / math.pi * TILE_ROWS
     cols = np.arctan2(y, x) % (2.0 * math.pi) / (2.0 * math.pi) * TILE_COLS
     # numpy's vectorized arccos/arctan2 can differ from libm's by an ulp,
@@ -98,6 +102,8 @@ def block_tiles(center: Tile, shape: tuple[int, int]) -> frozenset:
     """The tiles within ``rows // 2`` rows (every row for a shape as tall as the
     grid) and ``cols // 2`` seam-wrapping columns of ``center``, so a block near
     a pole can lose a row; row-major, the order ``_qoe_tables`` sums FoVs in."""
+    if center not in _TILES:
+        raise ValueError(f"tile {center!r} is not on the {TILE_ROWS}x{TILE_COLS} grid")
     rows, cols = shape
     r, c = center
     half_rows = TILE_ROWS if rows >= TILE_ROWS else rows // 2
@@ -177,13 +183,6 @@ def _qoe_tables(budget_mbit: float) -> tuple[np.ndarray, ...]:
 
 
 @dataclass(frozen=True)
-class GopRecord:
-    fov_center: Tile
-    quality: dict
-    under_provisioned: bool
-
-
-@dataclass(frozen=True)
 class QoEReport:
     qoe: float
     fov_coverage: float
@@ -214,18 +213,18 @@ def _qoe_reports(gaze, fov_mean, covered, fov_size, stalled) -> list[QoEReport]:
 
 
 def qoe_score(per_gop: list) -> QoEReport:
-    """Session score from per-GoP actual-FoV center tiles and streamed quality
-    maps, weighted by ``QOE_WEIGHTS``."""
+    """Session score, weighted by ``QOE_WEIGHTS``, from per-GoP ``(fov_center, quality,
+    under_provisioned)`` triples: the actual-FoV center tile and ``allocate_quality``'s pair."""
     if not per_gop:
         raise ValueError("cannot score an empty session")
     terms = []
-    for rec in per_gop:
-        quality, fov = rec.quality, fov_tiles(rec.fov_center)
+    for fov_center, quality, under_provisioned in per_gop:
+        fov = fov_tiles(fov_center)
         covered = sum(1 for tile in fov if tile in quality)
         size = len(fov)
         fov_mean = sum(quality.get(tile, 0.0) for tile in fov) / size
-        terms.append((quality.get(rec.fov_center, 0.0), fov_mean, covered, size,
-                      rec.under_provisioned or covered < size))
+        terms.append((quality.get(fov_center, 0.0), fov_mean, covered, size,
+                      under_provisioned or covered < size))
     return _qoe_reports(*(np.array([column]) for column in zip(*terms)))[0]
 
 
@@ -233,6 +232,9 @@ def score_sessions(pfov_tiles, uploaded, actual_tiles, budget_mbit: float) -> li
     """QoE of each session from (sessions, GoPs) arrays of pFoV and actual-FoV
     center tiles (``tiles_of``) and of uploaded errors."""
     check_budget(budget_mbit)
+    for tiles in map(np.asarray, (pfov_tiles, actual_tiles)):
+        if tiles.dtype.kind not in "iu" or np.any((tiles < 0) | (tiles >= len(_TILES))):
+            raise ValueError(f"tile indices must be integers in [0, {len(_TILES)}), got {tiles}")
     key = (pfov_tiles, zone_indices(uploaded), actual_tiles)
     return _qoe_reports(*(table[key] for table in _qoe_tables(budget_mbit)))
 

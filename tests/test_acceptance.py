@@ -174,9 +174,9 @@ def test_criterion_5_pspr_contrast():
             num_users=48, num_videos=4, num_train_videos=5, gops_per_video=2000,
             seed=0, compute_qoe=False, calibration_step=1.0,
         )
-        result = run_tradeoff_experiment(cfg)
+        measured, _ = run_tradeoff_experiment(cfg)
         by_policy = {}
-        for row in result.rows:
+        for row in measured:
             by_policy.setdefault(row.policy, []).append(row)
 
         for row in by_policy["bpea"]:
@@ -200,8 +200,8 @@ def test_criterion_6_tradeoff_shape():
             num_users=24, num_videos=4, num_train_videos=5, gops_per_video=60,
             seed=0, policies=("none", "bpea", "gaussian", "laplace"), q_grid=q_grid,
         )
-        result = run_tradeoff_experiment(cfg)
-        rows = {(r.policy, r.q): r for r in result.rows}
+        measured, _ = run_tradeoff_experiment(cfg)
+        rows = {(r.policy, r.q): r for r in measured}
 
         # (a) vacuous requirement: no uploaded-error inflation, no QoE loss.
         vacuous, baseline_free = rows[("bpea", 1.0)], rows[("none", 1.0)]

@@ -57,12 +57,29 @@ def test_effective_precision_against_high_precision_oracle():
     assert want == pytest.approx(0.2732032144912512, abs=1e-14)
 
 
+def floats_around(x, ulps):
+    """The 2 * ulps + 1 floats nearest ``x``, by stepping its int64 view."""
+    return (np.float64(x).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+
+
 def test_zero_noise_leakage_is_exact_error_leakage():
     # Without noise the upload is the exact error, so both formulas must
-    # agree to the bit, regime boundaries included.
-    errors = np.linspace(0.0, math.pi, 100_001)
+    # agree to the bit, regime boundaries included: every "none" row, every
+    # calibration and every bpea row at q = 1 read one of the two. Both
+    # edges, eps and fl(pi - eps), are walked float by float.
+    errors = np.concatenate((np.linspace(0.0, math.pi, 100_001), floats_around(EPS, 200_000),
+                             floats_around(math.pi - EPS, 200_000),
+                             np.random.default_rng(0).uniform(0.0, math.pi, 1_000_000)))
     noisy = conditional_leakage_noisy(errors, np.zeros_like(errors), EPS)
     assert np.array_equal(noisy, conditional_leakage(errors, EPS))
+
+
+@pytest.mark.xfail(strict=True, reason="at e = fl(pi - eps) the exact-error form reads the far "
+                   "regime (1), but the noisy form's cell edge pi - e - eps rounds above n = 0, "
+                   "so it gives the middle value (0.3459); ROADMAP item 10")
+def test_zero_noise_leakage_is_exact_error_leakage_at_the_far_edge_of_eps_0_7():
+    e = math.pi - 0.7   # 2.441592653589793
+    assert conditional_leakage_noisy(e, 0.0, 0.7) == conditional_leakage(e, 0.7)
 
 
 def test_effective_precision_bounded_by_eps():

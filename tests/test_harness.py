@@ -244,8 +244,8 @@ def test_experiment_rows_and_split_audit(monkeypatch):
 
     monkeypatch.setattr(harness, "calibrate_baselines", calibrate_spy)
     monkeypatch.setattr(harness, "apply_policy", apply_spy)
-    result = run_tradeoff_experiment(cfg)
-    assert len(result.rows) == len(cfg.q_grid) * len(cfg.policies)
+    rows, _ = run_tradeoff_experiment(cfg)
+    assert len(rows) == len(cfg.q_grid) * len(cfg.policies)
     # Calibration reads the training stack alone, and every upload the evaluation stack.
     train, evaluation = generate_trace_set(cfg)
     assert len(calibrated) == 1 and len(train) and np.array_equal(calibrated[0], train)
@@ -270,10 +270,10 @@ def test_a_one_shot_or_array_q_grid_makes_every_row(tmp_path):
     # array grid raised on its truth value.
     grid = (0.0, 0.1, 0.2)
     cfg = dict(SMALL, policies=("none", "bpea", "gaussian"), q_grid=grid)
-    rows = run_tradeoff_experiment(ExperimentConfig(**cfg)).rows
+    rows, _ = run_tradeoff_experiment(ExperimentConfig(**cfg))
     assert len(rows) == 9
     generated = dict(cfg, q_grid=(x / 10 for x in range(3)), policies=iter(cfg["policies"]))
-    assert run_tradeoff_experiment(ExperimentConfig(**generated)).rows == rows
+    assert run_tradeoff_experiment(ExperimentConfig(**generated))[0] == rows
     paths = tmp_path / "tuple.csv", tmp_path / "array.csv"
     for path, q_grid in zip(paths, (grid, np.array(grid))):
         run_tradeoff_experiment(ExperimentConfig(**dict(cfg, q_grid=q_grid, out_path=str(path))))
@@ -285,7 +285,7 @@ def test_bpea_noise_non_increasing_in_q():
         num_users=4, num_videos=2, num_train_videos=1, gops_per_video=40, seed=2,
         q_grid=tuple(round(0.1 * i, 1) for i in range(11)), policies=("bpea",),
     )
-    rows = sorted(run_tradeoff_experiment(cfg).rows, key=lambda r: r.q)
+    rows = sorted(run_tradeoff_experiment(cfg)[0], key=lambda r: r.q)
     noises = [r.mean_abs_noise_rad for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(noises, noises[1:]))
 
@@ -295,17 +295,17 @@ def test_bpea_rows_meet_requirement_per_trace():
         num_users=4, num_videos=2, num_train_videos=1, gops_per_video=30, seed=3,
         q_grid=(0.0, 0.2, 0.6), policies=("bpea",),
     )
-    result = run_tradeoff_experiment(cfg)
-    for row in result.rows:
+    rows, _ = run_tradeoff_experiment(cfg)
+    for row in rows:
         assert row.pspr == 1.0
         assert row.pr_leak <= row.q + 1e-12
 
 
 def test_fast_path_matches_full_path_on_leak_columns(tmp_path):
     base = dict(SMALL)
-    full = run_tradeoff_experiment(ExperimentConfig(compute_qoe=True, **base))
-    fast = run_tradeoff_experiment(ExperimentConfig(compute_qoe=False, **base))
-    for a, b in zip(full.rows, fast.rows):
+    full, _ = run_tradeoff_experiment(ExperimentConfig(compute_qoe=True, **base))
+    fast, _ = run_tradeoff_experiment(ExperimentConfig(compute_qoe=False, **base))
+    for a, b in zip(full, fast):
         assert (a.q, a.policy) == (b.q, b.policy)
         assert a.pr_leak == b.pr_leak
         assert a.mean_error_rad == b.mean_error_rad
@@ -334,10 +334,10 @@ def test_stacked_rows_match_the_per_trace_pipeline():
     _, evaluation = generate_trace_set(cfg)
     keys = [(user, cfg.num_train_videos + video)
             for user in range(cfg.num_users) for video in range(cfg.num_videos)]
-    result = run_tradeoff_experiment(cfg)
-    assert {c.scale.value for c in result.calibrations.values() if c.feasible} > {0.0}
-    for row in result.rows:
-        policy = _per_trace_policy(row.policy, row.q, result.calibrations)
+    rows, calibrations = run_tradeoff_experiment(cfg)
+    assert {c.scale.value for c in calibrations.values() if c.feasible} > {0.0}
+    for row in rows:
+        policy = _per_trace_policy(row.policy, row.q, calibrations)
         assert isinstance(policy, NoiseScale) == (row.policy in baselines.SEARCH_MAX)
         # The harness's seed discipline: (seed, 3, q in millionths, policy, user, video).
         seeds = [[cfg.seed, 3, round(row.q * 1_000_000), harness.POLICY_NAMES.index(row.policy),
@@ -368,11 +368,11 @@ def test_a_scale_0_row_builds_no_evaluation_rng(monkeypatch):
         return generator(words)
 
     monkeypatch.setattr(harness, "_generator", spy)
-    result = run_tradeoff_experiment(cfg)
-    scales = {key: c.scale.value for key, c in result.calibrations.items()}
+    rows, calibrations = run_tradeoff_experiment(cfg)
+    scales = {key: c.scale.value for key, c in calibrations.items()}
     assert 0.0 in scales.values() and any(scales.values())
-    clean = {row.q: row for row in result.rows if row.policy == "none"}
-    for row in result.rows:
+    clean = {row.q: row for row in rows if row.policy == "none"}
+    for row in rows:
         if row.policy == "none":
             continue
         # The seed words of this row's keys, (seed, 3, q key, policy id, user, video).
@@ -390,25 +390,25 @@ def test_a_scale_0_row_builds_no_evaluation_rng(monkeypatch):
 
 
 def test_bpea_rows_are_per_q_uploads_of_the_clean_errors_whatever_else_runs():
-    alone = run_tradeoff_experiment(ExperimentConfig(**dict(SMALL, policies=("bpea",))))
-    mixed = run_tradeoff_experiment(ExperimentConfig(
+    alone, _ = run_tradeoff_experiment(ExperimentConfig(**dict(SMALL, policies=("bpea",))))
+    mixed, _ = run_tradeoff_experiment(ExperimentConfig(
         **dict(SMALL, policies=("laplace", "none", "bpea", "gaussian"))))
-    assert alone.rows == [row for row in mixed.rows if row.policy == "bpea"]
+    assert alone == [row for row in mixed if row.policy == "bpea"]
     # Rows are listed q-major in the configured policy order, and no row
     # depends on that order.
-    assert [(row.q, row.policy) for row in mixed.rows] == [
+    assert [(row.q, row.policy) for row in mixed] == [
         (q, name) for q in SMALL["q_grid"] for name in ("laplace", "none", "bpea", "gaussian")]
-    reordered = run_tradeoff_experiment(ExperimentConfig(
+    reordered, _ = run_tradeoff_experiment(ExperimentConfig(
         **dict(SMALL, policies=("none", "bpea", "gaussian", "laplace"))))
-    by_key = {(row.q, row.policy): row for row in reordered.rows}
-    assert len(by_key) == len(mixed.rows)
-    for row in mixed.rows:
+    by_key = {(row.q, row.policy): row for row in reordered}
+    assert len(by_key) == len(mixed)
+    for row in mixed:
         assert row == by_key[(row.q, row.policy)]
     cfg = ExperimentConfig(**SMALL)
     _, actual = generate_trace_set(cfg)
     predicted = persistence_predict(actual)
     errors = prediction_errors(predicted, actual)
-    for row in alone.rows:
+    for row in alone:
         app = apply_policy(actual, BpeaPolicy(row.q, cfg.margin), cfg.eps, None)
         noises, uploaded, leak = app.noises, app.uploaded, app.per_gop_leakage
         reports = score_sessions(tiles_of(predicted), uploaded, tiles_of(actual), cfg.budget_mbit)
@@ -430,8 +430,8 @@ def test_qoe_scores_the_clean_upload_once_and_each_noisy_upload_once(monkeypatch
 
     monkeypatch.setattr(harness, "score_sessions", spy)
     cfg = ExperimentConfig(**dict(SMALL, policies=("none", "bpea", "gaussian")))
-    result = run_tradeoff_experiment(cfg)
-    scales = [c.scale.value for c in result.calibrations.values()]
+    _, calibrations = run_tradeoff_experiment(cfg)
+    scales = [c.scale.value for c in calibrations.values()]
     assert 0.0 in scales and any(scales)
     assert len(calls) == 1 + len(cfg.q_grid) + sum(scale > 0.0 for scale in scales)
     calls.clear()
@@ -522,11 +522,11 @@ def test_seed_kernel_matches_numpy_on_the_harness_keys(seed, users, videos, q_id
 
 def test_policy_instances_read_calibration():
     cfg = ExperimentConfig(**SMALL)
-    result = run_tradeoff_experiment(cfg)
-    assert set(result.calibrations) == {
+    _, calibrations = run_tradeoff_experiment(cfg)
+    assert set(calibrations) == {
         (kind, q) for kind in ("gaussian", "laplace") for q in cfg.q_grid
     }
-    for (kind, q), calibration in result.calibrations.items():
+    for (kind, q), calibration in calibrations.items():
         if q >= 1.0:
             assert calibration.feasible and calibration.scale.value == 0.0
 
@@ -545,13 +545,13 @@ def test_calibration_evaluates_each_perturbed_scale_once(monkeypatch):
 
     monkeypatch.setattr(harness, "perturb_traces", counting_perturb)
     monkeypatch.setattr(baselines, "conditional_leakage", counting_leakage)
-    result = run_tradeoff_experiment(ExperimentConfig(**SMALL))
+    _, calibrations = run_tradeoff_experiment(ExperimentConfig(**SMALL))
     assert len(evaluations) == len(set(perturbed)) == len(perturbed)
     # One forward scan per kind, from scale 0 upwards.
     for policy, kind in (("gaussian", baselines.GAUSSIAN_KIND), ("laplace", baselines.LAPLACE_KIND)):
         scales = [value for k, value in perturbed if k == kind]
         assert scales[0] == 0.0 and scales == sorted(scales)
-        assert len(scales) == max(c.search_evals for (name, q), c in result.calibrations.items()
+        assert len(scales) == max(c.search_evals for (name, q), c in calibrations.items()
                                   if name == policy)
 
 
@@ -652,11 +652,11 @@ def test_scale_keys_are_seeded_as_the_scan_reaches_them(monkeypatch):
 
 def test_write_results_formats_rows(tmp_path):
     cfg = ExperimentConfig(**SMALL)
-    result = run_tradeoff_experiment(cfg)
+    rows, _ = run_tradeoff_experiment(cfg)
     path = tmp_path / "rows.csv"
-    write_results(result.rows, path)
+    write_results(rows, path)
     lines = path.read_text().splitlines()
-    assert len(lines) == 1 + len(result.rows)
+    assert len(lines) == 1 + len(rows)
     first = lines[1].split(",")
     assert first[1] in ("bpea", "gaussian", "laplace", "none")
     float(first[0]), float(first[2])  # parse back cleanly
@@ -675,11 +675,11 @@ def test_privacy_columns_do_not_depend_on_orientation(monkeypatch):
     rotation, _ = np.linalg.qr(np.random.default_rng(19).normal(size=(3, 3)))
     rotation[:, 0] *= np.sign(np.linalg.det(rotation))   # a rotation, not a reflection
     assert np.linalg.det(rotation) == pytest.approx(1.0) and not np.allclose(rotation, np.eye(3))
-    plain = run_tradeoff_experiment(cfg).rows
+    plain, _ = run_tradeoff_experiment(cfg)
     trace_set = harness.generate_trace_set
     monkeypatch.setattr(harness, "generate_trace_set",
                         lambda c: tuple(split @ rotation.T for split in trace_set(c)))
-    rotated = run_tradeoff_experiment(cfg).rows
+    rotated, _ = run_tradeoff_experiment(cfg)
     assert [(r.q, r.policy) for r in rotated] == [(r.q, r.policy) for r in plain]
     for a, b in zip(plain, rotated):
         for column in ("pr_leak", "mean_error_rad", "mean_abs_noise_rad", "pspr"):

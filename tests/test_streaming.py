@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -14,7 +15,6 @@ from viewpriv.streaming import (
     GOP_SECONDS,
     HIGH_MBPS,
     LOW_MBPS,
-    GopRecord,
     QOE_WEIGHTS,
     QoEReport,
     TILE_COLS,
@@ -113,6 +113,39 @@ def test_block_wraps_columns():
     tiles = block_tiles((1, 0), (3, 3))
     cols = {c for _, c in tiles}
     assert cols == {7, 0, 1}
+
+
+def test_tiles_off_the_grid_or_not_finite_are_refused():
+    # Tile index -1 once read tile 31 and scored 5.0, index 32 or a float
+    # tile array raised IndexError, rows -1 and 4 were allocated 15 tiles,
+    # and a NaN viewpoint mapped to a negative tile index.
+    on_grid, uploaded = np.zeros((1, 3), int), np.zeros((1, 3))
+    for tiles in (np.full((1, 3), -1), np.array([[0, 32, 0]]), np.zeros((1, 3))):
+        for pfov, actual in ((tiles, on_grid), (on_grid, tiles)):
+            with pytest.raises(ValueError, match=r"tile indices must be integers in \[0, 32\)"):
+                score_sessions(pfov, uploaded, actual, DEFAULT_BUDGET_MBIT)
+    for center in ((-1, 0), (4, 0), (0, 8), (0, -1)):
+        off = re.escape(f"tile {center!r} is not on the 4x8 grid")
+        for call in (lambda: allocate_quality(center, (3, 3), DEFAULT_BUDGET_MBIT),
+                     lambda: block_tiles(center, (4, 8)), lambda: fov_tiles(center),
+                     lambda: qoe_score([((1, 1), {}, False), (center, {}, False)])):
+            with pytest.raises(ValueError, match=off):
+                call()
+        # The budget and the shape are checked first.
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            allocate_quality(center, (3, 3), -1.0)
+        with pytest.raises(ValueError, match="zone shape"):
+            allocate_quality(center, (2, 2), DEFAULT_BUDGET_MBIT)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"viewpoints must be finite, got {bad}"):
+            tiles_of([[[1.0, 0.0, 0.0], [0.0, bad, 0.0]]])
+        with pytest.raises(ValueError, match="viewpoints must be finite"):
+            tile_of([0.0, 0.0, bad])
+    # The first and last tile, as signed or unsigned indices, are on the grid.
+    ends = np.array([[0, len(_TILES) - 1]])
+    for tiles in (ends, ends.astype(np.uint8)):
+        report, = score_sessions(tiles, np.zeros((1, 2)), tiles[:, ::-1], DEFAULT_BUDGET_MBIT)
+        assert 1.0 <= report.qoe <= 5.0
 
 
 def test_zone_from_error_endpoints_and_midpoint():
@@ -341,7 +374,7 @@ def test_tables_match_the_greedy_tables_bit_for_bit():
 
 
 def _static_records(gops, quality, center=(1, 1), under=False):
-    return [GopRecord(center, dict(quality), under) for _ in range(gops)]
+    return [(center, dict(quality), under) for _ in range(gops)]
 
 
 def test_qoe_everything_high_no_stalls_is_five():
@@ -392,7 +425,7 @@ def test_qoe_bounds_random_sessions():
                 for t in fov
                 if rng.random() > 0.3
             }
-            records.append(GopRecord((2, 3), quality, rng.random() < 0.1))
+            records.append(((2, 3), quality, rng.random() < 0.1))
         report = qoe_score(records)
         assert 1.0 <= report.qoe <= 5.0
 
@@ -420,7 +453,7 @@ def test_zone_inflation_never_helps_under_fixed_budget():
     scores = []
     for shape in ZONE_SHAPES:
         quality, under = allocate_quality(center, shape, 60.0)
-        records = [GopRecord(center, quality, under) for _ in range(5)]
+        records = [(center, quality, under) for _ in range(5)]
         scores.append(qoe_score(records).qoe)
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
 
@@ -428,7 +461,7 @@ def test_zone_inflation_never_helps_under_fixed_budget():
 def reference_qoe(predicted, actual, uploaded, budget):
     """Per-GoP scoring loop over allocate_quality's dict quality maps, in
     plain Python arithmetic: the reference for the table-driven scorer.
-    Returns the report and the session's GopRecords."""
+    Returns the report and the session's per-GoP triples."""
     central, fov_means, stalled, records = [], [], [], []
     covered_pairs = total_pairs = 0
     for p, a, e in zip(predicted, actual, uploaded):
@@ -441,7 +474,7 @@ def reference_qoe(predicted, actual, uploaded, budget):
         covered_pairs += covered
         total_pairs += len(fov)
         stalled.append(under or covered < len(fov))
-        records.append(GopRecord(acenter, level, under))
+        records.append((acenter, level, under))
     transitions = [
         1.0 if (stalled[i] or stalled[i + 1]) else min(1.0, abs(fov_means[i + 1] - fov_means[i]))
         for i in range(len(stalled) - 1)
